@@ -43,6 +43,7 @@ from .montecarlo import (
     estimate_voronoi_moments,
     fading_window,
     in_degree_window,
+    neutralization_window,
 )
 from .pointprocess import Point, PointSet, Rng, ordered_distances, sample_disk, sample_nearest_distance
 from .propagation import FadingModel, GainModel, gain, sample_fading
@@ -136,4 +137,5 @@ __all__ = [
     "estimate_voronoi_moments",
     "fading_window",
     "in_degree_window",
+    "neutralization_window",
 ]

@@ -376,6 +376,9 @@ def _run_neutralize(rc: RunConfig):
     summary = None
     grid = sorted({0.0, 0.25, 0.5, 0.75, 1.0} | {rc.guard_radius})
     cfg = rc.network()
+    for rho_n in grid:
+        if rho_n != 0.0:
+            mc.neutralization_window(cfg, rho_n)  # refuse an oversized window before sampling any radius
     for k, rho_n in enumerate(grid):
         spec = mc.ExperimentSpec(
             kind="neutralization_mean", cfg=cfg, trials=rc.trials, base_seed=_sub_seed(rc.seed, k), rho_n=rho_n

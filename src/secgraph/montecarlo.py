@@ -26,9 +26,19 @@ Estimator design notes, per experiment:
                      pi lambda_e / L and the secure count Poisson on the
                      wedge.  Exact.
   neutralization     spatial: survivors of the guard-disk filter determine
-                     the effective nearest eavesdropper; windows grow per
-                     trial until a survivor exists, so there is no truncation
-                     event, only occasional extra work.
+                     the effective nearest eavesdropper.  Survivors have
+                     density lambda_eff = lambda_e exp(-pi lambda_l rho_n^2),
+                     so the eavesdropper window starts at area
+                     c / lambda_eff (c expected survivors, radius at least
+                     2 rho_n) and legitimate points fill it plus rho_n; the
+                     origin neutralizes but is not counted.  Without a
+                     survivor the window grows by an annulus (radius x1.5):
+                     only the annulus's eavesdroppers are filtered, against
+                     the legitimate points within rho_n of it, because a
+                     neutralized eavesdropper stays neutralized.  No
+                     truncation; bias_note counts the growths.  Cheap trials
+                     share one filtering call per round, each shifted to its
+                     own lattice cell.
   colluding_*        aggregate power summed inside a window plus the
                      deterministic mean of the truncated tail,
                      2 pi lambda_e P_l W^(2-2b)/(2b-2).
@@ -66,6 +76,7 @@ __all__ = [
     "in_degree_window",
     "colluding_window",
     "fading_window",
+    "neutralization_window",
 ]
 
 _BLOCK = 256
@@ -193,6 +204,47 @@ def fading_window(fading: FadingModel, lambda_e: float) -> float:
     if lambda_e <= 0:
         raise ValueError("fading window needs lambda_e > 0")
     return _FADING_WINDOW_MULT[fading.kind] / math.sqrt(lambda_e)
+
+
+# Expected surviving eavesdroppers in the start window, chosen by timing the
+# acceptance grid.  Its time goes to the legitimate points sampled at
+# rho_n = 1.5, which are fewest for 0.35-0.5; 1 cost 7% more and 1.5 15%
+# more, and starts below 0.35 add filtering rounds without saving points.
+_NEUTRAL_START_SURVIVORS = 0.5
+_NEUTRAL_GROWTH = 1.5
+# Legitimate points a start window may expect.  Each costs about 200 bytes
+# at peak, and a grown window holds 2.25x as many, so 1e6 points is about
+# half a gigabyte per thread and seconds per trial.
+_NEUTRAL_POINT_BUDGET = 1e6
+# Expected legitimate points per neutral_survivors call: trials are filtered
+# together up to this many, which spreads the call's fixed cost over many
+# cheap trials while a costly trial still gets a call of its own.
+_NEUTRAL_CALL_POINTS = 2e4
+
+
+def neutralization_window(cfg: NetworkConfig, rho_n: float) -> float:
+    """Start radius of the eavesdropper window under guard radius rho_n.
+
+    Its area holds _NEUTRAL_START_SURVIVORS expected survivors at the
+    survivor density lambda_e exp(-pi lambda_l rho_n^2), and the radius is at
+    least 2 rho_n, so the origin's guard disk never reaches a grown annulus.
+    Raises ValueError when the start window (plus rho_n) would hold more
+    expected legitimate points than _NEUTRAL_POINT_BUDGET.
+    """
+    if not (math.isfinite(rho_n) and rho_n > 0):
+        raise ValueError(f"guard radius must be finite and > 0, got {rho_n}")
+    if cfg.lambda_e <= 0:
+        raise ValueError("neutralization window needs lambda_e > 0")
+    lam_eff = cfg.lambda_e * math.exp(-cfg.lambda_l * math.pi * rho_n * rho_n)
+    w0 = math.sqrt(_NEUTRAL_START_SURVIVORS / (math.pi * lam_eff)) if lam_eff > 0 else math.inf
+    w0 = max(2.0 * rho_n, w0)
+    expected = cfg.lambda_l * math.pi * (w0 + rho_n) ** 2
+    if expected > _NEUTRAL_POINT_BUDGET:
+        raise ValueError(
+            f"guard radius {rho_n} at lambda_l {cfg.lambda_l}, lambda_e {cfg.lambda_e} needs about "
+            f"{expected:.3g} legitimate points per trial, over the budget of {_NEUTRAL_POINT_BUDGET:.3g}"
+        )
+    return w0
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +562,68 @@ def _sector_pmf_blocks(spec: ExperimentSpec, threads: int):
     return _pmf_and_mean(hists, spec.trials, f"exact per-sector distance-domain sampling, L={L}")
 
 
+def _annuli_draw(g, lam: float, r0: float, r1: float, trials: np.ndarray):
+    """One Poisson field of density lam in r0 <= r < r1 per listed trial:
+    trial index, squared radius and coordinates of every point."""
+    area = r1 * r1 - r0 * r0
+    seg = np.repeat(trials, g.poisson(lam * math.pi * area, size=trials.size))
+    r2 = g.random(seg.size) * area + r0 * r0
+    r = np.sqrt(r2)
+    theta = g.uniform(0.0, 2.0 * math.pi, seg.size)
+    return seg, r2, r * np.cos(theta), r * np.sin(theta)
+
+
+def _neutralized_degrees(g, cfg: NetworkConfig, rho_n: float, w0: float, m: int):
+    """Origin degrees of m trials under guard radius rho_n, and their window growths.
+
+    Each round filters the trials still without a survivor in one
+    neutral_survivors call, every trial shifted to its own cell of a square
+    lattice spaced so that no guard disk reaches a neighbouring cell.
+    """
+    best = np.full(m, np.inf)  # squared distance of each trial's nearest survivor
+    active = np.arange(m)
+    lseg, lr2, lx, ly = _annuli_draw(g, cfg.lambda_l, 0.0, w0 + rho_n, active)
+    eseg, er2, ex, ey = _annuli_draw(g, cfg.lambda_e, 0.0, w0, active)
+    # the origin is itself a legitimate node: it neutralizes, but it is not
+    # one of its own neighbours
+    fseg = np.concatenate([lseg, active])
+    fx = np.concatenate([lx, np.zeros(m)])
+    fy = np.concatenate([ly, np.zeros(m)])
+    we = w0
+    growths = 0
+    while True:
+        side = math.ceil(math.sqrt(active.size))
+        spacing = 2.0 * (we + 2.0 * rho_n)
+        cell = np.zeros(m, dtype=np.int64)
+        cell[active] = np.arange(active.size)
+        cx = (cell % side) * spacing
+        cy = (cell // side) * spacing
+        surv = neutral_survivors(ex + cx[eseg], ey + cy[eseg], fx + cx[fseg], fy + cy[fseg], rho_n)
+        np.minimum.at(best, eseg[surv], er2[surv])
+        active = active[np.isinf(best[active])]
+        if active.size == 0:
+            break
+        # Every eavesdropper so far is neutralized for good, so only a new
+        # annulus needs filtering, against the legitimate points within
+        # rho_n of it; we >= 2 rho_n keeps the origins out of reach.
+        w_new = _NEUTRAL_GROWTH * we
+        growths += active.size
+        waiting = np.zeros(m, dtype=bool)
+        waiting[active] = True
+        eseg, er2, ex, ey = _annuli_draw(g, cfg.lambda_e, we, w_new, active)
+        nseg, nr2, nx, ny = _annuli_draw(g, cfg.lambda_l, we + rho_n, w_new + rho_n, active)
+        near = waiting[lseg] & (lr2 >= (we - rho_n) ** 2)
+        fseg = np.concatenate([lseg[near], nseg])
+        fx = np.concatenate([lx[near], nx])
+        fy = np.concatenate([ly[near], ny])
+        lseg = np.concatenate([lseg, nseg])
+        lr2 = np.concatenate([lr2, nr2])
+        lx = np.concatenate([lx, nx])
+        ly = np.concatenate([ly, ny])
+        we = w_new
+    return np.bincount(lseg[lr2 < best[lseg]], minlength=m), growths
+
+
 def _neutralization_blocks(spec: ExperimentSpec, threads: int):
     cfg = spec.cfg
     rho_n = spec.rho_n
@@ -517,57 +631,29 @@ def _neutralization_blocks(spec: ExperimentSpec, threads: int):
         # no guard disks: identical to the baseline out-degree law
         est = _thresholded_like_baseline(spec, threads)
         return est
-    lam_eff = cfg.lambda_e * math.exp(-cfg.lambda_l * math.pi * rho_n * rho_n)
-    w0 = max(2.0 * rho_n, math.sqrt(math.log(400.0) / (math.pi * lam_eff)))
+    w0 = neutralization_window(cfg, rho_n)
+    per_trial = cfg.lambda_l * math.pi * (w0 + rho_n) ** 2
+    chunk = int(min(_BLOCK, max(1.0, _NEUTRAL_CALL_POINTS / per_trial)))
 
     def block(rng: Rng, n: int):
         g = rng.generator()
-        s = 0.0
-        s2 = 0.0
-        for _ in range(n):
-            we = w0
-            wl = we + rho_n
-            ne = g.poisson(cfg.lambda_e * math.pi * we * we)
-            re_r = we * np.sqrt(g.random(ne))
-            re_t = g.uniform(0.0, 2.0 * math.pi, ne)
-            ex = re_r * np.cos(re_t)
-            ey = re_r * np.sin(re_t)
-            nl = g.poisson(cfg.lambda_l * math.pi * wl * wl)
-            rl_r = wl * np.sqrt(g.random(nl))
-            rl_t = g.uniform(0.0, 2.0 * math.pi, nl)
-            lx = rl_r * np.cos(rl_t)
-            ly = rl_r * np.sin(rl_t)
-            while True:
-                # the origin is itself a legitimate node and neutralizes
-                fx = np.concatenate([lx, [0.0]])
-                fy = np.concatenate([ly, [0.0]])
-                surv = neutral_survivors(ex, ey, fx, fy, rho_n)
-                if np.any(surv):
-                    d2 = ex[surv] ** 2 + ey[surv] ** 2
-                    re1_2 = float(d2.min())
-                    break
-                # no survivor inside the window: extend both processes
-                we_new = 1.5 * we
-                wl_new = we_new + rho_n
-                n2 = g.poisson(cfg.lambda_e * math.pi * (we_new**2 - we**2))
-                rr = np.sqrt(g.random(n2) * (we_new**2 - we**2) + we**2)
-                tt = g.uniform(0.0, 2.0 * math.pi, n2)
-                ex = np.concatenate([ex, rr * np.cos(tt)])
-                ey = np.concatenate([ey, rr * np.sin(tt)])
-                n3 = g.poisson(cfg.lambda_l * math.pi * (wl_new**2 - wl**2))
-                rr = np.sqrt(g.random(n3) * (wl_new**2 - wl**2) + wl**2)
-                tt = g.uniform(0.0, 2.0 * math.pi, n3)
-                lx = np.concatenate([lx, rr * np.cos(tt)])
-                ly = np.concatenate([ly, rr * np.sin(tt)])
-                we, wl = we_new, wl_new
-            deg = int(np.count_nonzero(lx * lx + ly * ly < re1_2))
-            s += deg
-            s2 += deg * deg
-        return s, s2
+        s = 0
+        s2 = 0
+        growths = 0
+        for start in range(0, n, chunk):
+            deg, grown = _neutralized_degrees(g, cfg, rho_n, w0, min(chunk, n - start))
+            s += int(deg.sum())
+            s2 += int(np.dot(deg, deg))
+            growths += grown
+        return float(s), float(s2), growths
 
     parts = _run_blocks(spec.trials, Rng(spec.base_seed), threads, block)
-    note = f"guard radius {rho_n}, initial eavesdropper window {w0:.3g}, grown per trial until a survivor exists"
-    return _mean_estimate(parts, spec.trials, note)
+    growths = sum(p[2] for p in parts)
+    note = (
+        f"guard radius {rho_n}, start eavesdropper window {w0:.4g} grown by annuli "
+        f"(radius x{_NEUTRAL_GROWTH}) until a survivor exists: {growths} growths in {spec.trials} trials"
+    )
+    return _mean_estimate([p[:2] for p in parts], spec.trials, note)
 
 
 def _thresholded_like_baseline(spec: ExperimentSpec, threads: int):

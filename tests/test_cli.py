@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from secgraph import cli
+from secgraph import cli, montecarlo as mc
 from secgraph.cli import RunConfig, _parse_sweep, load_config, save_config
 
 
@@ -155,6 +155,21 @@ def test_numeric_errors_exit_2(tmp_path, capsys):
     code, _ = _run(["collude", "--b", "0.8", "--trials", "100"], tmp_path)
     assert code == 2
     assert "diverges" in capsys.readouterr().err
+
+
+def test_absurd_guard_radius_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before refusing the guard radius")
+
+    monkeypatch.setattr(mc, "estimate_generic", no_sampling)
+    code, out = _run(["neutralize", "--guard-radius", "3"], tmp_path)
+    assert code == 2 and not out.exists()
+    # default lambda_l 1, lambda_e 0.1: survivors have density 0.1 exp(-9 pi)
+    lam_eff = 0.1 * math.exp(-9.0 * math.pi)
+    w0 = math.sqrt(mc._NEUTRAL_START_SURVIVORS / (math.pi * lam_eff))
+    expected = math.pi * (w0 + 3.0) ** 2
+    assert expected > 1e12
+    assert f"about {expected:.3g} legitimate points" in capsys.readouterr().err
 
 
 def test_failed_check_exits_3(tmp_path, capsys):

@@ -7,6 +7,7 @@ the acceptance criteria.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,9 +18,13 @@ from secgraph import (
     ExperimentSpec,
     IsolationEstimate,
     NetworkConfig,
+    NeutralizationConfig,
+    PointSet,
     Rng,
     analytic,
+    build_neutralized,
     colluding_window,
+    effective_eaves,
     estimate_colluding_power,
     estimate_generic,
     estimate_in_degree_pmf,
@@ -27,6 +32,8 @@ from secgraph import (
     estimate_voronoi_moments,
     fading_window,
     in_degree_window,
+    montecarlo,
+    sample_disk,
 )
 from secgraph.propagation import FadingModel, GainModel
 
@@ -107,6 +114,7 @@ def test_thread_count_invariance(kind, kw):
         assert np.array_equal(a.values, b.values) and np.array_equal(a.std_errors, b.std_errors)
     else:
         assert (a.value, a.std_error) == (b.value, b.std_error)
+    assert a.bias_note == b.bias_note  # window-growth counts included
 
 
 def test_same_seed_same_pmf_different_seed_differs():
@@ -235,3 +243,66 @@ def test_neutralization_meets_lower_bound():
     est = estimate_generic(spec, threads=4)
     lb = analytic.mean_out_degree_neutralization_lb(0.5, 1.0, 0.5)
     assert est.value >= lb - 4 * est.std_error
+
+
+def _fixed_window_neutralized_degrees(cfg, rho_n, w, trials, seed):
+    """Origin degrees from whole realizations: legitimate points (the origin
+    among them) in radius w + rho_n, eavesdroppers in w, the survivors that
+    effective_eaves keeps, and the legitimate points nearer than the nearest
+    survivor.  w must leave a survivor in every trial."""
+    rng = Rng(seed)
+    degrees = np.empty(trials)
+    for t in range(trials):
+        legit = sample_disk(cfg.lambda_l, w + rho_n, rng.substream(2 * t))
+        eaves = sample_disk(cfg.lambda_e, w, rng.substream(2 * t + 1))
+        nodes = PointSet(np.vstack([[0.0, 0.0], legit.xy]), legit.density, legit.window_radius)
+        keep = effective_eaves(nodes, eaves, NeutralizationConfig(rho_n))
+        nearest2 = float(np.min(np.sum(eaves.xy[keep] ** 2, axis=1)))
+        degrees[t] = np.count_nonzero(np.sum(legit.xy**2, axis=1) < nearest2)
+        if t < 50:  # the distance rule is the origin's edge predicate
+            graph = build_neutralized(nodes, eaves, NeutralizationConfig(rho_n))
+            assert len(graph.out_edges[0]) == degrees[t]
+    return degrees
+
+
+def test_neutralization_mean_matches_fixed_window_oracle():
+    # At this corner the start window (radius 2 rho_n) holds fewer than one
+    # expected survivor, so most trials grow it; the oracle's window W=6
+    # misses a survivor with probability about exp(-25).  Counting the
+    # origin in its own degree would add 1 (17% of the mean); letting it
+    # neutralize nothing would remove about 10%.  Both exceed the gate at
+    # these trial counts.
+    cfg = NetworkConfig(lambda_e=0.5)
+    ref = _fixed_window_neutralized_degrees(cfg, 0.5, 6.0, 10_000, seed=4242)
+    est = estimate_generic(_spec("neutralization_mean", cfg=cfg, rho_n=0.5, trials=10_000), threads=2)
+    combined = math.hypot(est.std_error, ref.std(ddof=1) / math.sqrt(len(ref)))
+    assert abs(est.value - ref.mean()) < 4.5 * combined
+
+
+def test_neutralization_mean_does_not_depend_on_start_window(monkeypatch):
+    # With the start window at its 2 rho_n floor, trials grow through
+    # several annuli; filtering an annulus against too few legitimate
+    # points would show as a shift of the mean.
+    cfg = NetworkConfig(lambda_e=0.1)
+    usual = estimate_generic(_spec("neutralization_mean", cfg=cfg, rho_n=1.0, trials=3000), threads=2)
+    monkeypatch.setattr(montecarlo, "_NEUTRAL_START_SURVIVORS", 0.01)
+    grown = estimate_generic(_spec("neutralization_mean", cfg=cfg, rho_n=1.0, trials=3000, seed=4321), threads=2)
+    assert _growths_per_trial(grown) > 2.5 * _growths_per_trial(usual)
+    assert abs(grown.value - usual.value) < 4.5 * math.hypot(grown.std_error, usual.std_error)
+
+
+def _growths_per_trial(est):
+    growths, trials = re.search(r"(\d+) growths in (\d+) trials", est.bias_note).groups()
+    return int(growths) / int(trials)
+
+
+def test_neutralization_window_growth_rate():
+    # Were survivors Poisson, a window holding c expected survivors would
+    # hold none with probability exp(-c), and each growth multiplies its area
+    # by 1.5^2.  Survivors cluster in the holes of the legitimate field, so
+    # windows come up empty a little more often (1.25x here).
+    c = montecarlo._NEUTRAL_START_SURVIVORS
+    designed = sum(math.exp(-c * montecarlo._NEUTRAL_GROWTH ** (2 * k)) for k in range(20))
+    spec = _spec("neutralization_mean", cfg=NetworkConfig(lambda_e=0.5), rho_n=1.0, trials=3000)
+    rate = _growths_per_trial(estimate_generic(spec, threads=2))
+    assert 0.8 * designed < rate < 1.5 * designed
