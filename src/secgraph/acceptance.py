@@ -263,14 +263,13 @@ def neighbor_msr(threads: int) -> CriterionResult:
 
 
 def stable_numerics(threads: int) -> CriterionResult:
-    """One-sided stable machinery: inversion CDF matches 2Q(1/sqrt(x)) to 1e-6
-    at alpha=1/2; sampler matches the inversion CDF with KS < 0.002 at
-    alpha in {1/2, 1/3}; the Mellin identity holds to 1e-9."""
+    """One-sided stable machinery: the Kanter-integral CDF matches
+    2Q(1/sqrt(x)) to 1e-6 at alpha=1/2; sampler matches that CDF with
+    KS < 0.002 at alpha in {1/2, 1/3}; the Mellin identity holds to 1e-9."""
     t0 = time.time()
     xs = np.logspace(-3.0, 3.0, 61)
     closed = 2.0 * ndtr(-1.0 / np.sqrt(xs))
-    inv = np.array([stable._gil_pelaez_cdf(float(x), 0.5) for x in xs])
-    err_half = float(np.max(np.abs(inv - closed)))
+    err_half = float(np.max(np.abs(stable.cdf_normalized(xs, 0.5) - closed)))
     ok = err_half < 1e-6
 
     ks_parts = []
@@ -295,7 +294,7 @@ def stable_numerics(threads: int) -> CriterionResult:
         mellin_err = max(mellin_err, abs(lhs - np.sinc(alpha)))
     ok = ok and mellin_err < 1e-9
     detail = (
-        f"|inversion-closed|={err_half:.2e} (<1e-6); "
+        f"|kanter-closed|={err_half:.2e} (<1e-6); "
         + "; ".join(ks_parts)
         + f" (<0.002); Mellin err={mellin_err:.2e} (<1e-9)"
     )

@@ -288,6 +288,8 @@ def _sub_seed(seed: int, k: int) -> int:
 
 def _run_degree(rc: RunConfig):
     cfg = rc.network()
+    # the in-degree window refuses an over-budget density before any sampling
+    mc.in_degree_window(cfg.lambda_l, cfg.lambda_e)
     spec_out = mc.ExperimentSpec(kind="out_degree_pmf", cfg=cfg, trials=rc.trials, base_seed=rc.seed)
     pmf_out, est_out = mc.estimate_out_degree_pmf(spec_out, rc.threads)
     spec_in = mc.ExperimentSpec(kind="in_degree_pmf", cfg=cfg, trials=rc.trials, base_seed=_sub_seed(rc.seed, 1))
@@ -306,6 +308,8 @@ def _run_degree(rc: RunConfig):
 
 
 def _run_isolation(rc: RunConfig):
+    # the reference row's in-degree window, refused before the ratio rows sample
+    mc.in_degree_window(rc.lambda_l, rc.lambda_e)
     rows = []
     for k, q in enumerate((0.25, 0.5, 1.0, 2.0, 4.0)):
         cfg = NetworkConfig(lambda_l=rc.lambda_l, lambda_e=q * rc.lambda_l)

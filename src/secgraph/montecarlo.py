@@ -157,15 +157,32 @@ class ExperimentSpec:
 # window sizing (first-class, auditable)
 
 
+# Legitimate points an in-degree block may expect.  Each costs about 50 bytes
+# at peak, so 1e7 points is half a gigabyte per thread; such a block also
+# takes about 15 s, since count_in_cell is quadratic within each trial.
+_IN_DEGREE_POINT_BUDGET = 1e7
+
+
 def in_degree_window(lambda_l: float, lambda_e: float, bias: float = 1e-4) -> float:
     """Smallest disk radius keeping the expected count of missed legitimate
-    points, (lambda_l/lambda_e) exp(-lambda_e pi W^2), below the bias target."""
+    points, (lambda_l/lambda_e) exp(-lambda_e pi W^2), below the bias target.
+
+    Raises ValueError when a block of _BLOCK trials would expect more
+    legitimate points in the window than _IN_DEGREE_POINT_BUDGET.
+    """
     if lambda_e <= 0:
         raise ValueError("in-degree window needs lambda_e > 0")
     ratio = lambda_l / lambda_e
     if ratio <= bias:
-        return 1.0 / math.sqrt(math.pi * lambda_e)
-    w2 = math.log(ratio / bias) / (math.pi * lambda_e)
+        w2 = 1.0 / (math.pi * lambda_e)
+    else:
+        w2 = math.log(ratio / bias) / (math.pi * lambda_e)
+    expected = _BLOCK * lambda_l * math.pi * w2
+    if expected > _IN_DEGREE_POINT_BUDGET:
+        raise ValueError(
+            f"in-degree window at lambda_l {lambda_l}, lambda_e {lambda_e} needs about {expected:.3g} "
+            f"legitimate points per {_BLOCK}-trial block, over the budget of {_IN_DEGREE_POINT_BUDGET:.3g}"
+        )
     return math.sqrt(w2)
 
 
@@ -752,10 +769,11 @@ def _isolation_blocks(spec: ExperimentSpec, threads: int):
         iso = counts == 0
         return float(iso.sum()), float(iso.sum())
 
+    # sized first, so an over-budget window is refused before any sampling
+    w = in_degree_window(cfg.lambda_l, cfg.lambda_e)
     out_parts = _run_blocks(spec.trials, Rng(spec.base_seed), threads, out_block)
     out_est = _mean_estimate(out_parts, spec.trials, "exact distance-domain sampling")
 
-    w = in_degree_window(cfg.lambda_l, cfg.lambda_e)
     in_block_fn = _in_degree_block(cfg, w)
 
     def in_block(rng: Rng, n: int):

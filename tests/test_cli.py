@@ -172,6 +172,20 @@ def test_absurd_guard_radius_exits_2_before_sampling(tmp_path, capsys, monkeypat
     assert f"about {expected:.3g} legitimate points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, sampler", [("degree", "estimate_out_degree_pmf"), ("isolation", "estimate_generic")])
+def test_sparse_eavesdroppers_exit_2_before_sampling(tmp_path, capsys, monkeypatch, experiment, sampler):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before refusing the in-degree window")
+
+    monkeypatch.setattr(mc, sampler, no_sampling)
+    code, out = _run([experiment, "--lambda-e", "1e-6"], tmp_path)
+    assert code == 2 and not out.exists()
+    # default lambda_l 1: the window holds ln(1e6 / 1e-4) / 1e-6 points per trial
+    expected = mc._BLOCK * math.log(1e10) / 1e-6
+    assert expected > 5e9
+    assert f"about {expected:.3g} legitimate points per 256-trial block" in capsys.readouterr().err
+
+
 def test_failed_check_exits_3(tmp_path, capsys):
     # 150 Voronoi trials cannot hit the 1% gate at this seed; verified frozen
     code, _ = _run(["voronoi", "--trials", "150", "--seed", "1"], tmp_path, extra=("--check",))
