@@ -1,17 +1,24 @@
-"""Pure-Python/numpy implementations of the hot per-trial kernels.
+"""The per-trial kernels of the local-connectivity estimators.
 
-These mirror the compiled versions in _core.pyx operation for operation:
-every floating comparison is made on values produced by the same arithmetic
-expression in the same order, so integer counts and boolean masks are
-bitwise identical across backends, and polygon areas match bit for bit as
-long as the C build does not contract multiply-adds (see setup.py flags).
+cell_area clips the origin's Voronoi cell, count_in_cell counts the
+legitimate points inside it, and neutral_survivors applies the guard disks.
+All three are numpy (neutral_survivors on a scipy k-d tree); BACKEND names
+that single implementation, and backend_name() is the stable way to query
+it, so that recorded timings say what they measured.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import cKDTree
+
+__all__ = ["BACKEND", "backend_name", "cell_area", "count_in_cell", "neutral_survivors"]
 
 BACKEND = "python"
+
+
+def backend_name() -> str:
+    return BACKEND
 
 
 def cell_area(xs, ys, half_width):
@@ -117,49 +124,17 @@ def count_in_cell(lx, ly, loff, ex, ey, eoff):
 def neutral_survivors(ex, ey, lx, ly, radius):
     """Boolean mask of eavesdroppers with no legitimate point within radius.
 
-    Uniform grid with cell size equal to radius: any pair within radius spans
-    at most one cell index in each axis, so scanning the 3x3 neighbourhood of
-    an eavesdropper's cell sees every legitimate point that could disqualify
-    it.  The strict predicate is survive iff min distance > radius.
+    One nearest-neighbour query of the eavesdroppers against a k-d tree of
+    the legitimate points.  The strict predicate is survive iff min distance
+    > radius, so a legitimate point exactly at the radius still neutralizes;
+    the tree only reports neighbours strictly inside its bound, hence the
+    bound one ulp above the radius.
     """
-    ex = np.ascontiguousarray(ex, dtype=np.float64)
-    ey = np.ascontiguousarray(ey, dtype=np.float64)
-    lx = np.ascontiguousarray(lx, dtype=np.float64)
-    ly = np.ascontiguousarray(ly, dtype=np.float64)
     m = len(ex)
     if m == 0:
         return np.zeros(0, dtype=bool)
     if len(lx) == 0 or radius <= 0.0:
         return np.ones(m, dtype=bool)
-    cell = float(radius)
-    off = float(max(np.max(np.abs(lx)), np.max(np.abs(ly)), np.max(np.abs(ex)), np.max(np.abs(ey)))) + cell
-    k = int(np.floor(2.0 * off / cell)) + 2
-    lix = np.floor((lx + off) / cell).astype(np.int64)
-    liy = np.floor((ly + off) / cell).astype(np.int64)
-    lkey = lix * k + liy
-    order = np.argsort(lkey, kind="stable")
-    lkey_s = lkey[order]
-    lx_s = lx[order]
-    ly_s = ly[order]
-    eix = np.floor((ex + off) / cell).astype(np.int64)
-    eiy = np.floor((ey + off) / cell).astype(np.int64)
-    r2 = radius * radius
-    hit = np.zeros(m, dtype=bool)
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            key = (eix + dx) * k + (eiy + dy)
-            start = np.searchsorted(lkey_s, key, side="left")
-            stop = np.searchsorted(lkey_s, key, side="right")
-            lens = stop - start
-            total = int(lens.sum())
-            if total == 0:
-                continue
-            eidx = np.repeat(np.arange(m), lens)
-            base = np.repeat(start, lens)
-            local = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
-            lpos = base + local
-            ddx = ex[eidx] - lx_s[lpos]
-            ddy = ey[eidx] - ly_s[lpos]
-            close = ddx * ddx + ddy * ddy <= r2
-            hit |= np.bincount(eidx[close], minlength=m) > 0
-    return ~hit
+    tree = cKDTree(np.column_stack([lx, ly]), balanced_tree=False, compact_nodes=False)
+    d, _ = tree.query(np.column_stack([ex, ey]), distance_upper_bound=np.nextafter(radius, np.inf))
+    return ~(d <= radius)

@@ -335,15 +335,17 @@ def _pmf_and_mean(hists, trials: int, bias_note: str | None):
 # out-degree
 
 
-def _out_degree_exact_block(cfg: NetworkConfig):
-    lam = 1.0 / (math.pi * cfg.lambda_e)
-    area_rate = cfg.lambda_l * math.pi
+def _baseline_out_degrees(g, cfg: NetworkConfig, n: int) -> np.ndarray:
+    """Out-degrees of n typical nodes of the baseline graph: the squared
+    nearest-eavesdropper distance R^2 ~ Exp(mean 1/(pi lambda_e)), then
+    Poisson(pi lambda_l R^2) legitimate points inside it."""
+    re2 = g.exponential(scale=1.0 / (math.pi * cfg.lambda_e), size=n)
+    return g.poisson(lam=cfg.lambda_l * math.pi * re2)
 
+
+def _out_degree_exact_block(cfg: NetworkConfig):
     def block(rng: Rng, n: int):
-        g = rng.generator()
-        re2 = g.exponential(scale=lam, size=n)
-        counts = g.poisson(lam=area_rate * re2)
-        return np.bincount(counts)
+        return np.bincount(_baseline_out_degrees(rng.generator(), cfg, n))
 
     return block
 
@@ -675,13 +677,9 @@ def _neutralization_blocks(spec: ExperimentSpec, threads: int):
 
 def _thresholded_like_baseline(spec: ExperimentSpec, threads: int):
     cfg = spec.cfg
-    lam = 1.0 / (math.pi * cfg.lambda_e)
-    area_rate = cfg.lambda_l * math.pi
 
     def block(rng: Rng, n: int):
-        g = rng.generator()
-        re2 = g.exponential(scale=lam, size=n)
-        counts = g.poisson(lam=area_rate * re2)
+        counts = _baseline_out_degrees(rng.generator(), cfg, n)
         return float(counts.sum()), float(np.dot(counts, counts))
 
     parts = _run_blocks(spec.trials, Rng(spec.base_seed), threads, block)
@@ -759,14 +757,9 @@ def _colluding_mean_degree_blocks(spec: ExperimentSpec, threads: int):
 
 def _isolation_blocks(spec: ExperimentSpec, threads: int):
     cfg = spec.cfg
-    lam = 1.0 / (math.pi * cfg.lambda_e)
-    area_rate = cfg.lambda_l * math.pi
 
     def out_block(rng: Rng, n: int):
-        g = rng.generator()
-        re2 = g.exponential(scale=lam, size=n)
-        counts = g.poisson(lam=area_rate * re2)
-        iso = counts == 0
+        iso = _baseline_out_degrees(rng.generator(), cfg, n) == 0
         return float(iso.sum()), float(iso.sum())
 
     # sized first, so an over-budget window is refused before any sampling

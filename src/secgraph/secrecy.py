@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .pointprocess import PointSet, Rng
 from .propagation import FadingModel, GainModel, gain, sample_fading
@@ -40,9 +41,6 @@ __all__ = [
     "colluding_msr",
     "nearest_distances",
 ]
-
-# brute force below this many eavesdroppers; uniform-grid index above
-_GRID_THRESHOLD = 256
 
 
 @dataclass(frozen=True)
@@ -162,76 +160,15 @@ def msr_link(prx_legit, prx_eave, sigma2_l: float, sigma2_e: float):
     return out if out.ndim else float(out)
 
 
-class _UniformGridIndex:
-    """Uniform-grid nearest-neighbour index over a fixed planar point set."""
-
-    def __init__(self, xy: np.ndarray):
-        self.xy = xy
-        n = len(xy)
-        lo = xy.min(axis=0)
-        hi = xy.max(axis=0)
-        span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-30))
-        # aim for O(1) points per cell
-        self.ncell = max(int(math.sqrt(n)), 1)
-        self.cell = span / self.ncell
-        self.lo = lo
-        ix = np.clip(((xy[:, 0] - lo[0]) / self.cell).astype(np.int64), 0, self.ncell - 1)
-        iy = np.clip(((xy[:, 1] - lo[1]) / self.cell).astype(np.int64), 0, self.ncell - 1)
-        flat = ix * self.ncell + iy
-        order = np.argsort(flat, kind="stable")
-        self.order = order
-        self.starts = np.searchsorted(flat[order], np.arange(self.ncell * self.ncell + 1))
-
-    def _cell_points(self, cx: int, cy: int) -> np.ndarray:
-        if cx < 0 or cy < 0 or cx >= self.ncell or cy >= self.ncell:
-            return self.order[0:0]
-        f = cx * self.ncell + cy
-        return self.order[self.starts[f] : self.starts[f + 1]]
-
-    def nearest_dist(self, px: float, py: float) -> float:
-        cx = int(np.clip((px - self.lo[0]) / self.cell, 0, self.ncell - 1))
-        cy = int(np.clip((py - self.lo[1]) / self.cell, 0, self.ncell - 1))
-        best2 = math.inf
-        ring = 0
-        while True:
-            if ring > 0 and (ring - 1) * self.cell > math.sqrt(best2):
-                break
-            found_cell = False
-            for dx in range(-ring, ring + 1):
-                for dy in range(-ring, ring + 1):
-                    if max(abs(dx), abs(dy)) != ring:
-                        continue
-                    idx = self._cell_points(cx + dx, cy + dy)
-                    if idx.size == 0:
-                        continue
-                    found_cell = True
-                    d2 = (self.xy[idx, 0] - px) ** 2 + (self.xy[idx, 1] - py) ** 2
-                    m = float(d2.min())
-                    if m < best2:
-                        best2 = m
-            ring += 1
-            if ring > 2 * self.ncell and not found_cell and not math.isfinite(best2):
-                # empty index
-                break
-        return math.sqrt(best2)
-
-
 def nearest_distances(query_xy: np.ndarray, ps: PointSet) -> np.ndarray:
     """Distance from each query position to the nearest point of ps.
 
-    Brute force for small sets, uniform-grid index beyond _GRID_THRESHOLD
-    points.  Returns +inf entries when ps is empty.
+    One k-d tree query; returns +inf entries when ps is empty.
     """
     query_xy = np.asarray(query_xy, dtype=np.float64).reshape(-1, 2)
-    m = len(ps)
-    if m == 0:
+    if len(ps) == 0:
         return np.full(len(query_xy), math.inf)
-    if m <= _GRID_THRESHOLD:
-        dx = query_xy[:, 0][:, None] - ps.xy[:, 0][None, :]
-        dy = query_xy[:, 1][:, None] - ps.xy[:, 1][None, :]
-        return np.sqrt((dx * dx + dy * dy).min(axis=1))
-    index = _UniformGridIndex(ps.xy)
-    return np.array([index.nearest_dist(float(x), float(y)) for x, y in query_xy])
+    return cKDTree(ps.xy).query(query_xy)[0]
 
 
 def _pairwise_sq(xy: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from secgraph import (
     PointSet,
     Rng,
     analytic,
+    build_baseline,
     build_neutralized,
     colluding_window,
     effective_eaves,
@@ -158,6 +159,33 @@ def test_in_degree_mean_and_variance():
     assert est.value == pytest.approx(2.0, abs=6 * est.std_error)
     m2 = analytic.moments_in_degree(2, 2.0, analytic.TABLE_VORONOI_MOMENTS)
     assert pmf.moment(2) == pytest.approx(m2, rel=0.15)
+
+
+def test_degree_estimators_match_baseline_graph():
+    # The estimators never build a graph: the out-degree comes from the
+    # nearest-eavesdropper distance alone, the in-degree from count_in_cell.
+    # Here whole realizations go through build_baseline instead, with the
+    # origin as node 0.  Legitimate points fill the in-degree window W, so
+    # in-edges from beyond it are missed with expected count 1e-4; the
+    # eavesdroppers fill 2W, which holds the disk in which any source within
+    # W looks for its nearest one.
+    graphs = 4000
+    w = in_degree_window(CFG.lambda_l, CFG.lambda_e)
+    rng = Rng(2718)
+    out_deg = np.empty(graphs)
+    in_deg = np.empty(graphs)
+    for t in range(graphs):
+        legit = sample_disk(CFG.lambda_l, w, rng.substream(2 * t))
+        eaves = sample_disk(CFG.lambda_e, 2.0 * w, rng.substream(2 * t + 1))
+        nodes = PointSet(np.vstack([[0.0, 0.0], legit.xy]), legit.density, w)
+        graph = build_baseline(nodes, eaves)
+        out_deg[t] = graph.out_degrees()[0]
+        in_deg[t] = graph.in_degrees()[0]
+    for ref, estimate, kind in ((out_deg, estimate_out_degree_pmf, "out_degree_pmf"),
+                                (in_deg, estimate_in_degree_pmf, "in_degree_pmf")):
+        _, est = estimate(_spec(kind, trials=20_000), threads=2)
+        combined = math.hypot(est.std_error, ref.std(ddof=1) / math.sqrt(graphs))
+        assert abs(est.value - ref.mean()) < 4.5 * combined, kind
 
 
 def test_isolation_dual_route_consistency():

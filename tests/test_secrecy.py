@@ -178,10 +178,10 @@ def test_effective_eaves_brute_force():
 
 # -------------------------------------------------------- nearest_distances
 
-def test_nearest_distances_grid_path_matches_brute_force():
+@pytest.mark.parametrize("n", [5, 256, 600])
+def test_nearest_distances_matches_brute_force(n):
     rng = np.random.default_rng(43)
-    # above the brute-force cutoff so the grid index is exercised
-    pts = rng.uniform(-10, 10, size=(600, 2))
+    pts = rng.uniform(-10, 10, size=(n, 2))
     ps = PointSet(pts, density=1.0, window_radius=15.0)
     q = rng.uniform(-12, 12, size=(200, 2))
     got = nearest_distances(q, ps)
