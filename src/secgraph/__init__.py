@@ -31,16 +31,10 @@ from .analytic import (
 )
 from .kernels import backend_name
 from .montecarlo import (
-    CdfEstimate,
     Estimate,
-    ExperimentSpec,
-    IsolationEstimate,
+    Sample,
     colluding_window,
-    estimate_colluding_power,
     estimate_generic,
-    estimate_in_degree_pmf,
-    estimate_out_degree_pmf,
-    estimate_voronoi_moments,
     fading_window,
     in_degree_window,
     neutralization_window,
@@ -125,16 +119,10 @@ __all__ = [
     "mellin_neg_moment",
     "sample_stable",
     # estimation
-    "CdfEstimate",
     "Estimate",
-    "ExperimentSpec",
-    "IsolationEstimate",
+    "Sample",
     "colluding_window",
-    "estimate_colluding_power",
     "estimate_generic",
-    "estimate_in_degree_pmf",
-    "estimate_out_degree_pmf",
-    "estimate_voronoi_moments",
     "fading_window",
     "in_degree_window",
     "neutralization_window",

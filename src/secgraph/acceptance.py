@@ -49,8 +49,8 @@ def out_degree_law(threads: int) -> CriterionResult:
     trials, mean within 3 SE, under 10 seconds."""
     t0 = time.time()
     cfg = NetworkConfig(lambda_l=1.0, lambda_e=0.4)
-    spec = mc.ExperimentSpec(kind="out_degree_pmf", cfg=cfg, trials=100_000, base_seed=101)
-    pmf, est = mc.estimate_out_degree_pmf(spec, threads)
+    sample = mc.estimate_generic("out_degree", cfg, 100_000, Rng(101), threads)
+    pmf, est = sample.pmf(), sample.mean()
     tv = analytic.tv_distance(pmf, _geometric(1.0, 0.4))
     dev = abs(est.value - cfg.ratio) / est.std_error
     elapsed = time.time() - t0
@@ -63,13 +63,14 @@ def voronoi_moments(threads: int) -> CriterionResult:
     """Typical-cell area moments match (1, 1.280, 1.993, 3.650) within
     (1%, 5%, 5%, 8%) at 1e5 cells, under 5 minutes."""
     t0 = time.time()
-    vm, _ = mc.estimate_voronoi_moments(4, 100_000, Rng(102), threads)
+    areas = mc.estimate_generic("voronoi_area", None, 100_000, Rng(102), threads).values
+    moments = [float(np.mean(areas**k)) for k in range(1, 5)]
     tols = (0.01, 0.05, 0.05, 0.08)
-    rels = [abs(s - t) / t for s, t in zip(vm.moments, TABLE_VORONOI_MOMENTS.moments)]
+    rels = [abs(s - t) / t for s, t in zip(moments, TABLE_VORONOI_MOMENTS.moments)]
     elapsed = time.time() - t0
     ok = all(r < tol for r, tol in zip(rels, tols)) and elapsed < 300.0
     detail = (
-        "moments=" + "/".join(f"{m:.4f}" for m in vm.moments)
+        "moments=" + "/".join(f"{m:.4f}" for m in moments)
         + " rel=" + "/".join(f"{r:.2%}" for r in rels)
         + f" (tol 1/5/5/8%), {elapsed:.1f}s (<300s)"
     )
@@ -81,8 +82,7 @@ def in_degree_moment(threads: int) -> CriterionResult:
     composition 2.280 within 5%."""
     t0 = time.time()
     cfg = NetworkConfig(lambda_l=1.0, lambda_e=1.0)
-    spec = mc.ExperimentSpec(kind="in_degree_pmf", cfg=cfg, trials=100_000, base_seed=103)
-    pmf, _ = mc.estimate_in_degree_pmf(spec, threads)
+    pmf = mc.estimate_generic("in_degree", cfg, 100_000, Rng(103), threads).pmf()
     target = analytic.moments_in_degree(2, 1.0, TABLE_VORONOI_MOMENTS)
     m2 = pmf.moment(2)
     rel = abs(m2 - target) / target
@@ -99,10 +99,12 @@ def isolation_ordering(threads: int) -> CriterionResult:
     ok = True
     for j, q in enumerate((0.25, 0.5, 1.0, 2.0, 4.0)):
         cfg = NetworkConfig(lambda_l=1.0, lambda_e=q)
-        spec = mc.ExperimentSpec(kind="isolation", cfg=cfg, trials=100_000, base_seed=10400 + j)
-        iso = mc.estimate_generic(spec, threads)
-        gap = iso.out_isolation.value - iso.in_isolation.value
-        comb = math.hypot(iso.out_isolation.std_error, iso.in_isolation.std_error)
+        # P(degree = 0) of an out- and an in-degree sample
+        out = mc.estimate_generic("out_degree", cfg, 100_000, Rng(10400 + j), threads)
+        into = mc.estimate_generic("in_degree", cfg, 100_000, Rng(10400 + j).substream(1), threads)
+        p_out, p_in = mc.Sample(out.values == 0).mean(), mc.Sample(into.values == 0).mean()
+        gap = p_out.value - p_in.value
+        comb = math.hypot(p_out.std_error, p_in.std_error)
         ok = ok and gap > 3.0 * comb
         parts.append(f"q={q}: gap={gap:.4f} ({gap / comb:.1f} SE)")
     return _result("isolation_ordering", t0, ok, "; ".join(parts))
@@ -124,8 +126,7 @@ def fading_invariance(threads: int) -> CriterionResult:
     ok = True
     for j, (label, fad) in enumerate(models):
         cfg = NetworkConfig(lambda_l=1.0, lambda_e=0.4, fading=fad)
-        spec = mc.ExperimentSpec(kind="out_degree_pmf", cfg=cfg, trials=100_000, base_seed=10500 + j)
-        pmf, _ = mc.estimate_out_degree_pmf(spec, threads)
+        pmf = mc.estimate_generic("out_degree", cfg, 100_000, Rng(10500 + j), threads).pmf()
         tv = analytic.tv_distance(pmf, _geometric(1.0, 0.4))
         ok = ok and tv < 0.01
         pmfs.append(pmf)
@@ -162,10 +163,8 @@ def thresholded_mean(threads: int) -> CriterionResult:
             if rho == 0.0:
                 closed = cfg.ratio * (cfg.sigma2_e / cfg.sigma2_l) ** (1.0 / cfg.gain.b)
                 closed_ok = closed_ok and abs(exact - closed) < 1e-6
-            spec = mc.ExperimentSpec(
-                kind="thresholded_mean", cfg=cfg, trials=200_000, base_seed=10600 + 10 * jp + jr
-            )
-            est = mc.estimate_generic(spec, threads)
+            seed = 10600 + 10 * jp + jr
+            est = mc.estimate_generic("thresholded_degree", cfg, 200_000, Rng(seed), threads).mean()
             rel = abs(est.value - exact) / exact
             worst = max(worst, rel)
             ok = ok and rel < 0.03
@@ -185,8 +184,8 @@ def sectorization(threads: int) -> CriterionResult:
     parts = []
     for j, L in enumerate((1, 2, 4, 8)):
         cfg = NetworkConfig(lambda_l=1.0, lambda_e=0.4)
-        spec = mc.ExperimentSpec(kind="sector_pmf", cfg=cfg, trials=100_000, base_seed=10700 + j, L=L)
-        pmf, est = mc._sector_pmf_blocks(spec, threads)
+        sample = mc.estimate_generic("sector_degree", cfg, 100_000, Rng(10700 + j), threads, L=L)
+        pmf, est = sample.pmf(), sample.mean()
         tv = analytic.tv_distance(pmf, lambda n: analytic.pmf_out_degree_sectored(n, L, 1.0, 0.4))
         dev = abs(est.value - L * cfg.ratio) / est.std_error
         ok = ok and tv < 0.015 and dev <= 3.0
@@ -211,20 +210,14 @@ def neutralization(threads: int) -> CriterionResult:
     parts = []
     for j, lam_e in enumerate((0.1, 0.2, 0.5)):
         cfg = NetworkConfig(lambda_l=1.0, lambda_e=lam_e)
-        spec0 = mc.ExperimentSpec(
-            kind="neutralization_mean", cfg=cfg, trials=100_000, base_seed=10800 + j, rho_n=0.0
-        )
-        est0 = mc.estimate_generic(spec0, threads)
+        est0 = mc.estimate_generic("neutralized_degree", cfg, 100_000, Rng(10800 + j), threads, rho_n=0.0).mean()
         dev0 = abs(est0.value - cfg.ratio) / est0.std_error
         ok = ok and dev0 <= 3.0
         parts.append(f"le={lam_e} rho=0: dev {dev0:.2f} SE")
         for rho in (0.5, 1.0, 1.5):
             trials = _NEUTRALIZATION_TRIALS[(lam_e, rho)]
-            spec = mc.ExperimentSpec(
-                kind="neutralization_mean", cfg=cfg, trials=trials,
-                base_seed=10800 + 100 * j + int(10 * rho), rho_n=rho,
-            )
-            est = mc.estimate_generic(spec, threads)
+            seed = 10800 + 100 * j + int(10 * rho)
+            est = mc.estimate_generic("neutralized_degree", cfg, trials, Rng(seed), threads, rho_n=rho).mean()
             lb = analytic.mean_out_degree_neutralization_lb(rho, 1.0, lam_e)
             margin = (est.value - lb) / est.std_error
             ok = ok and est.value >= lb - 3.0 * est.std_error
@@ -243,20 +236,17 @@ def neighbor_msr(threads: int) -> CriterionResult:
     parts = []
     ks1 = None
     for j, i in enumerate((1, 2, 4, 6)):
-        spec = mc.ExperimentSpec(
-            kind="msr_cdf_neighbor", cfg=cfg, trials=100_000, base_seed=10900 + j,
-            neighbor_index=i, rho_grid=grid,
-        )
-        ecdf = mc.estimate_generic(spec, threads)
-        p_sim = 1.0 - ecdf.values[0]
-        se = ecdf.std_errors[0]
+        sample = mc.estimate_generic("neighbor_msr", cfg, 100_000, Rng(10900 + j), threads, neighbor_index=i)
+        values, ses = sample.ecdf(grid)
+        p_sim = 1.0 - values[0]
+        se = ses[0]
         p_ana = analytic.p_exist_neighbor(i, cfg.lambda_l, cfg.lambda_e)
         dev = abs(p_sim - p_ana) / se
         ok = ok and dev <= 3.0
         parts.append(f"i={i}: p_exist dev {dev:.2f} SE")
         if i == 1:
             F = np.array([analytic.cdf_msr_neighbor(r, i, cfg) for r in grid])
-            ks1 = float(np.max(np.abs(ecdf.values - F)))
+            ks1 = float(np.max(np.abs(values - F)))
             ok = ok and ks1 < 0.02
     parts.append(f"i=1 CDF KS={ks1:.4f} (<0.02)")
     return _result("neighbor_msr", t0, ok, "; ".join(parts))
@@ -307,7 +297,7 @@ def colluding_power_law(threads: int) -> CriterionResult:
     t0 = time.time()
     cfg = NetworkConfig(lambda_l=1.0, lambda_e=0.1, gain=GainModel(kind="unbounded", b=2.0))
     w = mc.colluding_window(cfg, rel_std=1e-4)
-    _, samples = mc.estimate_colluding_power(cfg, w, 100_000, Rng(111), threads)
+    samples = mc.estimate_generic("colluding_power", cfg, 100_000, Rng(111), threads, r_window=w).values
     scale = (math.pi * cfg.lambda_e / analytic.c_alpha(0.5)) ** 2 * cfg.p_l
     xs = np.sort(samples) / scale
     n = len(xs)
@@ -327,8 +317,7 @@ def colluding_degree(threads: int) -> CriterionResult:
     parts = []
     for j, b in enumerate((1.5, 2.0, 3.0, 4.0, 6.0)):
         cfg = NetworkConfig(lambda_l=1.0, lambda_e=0.1, gain=GainModel(kind="unbounded", b=b))
-        spec = mc.ExperimentSpec(kind="colluding_mean_degree", cfg=cfg, trials=100_000, base_seed=11200 + j)
-        est = mc.estimate_generic(spec, threads)
+        est = mc.estimate_generic("colluding_degree", cfg, 100_000, Rng(11200 + j), threads).mean()
         target = analytic.mean_degree_colluding(1.0, 0.1, b)
         rel = abs(est.value - target) / target
         ok = ok and rel < 0.03

@@ -167,14 +167,8 @@ def _config_from_csv(fh) -> dict:
         if "=" not in body:
             continue
         key, _, val = body.partition("=")
-        key = key.strip()
         val = val.strip()
-        if val == "null":
-            out[key] = None
-        elif key in _FLOAT_KEYS or key in _INT_KEYS:
-            out[key] = float(val) if key in _FLOAT_KEYS else int(val)
-        else:
-            out[key] = val
+        out[key.strip()] = None if val == "null" else val
     return out
 
 
@@ -290,10 +284,9 @@ def _run_degree(rc: RunConfig):
     cfg = rc.network()
     # the in-degree window refuses an over-budget density before any sampling
     mc.in_degree_window(cfg.lambda_l, cfg.lambda_e)
-    spec_out = mc.ExperimentSpec(kind="out_degree_pmf", cfg=cfg, trials=rc.trials, base_seed=rc.seed)
-    pmf_out, est_out = mc.estimate_out_degree_pmf(spec_out, rc.threads)
-    spec_in = mc.ExperimentSpec(kind="in_degree_pmf", cfg=cfg, trials=rc.trials, base_seed=_sub_seed(rc.seed, 1))
-    pmf_in, _ = mc.estimate_in_degree_pmf(spec_in, rc.threads)
+    out = mc.estimate_generic("out_degree", cfg, rc.trials, Rng(rc.seed), rc.threads)
+    pmf_out, est_out = out.pmf(), out.mean()
+    pmf_in = mc.estimate_generic("in_degree", cfg, rc.trials, Rng(_sub_seed(rc.seed, 1)), rc.threads).pmf()
     width = max(len(pmf_out.probs), len(pmf_in.probs))
     rows = []
     for n in range(width):
@@ -307,36 +300,29 @@ def _run_degree(rc: RunConfig):
     return ("n", "pmf_analytic_out", "pmf_sim_out", "pmf_sim_in", "se"), rows, summary
 
 
+def _isolation(cfg: NetworkConfig, trials: int, seed: int, threads: int):
+    """Out- and in-isolation Estimates: the share of zeros in an out-degree
+    and an in-degree sample."""
+    out = mc.estimate_generic("out_degree", cfg, trials, Rng(seed), threads)
+    into = mc.estimate_generic("in_degree", cfg, trials, Rng(seed).substream(1), threads)
+    return mc.Sample(out.values == 0).mean(), mc.Sample(into.values == 0).mean()
+
+
 def _run_isolation(rc: RunConfig):
     # the reference row's in-degree window, refused before the ratio rows sample
     mc.in_degree_window(rc.lambda_l, rc.lambda_e)
     rows = []
     for k, q in enumerate((0.25, 0.5, 1.0, 2.0, 4.0)):
         cfg = NetworkConfig(lambda_l=rc.lambda_l, lambda_e=q * rc.lambda_l)
-        spec = mc.ExperimentSpec(kind="isolation", cfg=cfg, trials=rc.trials, base_seed=_sub_seed(rc.seed, k))
-        iso = mc.estimate_generic(spec, rc.threads)
-        rows.append(
-            (
-                q,
-                analytic.p_out_isolation(cfg.lambda_l, cfg.lambda_e),
-                iso.out_isolation.value,
-                iso.out_isolation.std_error,
-                iso.in_isolation.value,
-                iso.in_isolation.std_error,
-            )
-        )
+        p_out, p_in = _isolation(cfg, rc.trials, _sub_seed(rc.seed, k), rc.threads)
+        p_ana = analytic.p_out_isolation(cfg.lambda_l, cfg.lambda_e)
+        rows.append((q, p_ana, p_out.value, p_out.std_error, p_in.value, p_in.std_error))
     cfg0 = rc.network()
-    spec0 = mc.ExperimentSpec(kind="isolation", cfg=cfg0, trials=rc.trials, base_seed=rc.seed)
-    iso0 = mc.estimate_generic(spec0, rc.threads)
-    gap = iso0.out_isolation.value - iso0.in_isolation.value
-    comb = math.hypot(iso0.out_isolation.std_error, iso0.in_isolation.std_error)
-    summary = _summary(
-        analytic.p_out_isolation(cfg0.lambda_l, cfg0.lambda_e),
-        iso0.out_isolation.value,
-        iso0.out_isolation.std_error,
-        3.0 * comb,
-        gap > 3.0 * comb,
-    )
+    p_out, p_in = _isolation(cfg0, rc.trials, rc.seed, rc.threads)
+    gap = p_out.value - p_in.value
+    comb = math.hypot(p_out.std_error, p_in.std_error)
+    p_ana = analytic.p_out_isolation(cfg0.lambda_l, cfg0.lambda_e)
+    summary = _summary(p_ana, p_out.value, p_out.std_error, 3.0 * comb, gap > 3.0 * comb)
     columns = ("ratio_e_over_l", "p_out_analytic", "p_out_sim", "p_out_se", "p_in_sim", "p_in_se")
     return columns, rows, summary
 
@@ -348,8 +334,7 @@ def _run_threshold(rc: RunConfig):
     for k, rho in enumerate(grid):
         cfg = rc.network(rho=rho)
         exact, bound = analytic.mean_out_degree_thresholded(cfg)
-        spec = mc.ExperimentSpec(kind="thresholded_mean", cfg=cfg, trials=rc.trials, base_seed=_sub_seed(rc.seed, k))
-        est = mc.estimate_generic(spec, rc.threads)
+        est = mc.estimate_generic("thresholded_degree", cfg, rc.trials, Rng(_sub_seed(rc.seed, k)), rc.threads).mean()
         rows.append((rho, exact, bound, est.value, est.std_error))
         if rho == rc.rho:
             tol = 0.03 * exact
@@ -362,8 +347,8 @@ def _run_sectors(rc: RunConfig):
     if L < 1:
         raise _UsageError(f"sectors must be >= 1, got {L}")
     cfg = rc.network()
-    spec = mc.ExperimentSpec(kind="sector_pmf", cfg=cfg, trials=rc.trials, base_seed=rc.seed, L=L)
-    pmf, est = mc._sector_pmf_blocks(spec, rc.threads)
+    sample = mc.estimate_generic("sector_degree", cfg, rc.trials, Rng(rc.seed), rc.threads, L=L)
+    pmf, est = sample.pmf(), sample.mean()
     rows = []
     for n in range(len(pmf.probs)):
         p = float(pmf.probs[n])
@@ -384,10 +369,8 @@ def _run_neutralize(rc: RunConfig):
         if rho_n != 0.0:
             mc.neutralization_window(cfg, rho_n)  # refuse an oversized window before sampling any radius
     for k, rho_n in enumerate(grid):
-        spec = mc.ExperimentSpec(
-            kind="neutralization_mean", cfg=cfg, trials=rc.trials, base_seed=_sub_seed(rc.seed, k), rho_n=rho_n
-        )
-        est = mc.estimate_generic(spec, rc.threads)
+        seed = _sub_seed(rc.seed, k)
+        est = mc.estimate_generic("neutralized_degree", cfg, rc.trials, Rng(seed), rc.threads, rho_n=rho_n).mean()
         lb = analytic.mean_out_degree_neutralization_lb(rho_n, cfg.lambda_l, cfg.lambda_e)
         rows.append((rho_n, lb, est.value, est.std_error))
         if rho_n == rc.guard_radius:
@@ -398,17 +381,17 @@ def _run_neutralize(rc: RunConfig):
 def _run_msr(rc: RunConfig):
     cfg = rc.network()
     i = rc.neighbor
+    if i < 1:
+        raise _UsageError(f"neighbor must be >= 1, got {i}")
     grid = (0.0,) + tuple(np.linspace(0.08, 8.0, 100))
-    spec = mc.ExperimentSpec(
-        kind="msr_cdf_neighbor", cfg=cfg, trials=rc.trials, base_seed=rc.seed, neighbor_index=i, rho_grid=grid
-    )
-    ecdf = mc.estimate_generic(spec, rc.threads)
+    sample = mc.estimate_generic("neighbor_msr", cfg, rc.trials, Rng(rc.seed), rc.threads, neighbor_index=i)
+    values, ses = sample.ecdf(grid)
     rows = []
-    for rho, v, se in zip(grid, ecdf.values, ecdf.std_errors):
+    for rho, v, se in zip(grid, values, ses):
         rows.append((rho, analytic.cdf_msr_neighbor(rho, i, cfg), float(v), float(se)))
     p_ana = analytic.p_exist_neighbor(i, cfg.lambda_l, cfg.lambda_e)
-    p_sim = 1.0 - float(ecdf.values[0])
-    se0 = float(ecdf.std_errors[0])
+    p_sim = 1.0 - float(values[0])
+    se0 = float(ses[0])
     tol = 3.0 * se0
     summary = _summary(p_ana, p_sim, se0, tol, abs(p_sim - p_ana) <= tol)
     return ("rho", "cdf_analytic", "cdf_sim", "se"), rows, summary
@@ -444,8 +427,7 @@ def _run_collude_sweep(rc: RunConfig):
             sigma2_l=rc.sigma2_l, sigma2_e=rc.sigma2_e,
             gain=GainModel(kind="unbounded", b=b),
         )
-        spec = mc.ExperimentSpec(kind="colluding_mean_degree", cfg=cfg, trials=rc.trials, base_seed=_sub_seed(rc.seed, k))
-        est = mc.estimate_generic(spec, rc.threads)
+        est = mc.estimate_generic("colluding_degree", cfg, rc.trials, Rng(_sub_seed(rc.seed, k)), rc.threads).mean()
         row = (b, ana / ratio, est.value / ratio, est.std_error / ratio)
         rows.append(row)
         if summary_row is None or abs(b - 2.0) < abs(summary_row[0] - 2.0):
@@ -464,12 +446,9 @@ def _run_collude(rc: RunConfig):
     cfg = rc.network()
     cap = math.log2(1.0 + cfg.p_l / (rc.r_l ** (2.0 * cfg.gain.b) * cfg.sigma2_l))
     grid = tuple(np.linspace(cap / 400.0, cap - cap / 400.0, 100))
-    spec = mc.ExperimentSpec(
-        kind="colluding_msr_cdf", cfg=cfg, trials=rc.trials, base_seed=rc.seed, rho_grid=grid, r_l=rc.r_l
-    )
-    ecdf = mc.estimate_generic(spec, rc.threads)
+    sample = mc.estimate_generic("colluding_msr", cfg, rc.trials, Rng(rc.seed), rc.threads, r_l=rc.r_l)
     rows = []
-    for rho, v, se in zip(grid, ecdf.values, ecdf.std_errors):
+    for rho, v, se in zip(grid, *sample.ecdf(grid)):
         rows.append(
             (
                 rho,
@@ -479,10 +458,7 @@ def _run_collude(rc: RunConfig):
                 float(se),
             )
         )
-    mean_spec = mc.ExperimentSpec(
-        kind="colluding_mean_degree", cfg=cfg, trials=rc.trials, base_seed=_sub_seed(rc.seed, 99)
-    )
-    est = mc.estimate_generic(mean_spec, rc.threads)
+    est = mc.estimate_generic("colluding_degree", cfg, rc.trials, Rng(_sub_seed(rc.seed, 99)), rc.threads).mean()
     ratio = cfg.ratio
     ana = analytic.mean_degree_colluding(cfg.lambda_l, cfg.lambda_e, cfg.gain.b) / ratio
     sim = est.value / ratio
@@ -492,15 +468,15 @@ def _run_collude(rc: RunConfig):
 
 
 def _run_voronoi(rc: RunConfig):
-    vm, areas = mc.estimate_voronoi_moments(4, rc.trials, Rng(rc.seed), rc.threads)
+    areas = mc.estimate_generic("voronoi_area", None, rc.trials, Rng(rc.seed), rc.threads).values
     table = analytic.TABLE_VORONOI_MOMENTS.moments
     rows = []
     for k in range(1, 5):
         powk = areas**k
         se = float(np.std(powk, ddof=1) / math.sqrt(len(powk)))
-        rows.append((k, table[k - 1], vm.moments[k - 1], se))
-    se1 = rows[0][3]
-    summary = _summary(1.0, vm.moments[0], se1, 0.01, abs(vm.moments[0] - 1.0) <= 0.01)
+        rows.append((k, table[k - 1], float(powk.mean()), se))
+    m1, se1 = rows[0][2], rows[0][3]
+    summary = _summary(1.0, m1, se1, 0.01, abs(m1 - 1.0) <= 0.01)
     return ("k", "moment_table", "moment_sim", "se"), rows, summary
 
 

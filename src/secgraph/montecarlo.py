@@ -1,31 +1,34 @@
 """Repeated-realization estimators for every quantity the analytic module predicts.
 
-Estimator design notes, per experiment:
+estimate_generic(kind, cfg, trials, rng, threads, **params) draws one outcome
+per trial and returns them as a Sample; its mean(), pmf() and ecdf(grid) are
+the estimates.  Sampler design notes, per kind:
 
-  out_degree_pmf     no fading: exact in the distance domain.  The nearest
+  out_degree         no fading: exact in the distance domain.  The nearest
                      eavesdropper's squared distance is Exp(1/(pi lambda_e));
                      given it, the secure count is Poisson(lambda_l pi R^2).
                      No window, no truncation bias.  With fading the graph
                      predicate is simulated spatially inside a window sized
                      by the fading tail (recorded in bias_note).
-  in_degree_pmf      legitimate points in a disk of radius W, eavesdroppers
+  in_degree          legitimate points in a disk of radius W, eavesdroppers
                      in 2W: every eavesdropper that could capture a counted
                      point lies within twice that point's radius, so the
                      only bias is legitimate points beyond W, bounded by
                      (lambda_l/lambda_e) exp(-lambda_e pi W^2).
-  voronoi_moments    typical-cell clipping against sorted candidates; when a
-                     cell fails the safety condition (max vertex radius under
-                     half the window) the same realization is extended with a
-                     fresh annulus, which preserves the Poisson law and keeps
-                     the estimator unbiased.
-  thresholded_mean   exact: the secure range is a deterministic map of the
+  voronoi_area       typical unit-density cell by clipping against sorted
+                     candidates; when a cell fails the safety condition (max
+                     vertex radius under half the window) the same
+                     realization is extended with a fresh annulus, which
+                     preserves the Poisson law and keeps the estimator
+                     unbiased.  Ignores cfg.
+  thresholded_degree exact: the secure range is a deterministic map of the
                      nearest-eavesdropper distance, so count draws stay in
                      the distance domain.
-  sector_pmf         sectors are independent wedges: per sector the nearest
+  sector_degree      sectors are independent wedges: per sector the nearest
                      eavesdropper's squared distance is Exp at rate
                      pi lambda_e / L and the secure count Poisson on the
                      wedge.  Exact.
-  neutralization     spatial: survivors of the guard-disk filter determine
+  neutralized_degree spatial: survivors of the guard-disk filter determine
                      the effective nearest eavesdropper.  Survivors have
                      density lambda_eff = lambda_e exp(-pi lambda_l rho_n^2),
                      so the eavesdropper window starts at area
@@ -38,14 +41,20 @@ Estimator design notes, per experiment:
                      neutralized eavesdropper stays neutralized.  No
                      truncation; bias_note counts the growths.  Cheap trials
                      share one filtering call per round, each shifted to its
-                     own lattice cell.
+                     own lattice cell.  At rho_n = 0 it is the exact
+                     out_degree draw.
+  neighbor_msr       exact: secrecy rate to the i-th nearest legitimate
+                     node against the nearest eavesdropper.
   colluding_*        aggregate power summed inside a window plus the
                      deterministic mean of the truncated tail,
-                     2 pi lambda_e P_l W^(2-2b)/(2b-2).
+                     2 pi lambda_e P_l W^(2-2b)/(2b-2); colluding_msr and
+                     colluding_degree map it to a secrecy rate at distance
+                     r_l and to a secure count.
 
 Reproducibility: trials are partitioned into fixed-size blocks, each block
-seeded by its own substream of the base seed and reduced in block order.
-Thread count changes only which worker executes a block, never the numbers.
+seeded by its own substream of rng, and outcomes are concatenated in block
+order.  Thread count changes only which worker executes a block, never the
+numbers.
 """
 
 from __future__ import annotations
@@ -53,11 +62,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import analytic
-from .analytic import DegreePmf, VoronoiMoments
+from .analytic import DegreePmf
 from .kernels import cell_area, count_in_cell, neutral_survivors
 from .pointprocess import Rng
 from .propagation import FadingModel, gain, sample_fading
@@ -65,13 +75,7 @@ from .secrecy import NetworkConfig, msr_link, secure_range_thresholded
 
 __all__ = [
     "Estimate",
-    "CdfEstimate",
-    "IsolationEstimate",
-    "ExperimentSpec",
-    "estimate_out_degree_pmf",
-    "estimate_in_degree_pmf",
-    "estimate_voronoi_moments",
-    "estimate_colluding_power",
+    "Sample",
     "estimate_generic",
     "in_degree_window",
     "colluding_window",
@@ -80,20 +84,6 @@ __all__ = [
 ]
 
 _BLOCK = 256
-
-_KINDS = (
-    "out_degree_pmf",
-    "in_degree_pmf",
-    "isolation",
-    "voronoi_moments",
-    "thresholded_mean",
-    "sector_pmf",
-    "neutralization_mean",
-    "msr_cdf_neighbor",
-    "colluding_power",
-    "colluding_msr_cdf",
-    "colluding_mean_degree",
-)
 
 
 @dataclass(frozen=True)
@@ -113,44 +103,31 @@ class Estimate:
 
 
 @dataclass(frozen=True)
-class CdfEstimate:
-    """Empirical CDF on a fixed grid, with per-point binomial standard errors."""
+class Sample:
+    """One outcome per trial, in trial order, with the sampler's audit note."""
 
-    grid: tuple
     values: np.ndarray
-    std_errors: np.ndarray
-    trials: int
     bias_note: str | None = None
 
+    def mean(self) -> Estimate:
+        """Sample mean with its standard error.  Integer and boolean outcomes
+        sum exactly, so the result does not depend on how trials were split."""
+        n = len(self.values)
+        s = float(np.sum(self.values))
+        s2 = float(np.sum(self.values * self.values))
+        var = max(s2 - s * s / n, 0.0) / (n - 1) if n > 1 else 0.0
+        return Estimate(value=s / n, std_error=math.sqrt(var / n), trials=n, bias_note=self.bias_note)
 
-@dataclass(frozen=True)
-class IsolationEstimate:
-    out_isolation: Estimate
-    in_isolation: Estimate
+    def pmf(self) -> DegreePmf:
+        """Empirical PMF of nonnegative integer outcomes."""
+        return DegreePmf(np.bincount(self.values) / float(len(self.values)))
 
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One named experiment: what to estimate, at which configuration, how long."""
-
-    kind: str
-    cfg: NetworkConfig
-    trials: int
-    base_seed: int
-    L: int = 1
-    rho_n: float = 0.0
-    neighbor_index: int = 1
-    rho_grid: tuple = ()
-    r_l: float = 1.0
-    r_window: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {_KINDS}")
-        if not (isinstance(self.trials, int) and self.trials >= 1):
-            raise ValueError(f"trials must be an integer >= 1, got {self.trials}")
-        if self.kind in ("msr_cdf_neighbor", "colluding_msr_cdf") and len(self.rho_grid) == 0:
-            raise ValueError(f"{self.kind} requires a nonempty rho_grid")
+    def ecdf(self, grid) -> tuple[np.ndarray, np.ndarray]:
+        """Fraction of outcomes <= each grid point, and its binomial standard error."""
+        n = len(self.values)
+        counts = np.searchsorted(np.sort(self.values), np.asarray(grid, dtype=np.float64), side="right")
+        vals = counts / float(n)
+        return vals, np.sqrt(np.maximum(vals * (1.0 - vals), 0.0) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -294,73 +271,30 @@ def _run_blocks(trials: int, root: Rng, threads: int, block_fn):
         return [f.result() for f in futures]
 
 
-def _mean_estimate(partials, trials: int, bias_note: str | None = None) -> Estimate:
-    """Reduce per-block (sum, sumsq) pairs into a mean with standard error."""
-    s = 0.0
-    s2 = 0.0
-    for ps, ps2 in partials:
-        s += ps
-        s2 += ps2
-    mean = s / trials
-    if trials > 1:
-        var = max(s2 - s * s / trials, 0.0) / (trials - 1)
-        se = math.sqrt(var / trials)
-    else:
-        se = 0.0
-    return Estimate(value=mean, std_error=se, trials=trials, bias_note=bias_note)
-
-
-def _reduce_hist(partials) -> np.ndarray:
-    width = max(len(h) for h in partials)
-    total = np.zeros(width, dtype=np.int64)
-    for h in partials:
-        total[: len(h)] += h
-    return total
-
-
-def _pmf_and_mean(hists, trials: int, bias_note: str | None):
-    counts = _reduce_hist(hists)
-    probs = counts / float(trials)
-    pmf = DegreePmf(probs)
-    n = np.arange(len(counts), dtype=np.float64)
-    s = float(np.dot(n, counts))
-    s2 = float(np.dot(n * n, counts))
-    mean = s / trials
-    var = max(s2 - s * s / trials, 0.0) / (trials - 1) if trials > 1 else 0.0
-    est = Estimate(value=mean, std_error=math.sqrt(var / trials), trials=trials, bias_note=bias_note)
-    return pmf, est
-
-
 # ---------------------------------------------------------------------------
-# out-degree
+# samplers: sampler(cfg, run, **params) -> Sample, where run(block_fn) runs
+# block_fn over the trial blocks and returns the block results in order
 
 
-def _baseline_out_degrees(g, cfg: NetworkConfig, n: int) -> np.ndarray:
-    """Out-degrees of n typical nodes of the baseline graph: the squared
+def _baseline_out_degree(cfg: NetworkConfig, run) -> Sample:
+    """Out-degrees of typical nodes of the baseline graph: the squared
     nearest-eavesdropper distance R^2 ~ Exp(mean 1/(pi lambda_e)), then
     Poisson(pi lambda_l R^2) legitimate points inside it."""
-    re2 = g.exponential(scale=1.0 / (math.pi * cfg.lambda_e), size=n)
-    return g.poisson(lam=cfg.lambda_l * math.pi * re2)
+    if cfg.lambda_e <= 0:
+        raise ValueError("out-degree estimation needs lambda_e > 0")
 
-
-def _out_degree_exact_block(cfg: NetworkConfig):
     def block(rng: Rng, n: int):
-        return np.bincount(_baseline_out_degrees(rng.generator(), cfg, n))
+        g = rng.generator()
+        re2 = g.exponential(scale=1.0 / (math.pi * cfg.lambda_e), size=n)
+        return g.poisson(lam=cfg.lambda_l * math.pi * re2)
 
-    return block
-
-
-def _disk_block_draw(g, lam: float, w: float, n: int):
-    """Counts and squared radii plus angles for n disk realizations."""
-    counts = g.poisson(lam * math.pi * w * w, size=n)
-    total = int(counts.sum())
-    r = w * np.sqrt(g.random(total))
-    theta = g.uniform(0.0, 2.0 * math.pi, total)
-    return counts, r, theta
+    return Sample(np.concatenate(run(block)), "exact distance-domain sampling, no truncation")
 
 
-def _out_degree_fading_block(cfg: NetworkConfig, w: float):
-    b2 = 2.0 * cfg.gain.b
+def _out_degree(cfg: NetworkConfig, run) -> Sample:
+    if cfg.fading.kind == "none":
+        return _baseline_out_degree(cfg, run)
+    w = fading_window(cfg.fading, cfg.lambda_e)
 
     def block(rng: Rng, n: int):
         g = rng.generator()
@@ -378,33 +312,26 @@ def _out_degree_fading_block(cfg: NetworkConfig, w: float):
         best = np.zeros(n)
         np.maximum.at(best, seg_e, ge)
         hits = gl > best[seg_l]
-        counts = np.bincount(seg_l[hits], minlength=n)
-        return np.bincount(counts)
+        return np.bincount(seg_l[hits], minlength=n)
 
-    return block
+    note = f"spatial window radius {w:.3g} sized for {cfg.fading.kind} tails"
+    return Sample(np.concatenate(run(block)), note)
 
 
-def estimate_out_degree_pmf(spec: ExperimentSpec, threads: int = 1):
-    """Empirical out-degree PMF of a typical node, with an Estimate of the mean."""
-    cfg = spec.cfg
+def _disk_block_draw(g, lam: float, w: float, n: int):
+    """Counts and squared radii plus angles for n disk realizations."""
+    counts = g.poisson(lam * math.pi * w * w, size=n)
+    total = int(counts.sum())
+    r = w * np.sqrt(g.random(total))
+    theta = g.uniform(0.0, 2.0 * math.pi, total)
+    return counts, r, theta
+
+
+def _in_degree(cfg: NetworkConfig, run) -> Sample:
     if cfg.lambda_e <= 0:
-        raise ValueError("out-degree estimation needs lambda_e > 0")
-    if cfg.fading.kind == "none":
-        block = _out_degree_exact_block(cfg)
-        note = "exact distance-domain sampling, no truncation"
-    else:
-        w = fading_window(cfg.fading, cfg.lambda_e)
-        block = _out_degree_fading_block(cfg, w)
-        note = f"spatial window radius {w:.3g} sized for {cfg.fading.kind} tails"
-    hists = _run_blocks(spec.trials, Rng(spec.base_seed), threads, block)
-    return _pmf_and_mean(hists, spec.trials, note)
+        raise ValueError("in-degree estimation needs lambda_e > 0")
+    w = in_degree_window(cfg.lambda_l, cfg.lambda_e)
 
-
-# ---------------------------------------------------------------------------
-# in-degree
-
-
-def _in_degree_block(cfg: NetworkConfig, w: float):
     def block(rng: Rng, n: int):
         g = rng.generator()
         nl, rl, thl = _disk_block_draw(g, cfg.lambda_l, w, n)
@@ -417,140 +344,48 @@ def _in_degree_block(cfg: NetworkConfig, w: float):
         np.cumsum(nl, out=loff[1:])
         eoff = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(ne, out=eoff[1:])
-        counts = count_in_cell(lx, ly, loff, ex, ey, eoff)
-        return np.bincount(counts)
+        return count_in_cell(lx, ly, loff, ex, ey, eoff)
 
-    return block
-
-
-def estimate_in_degree_pmf(spec: ExperimentSpec, threads: int = 1):
-    """Empirical in-degree PMF of a typical node (legitimate points inside the
-    origin's eavesdropper-Voronoi cell), with an Estimate of the mean."""
-    cfg = spec.cfg
-    if cfg.lambda_e <= 0:
-        raise ValueError("in-degree estimation needs lambda_e > 0")
-    w = in_degree_window(cfg.lambda_l, cfg.lambda_e)
     bias = cfg.lambda_l / cfg.lambda_e * math.exp(-cfg.lambda_e * math.pi * w * w)
-    note = f"window radius {w:.3g}, truncation bias bound {bias:.2e}"
-    hists = _run_blocks(spec.trials, Rng(spec.base_seed), threads, _in_degree_block(cfg, w))
-    return _pmf_and_mean(hists, spec.trials, note)
+    return Sample(np.concatenate(run(block)), f"window radius {w:.3g}, truncation bias bound {bias:.2e}")
 
 
-# ---------------------------------------------------------------------------
-# Voronoi typical cell
+def _voronoi_block(rng: Rng, n: int):
+    g = rng.generator()
+    areas = np.empty(n)
+    for t in range(n):
+        w = 4.0
+        cnt = g.poisson(math.pi * w * w)
+        r = w * np.sqrt(g.random(cnt))
+        th = g.uniform(0.0, 2.0 * math.pi, cnt)
+        xs = r * np.cos(th)
+        ys = r * np.sin(th)
+        for _attempt in range(12):
+            order = np.argsort(xs * xs + ys * ys, kind="stable")
+            sx = np.ascontiguousarray(xs[order])
+            sy = np.ascontiguousarray(ys[order])
+            area, max_r, used, complete = cell_area(sx, sy, w / 2.0)
+            if complete and max_r < w / 2.0:
+                break
+            # cell not provably exact: extend the same realization
+            w_new = 1.5 * w
+            extra = g.poisson(math.pi * (w_new * w_new - w * w))
+            r2 = np.sqrt(g.random(extra) * (w_new * w_new - w * w) + w * w)
+            th2 = g.uniform(0.0, 2.0 * math.pi, extra)
+            xs = np.concatenate([xs, r2 * np.cos(th2)])
+            ys = np.concatenate([ys, r2 * np.sin(th2)])
+            w = w_new
+        else:
+            raise RuntimeError("typical-cell window exhausted after repeated extension")
+        areas[t] = area
+    return areas
 
 
-def _voronoi_block(k_max: int):
-    w0 = 4.0
-
-    def block(rng: Rng, n: int):
-        g = rng.generator()
-        areas = np.empty(n)
-        for t in range(n):
-            w = w0
-            cnt = g.poisson(math.pi * w * w)
-            r = w * np.sqrt(g.random(cnt))
-            th = g.uniform(0.0, 2.0 * math.pi, cnt)
-            xs = r * np.cos(th)
-            ys = r * np.sin(th)
-            for _attempt in range(12):
-                order = np.argsort(xs * xs + ys * ys, kind="stable")
-                sx = np.ascontiguousarray(xs[order])
-                sy = np.ascontiguousarray(ys[order])
-                area, max_r, used, complete = cell_area(sx, sy, w / 2.0)
-                if complete and max_r < w / 2.0:
-                    break
-                # cell not provably exact: extend the same realization
-                w_new = 1.5 * w
-                extra = g.poisson(math.pi * (w_new * w_new - w * w))
-                r2 = np.sqrt(g.random(extra) * (w_new * w_new - w * w) + w * w)
-                th2 = g.uniform(0.0, 2.0 * math.pi, extra)
-                xs = np.concatenate([xs, r2 * np.cos(th2)])
-                ys = np.concatenate([ys, r2 * np.sin(th2)])
-                w = w_new
-            else:
-                raise RuntimeError("typical-cell window exhausted after repeated extension")
-            areas[t] = area
-        hist = np.zeros(k_max + 1)
-        for k in range(1, k_max + 1):
-            hist[k] = float(np.sum(areas**k))
-        return hist, areas
-
-    return block
+def _voronoi_area(cfg, run) -> Sample:
+    return Sample(np.concatenate(run(_voronoi_block)))
 
 
-def estimate_voronoi_moments(k_max: int, trials: int, rng: Rng, threads: int = 1):
-    """Simulated moments E{A^k}, k=1..k_max, of the typical unit-density cell area.
-
-    Returns (VoronoiMoments, areas): the raw area samples feed the
-    in-isolation estimator and let callers compute their own standard errors.
-    """
-    if not (isinstance(k_max, int) and 1 <= k_max <= 6):
-        raise ValueError(f"k_max must be an integer in 1..6, got {k_max}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    results = _run_blocks(trials, rng, threads, _voronoi_block(k_max))
-    sums = np.zeros(k_max + 1)
-    chunks = []
-    for hist, areas in results:
-        sums += hist
-        chunks.append(areas)
-    moments = tuple(float(sums[k] / trials) for k in range(1, k_max + 1))
-    return VoronoiMoments(moments, source="simulated"), np.concatenate(chunks)
-
-
-# ---------------------------------------------------------------------------
-# colluding aggregate power
-
-
-def _colluding_power_block(cfg: NetworkConfig, w: float, tail: float):
-    b = cfg.gain.b
-
-    def block(rng: Rng, n: int):
-        g = rng.generator()
-        ne = g.poisson(cfg.lambda_e * math.pi * w * w, size=n)
-        total = int(ne.sum())
-        r2 = w * w * g.random(total)
-        contrib = cfg.p_l * r2 ** (-b)
-        seg = np.repeat(np.arange(n), ne)
-        agg = np.bincount(seg, weights=contrib, minlength=n) + tail
-        return agg
-
-    return block
-
-
-def _tail_mean(cfg: NetworkConfig, w: float) -> float:
-    b = cfg.gain.b
-    return 2.0 * math.pi * cfg.lambda_e * cfg.p_l * w ** (2.0 - 2.0 * b) / (2.0 * b - 2.0)
-
-
-def estimate_colluding_power(cfg: NetworkConfig, r_window: float, trials: int, rng: Rng, threads: int = 1):
-    """Aggregate eavesdropper power samples: windowed sum plus mean-tail correction.
-
-    Returns (Estimate of the windowed-sum mean, samples).  The samples are
-    the per-trial corrected sums, in trial order, for distribution tests.
-    """
-    if cfg.gain.kind != "unbounded" or cfg.gain.b <= 1.0:
-        raise ValueError("aggregate eavesdropper power requires unbounded gain with b > 1")
-    if not (math.isfinite(r_window) and r_window > 0):
-        raise ValueError(f"r_window must be positive and finite, got {r_window}")
-    if cfg.lambda_e <= 0:
-        samples = np.zeros(trials)
-        return Estimate(0.0, 0.0, trials, bias_note="no eavesdroppers"), samples
-    tail = _tail_mean(cfg, r_window)
-    parts = _run_blocks(trials, rng, threads, _colluding_power_block(cfg, r_window, tail))
-    samples = np.concatenate(parts)
-    note = f"window radius {r_window:.4g}, mean-tail correction {tail:.3e}"
-    pairs = [(float(p.sum()), float(np.dot(p, p))) for p in parts]
-    return _mean_estimate(pairs, trials, note), samples
-
-
-# ---------------------------------------------------------------------------
-# generic dispatch
-
-
-def _thresholded_mean_blocks(spec: ExperimentSpec, threads: int):
-    cfg = spec.cfg
+def _thresholded_degree(cfg: NetworkConfig, run) -> Sample:
     lam = 1.0 / (math.pi * cfg.lambda_e)
     area_rate = cfg.lambda_l * math.pi
 
@@ -558,27 +393,21 @@ def _thresholded_mean_blocks(spec: ExperimentSpec, threads: int):
         g = rng.generator()
         re = np.sqrt(g.exponential(scale=lam, size=n))
         psi = secure_range_thresholded(re, cfg)
-        counts = g.poisson(lam=area_rate * psi * psi)
-        return float(counts.sum()), float(np.dot(counts, counts))
+        return g.poisson(lam=area_rate * psi * psi)
 
-    parts = _run_blocks(spec.trials, Rng(spec.base_seed), threads, block)
-    return _mean_estimate(parts, spec.trials, "exact distance-domain sampling")
+    return Sample(np.concatenate(run(block)), "exact distance-domain sampling")
 
 
-def _sector_pmf_blocks(spec: ExperimentSpec, threads: int):
-    cfg = spec.cfg
-    L = spec.L
+def _sector_degree(cfg: NetworkConfig, run, L: int = 1) -> Sample:
     lam = 1.0 / (math.pi * cfg.lambda_e / L)
     wedge_rate = cfg.lambda_l * math.pi / L
 
     def block(rng: Rng, n: int):
         g = rng.generator()
         dmin2 = g.exponential(scale=lam, size=(n, L))
-        counts = g.poisson(lam=wedge_rate * dmin2).sum(axis=1)
-        return np.bincount(counts)
+        return g.poisson(lam=wedge_rate * dmin2).sum(axis=1)
 
-    hists = _run_blocks(spec.trials, Rng(spec.base_seed), threads, block)
-    return _pmf_and_mean(hists, spec.trials, f"exact per-sector distance-domain sampling, L={L}")
+    return Sample(np.concatenate(run(block)), f"exact per-sector distance-domain sampling, L={L}")
 
 
 def _annuli_draw(g, lam: float, r0: float, r1: float, trials: np.ndarray):
@@ -643,173 +472,115 @@ def _neutralized_degrees(g, cfg: NetworkConfig, rho_n: float, w0: float, m: int)
     return np.bincount(lseg[lr2 < best[lseg]], minlength=m), growths
 
 
-def _neutralization_blocks(spec: ExperimentSpec, threads: int):
-    cfg = spec.cfg
-    rho_n = spec.rho_n
+def _neutralized_degree(cfg: NetworkConfig, run, rho_n: float = 0.0) -> Sample:
     if rho_n == 0.0:
-        # no guard disks: identical to the baseline out-degree law
-        est = _thresholded_like_baseline(spec, threads)
-        return est
+        return _baseline_out_degree(cfg, run)  # no guard disks: the baseline law
     w0 = neutralization_window(cfg, rho_n)
     per_trial = cfg.lambda_l * math.pi * (w0 + rho_n) ** 2
     chunk = int(min(_BLOCK, max(1.0, _NEUTRAL_CALL_POINTS / per_trial)))
 
     def block(rng: Rng, n: int):
         g = rng.generator()
-        s = 0
-        s2 = 0
-        growths = 0
-        for start in range(0, n, chunk):
-            deg, grown = _neutralized_degrees(g, cfg, rho_n, w0, min(chunk, n - start))
-            s += int(deg.sum())
-            s2 += int(np.dot(deg, deg))
-            growths += grown
-        return float(s), float(s2), growths
+        parts = [_neutralized_degrees(g, cfg, rho_n, w0, min(chunk, n - start)) for start in range(0, n, chunk)]
+        return np.concatenate([deg for deg, _ in parts]), sum(grown for _, grown in parts)
 
-    parts = _run_blocks(spec.trials, Rng(spec.base_seed), threads, block)
-    growths = sum(p[2] for p in parts)
+    parts = run(block)
+    degrees = np.concatenate([deg for deg, _ in parts])
+    growths = sum(grown for _, grown in parts)
     note = (
         f"guard radius {rho_n}, start eavesdropper window {w0:.4g} grown by annuli "
-        f"(radius x{_NEUTRAL_GROWTH}) until a survivor exists: {growths} growths in {spec.trials} trials"
+        f"(radius x{_NEUTRAL_GROWTH}) until a survivor exists: {growths} growths in {len(degrees)} trials"
     )
-    return _mean_estimate([p[:2] for p in parts], spec.trials, note)
+    return Sample(degrees, note)
 
 
-def _thresholded_like_baseline(spec: ExperimentSpec, threads: int):
-    cfg = spec.cfg
-
-    def block(rng: Rng, n: int):
-        counts = _baseline_out_degrees(rng.generator(), cfg, n)
-        return float(counts.sum()), float(np.dot(counts, counts))
-
-    parts = _run_blocks(spec.trials, Rng(spec.base_seed), threads, block)
-    return _mean_estimate(parts, spec.trials, "exact distance-domain sampling")
-
-
-def _ecdf_reduce(parts, grid, trials: int, note: str):
-    counts = np.zeros(len(grid), dtype=np.int64)
-    for p in parts:
-        counts += p
-    vals = counts / float(trials)
-    ses = np.sqrt(np.maximum(vals * (1.0 - vals), 0.0) / trials)
-    return CdfEstimate(grid=tuple(grid), values=vals, std_errors=ses, trials=trials, bias_note=note)
-
-
-def _msr_neighbor_blocks(spec: ExperimentSpec, threads: int):
-    cfg = spec.cfg
-    i = spec.neighbor_index
+def _neighbor_msr(cfg: NetworkConfig, run, neighbor_index: int = 1) -> Sample:
+    i = neighbor_index
     if not (isinstance(i, int) and i >= 1):
         raise ValueError(f"neighbor index must be an integer >= 1, got {i}")
     b = cfg.gain.b
-    grid = np.asarray(spec.rho_grid, dtype=np.float64)
 
     def block(rng: Rng, n: int):
         g = rng.generator()
         rl2 = g.gamma(shape=float(i), scale=1.0 / (math.pi * cfg.lambda_l), size=n)
         re2 = g.exponential(scale=1.0 / (math.pi * cfg.lambda_e), size=n)
-        msr = msr_link(cfg.p_l * rl2 ** (-b), cfg.p_l * re2 ** (-b), cfg.sigma2_l, cfg.sigma2_e)
-        return (msr[None, :] <= grid[:, None]).sum(axis=1).astype(np.int64)
+        return msr_link(cfg.p_l * rl2 ** (-b), cfg.p_l * re2 ** (-b), cfg.sigma2_l, cfg.sigma2_e)
 
-    parts = _run_blocks(spec.trials, Rng(spec.base_seed), threads, block)
-    return _ecdf_reduce(parts, grid, spec.trials, f"exact distance-domain sampling, neighbor {i}")
+    return Sample(np.concatenate(run(block)), f"exact distance-domain sampling, neighbor {i}")
 
 
-def _colluding_cdf_blocks(spec: ExperimentSpec, threads: int):
-    cfg = spec.cfg
+def _colluding_power_block(cfg: NetworkConfig, r_window: float | None):
+    """Block of aggregate eavesdropper powers, windowed sum plus mean-tail
+    correction, and its audit note."""
+    w = colluding_window(cfg) if r_window is None else r_window
     b = cfg.gain.b
-    w = spec.r_window if spec.r_window is not None else colluding_window(cfg)
-    tail = _tail_mean(cfg, w)
-    grid = np.asarray(spec.rho_grid, dtype=np.float64)
-    prx_l = cfg.p_l * spec.r_l ** (-2.0 * b)
-    power_block = _colluding_power_block(cfg, w, tail)
+    if cfg.gain.kind != "unbounded" or b <= 1.0:
+        raise ValueError("aggregate eavesdropper power requires unbounded gain with b > 1")
+    if not (math.isfinite(w) and w > 0):
+        raise ValueError(f"r_window must be positive and finite, got {w}")
+    tail = 2.0 * math.pi * cfg.lambda_e * cfg.p_l * w ** (2.0 - 2.0 * b) / (2.0 * b - 2.0)
 
     def block(rng: Rng, n: int):
-        agg = power_block(rng, n)
-        msr = msr_link(np.full(n, prx_l), agg, cfg.sigma2_l, cfg.sigma2_e)
-        return (msr[None, :] <= grid[:, None]).sum(axis=1).astype(np.int64)
+        g = rng.generator()
+        ne = g.poisson(cfg.lambda_e * math.pi * w * w, size=n)
+        r2 = w * w * g.random(int(ne.sum()))
+        seg = np.repeat(np.arange(n), ne)
+        return np.bincount(seg, weights=cfg.p_l * r2 ** (-b), minlength=n) + tail
 
-    parts = _run_blocks(spec.trials, Rng(spec.base_seed), threads, block)
-    note = f"window radius {w:.4g}, mean-tail correction {tail:.3e}"
-    return _ecdf_reduce(parts, grid, spec.trials, note)
+    return block, f"window radius {w:.4g}, mean-tail correction {tail:.3e}"
 
 
-def _colluding_mean_degree_blocks(spec: ExperimentSpec, threads: int):
-    cfg = spec.cfg
-    b = cfg.gain.b
-    w = spec.r_window if spec.r_window is not None else colluding_window(cfg)
-    tail = _tail_mean(cfg, w)
-    power_block = _colluding_power_block(cfg, w, tail)
+def _colluding_power(cfg: NetworkConfig, run, r_window: float | None = None) -> Sample:
+    block, note = _colluding_power_block(cfg, r_window)
+    return Sample(np.concatenate(run(block)), note)
+
+
+def _colluding_msr(cfg: NetworkConfig, run, r_l: float = 1.0, r_window: float | None = None) -> Sample:
+    power_block, note = _colluding_power_block(cfg, r_window)
+    prx_l = cfg.p_l * r_l ** (-2.0 * cfg.gain.b)
+
+    def block(rng: Rng, n: int):
+        return msr_link(np.full(n, prx_l), power_block(rng, n), cfg.sigma2_l, cfg.sigma2_e)
+
+    return Sample(np.concatenate(run(block)), note)
+
+
+def _colluding_degree(cfg: NetworkConfig, run, r_window: float | None = None) -> Sample:
+    power_block, note = _colluding_power_block(cfg, r_window)
     # secure radius r with P_l r^(-2b)/sigma2_l > P_agg/sigma2_e
     c = cfg.p_l * cfg.sigma2_e / cfg.sigma2_l
 
     def block(rng: Rng, n: int):
-        g_power = rng.substream(0)
-        agg = power_block(g_power, n)
-        g = rng.substream(1).generator()
-        r2 = (c / agg) ** (1.0 / b)
-        counts = g.poisson(lam=cfg.lambda_l * math.pi * r2)
-        return float(counts.sum()), float(np.dot(counts, counts))
+        agg = power_block(rng.substream(0), n)
+        r2 = (c / agg) ** (1.0 / cfg.gain.b)
+        return rng.substream(1).generator().poisson(lam=cfg.lambda_l * math.pi * r2)
 
-    parts = _run_blocks(spec.trials, Rng(spec.base_seed), threads, block)
-    note = f"window radius {w:.4g}, mean-tail correction {tail:.3e}"
-    return _mean_estimate(parts, spec.trials, note)
+    return Sample(np.concatenate(run(block)), note)
 
 
-def _isolation_blocks(spec: ExperimentSpec, threads: int):
-    cfg = spec.cfg
-
-    def out_block(rng: Rng, n: int):
-        iso = _baseline_out_degrees(rng.generator(), cfg, n) == 0
-        return float(iso.sum()), float(iso.sum())
-
-    # sized first, so an over-budget window is refused before any sampling
-    w = in_degree_window(cfg.lambda_l, cfg.lambda_e)
-    out_parts = _run_blocks(spec.trials, Rng(spec.base_seed), threads, out_block)
-    out_est = _mean_estimate(out_parts, spec.trials, "exact distance-domain sampling")
-
-    in_block_fn = _in_degree_block(cfg, w)
-
-    def in_block(rng: Rng, n: int):
-        hist = in_block_fn(rng, n)
-        z = float(hist[0]) if len(hist) else 0.0
-        return z, z
-
-    bias = cfg.lambda_l / cfg.lambda_e * math.exp(-cfg.lambda_e * math.pi * w * w)
-    in_parts = _run_blocks(spec.trials, Rng(spec.base_seed).substream(1), threads, in_block)
-    in_est = _mean_estimate(in_parts, spec.trials, f"window radius {w:.3g}, bias bound {bias:.2e}")
-    return IsolationEstimate(out_isolation=out_est, in_isolation=in_est)
+_SAMPLERS = {
+    "out_degree": _out_degree,
+    "in_degree": _in_degree,
+    "voronoi_area": _voronoi_area,
+    "thresholded_degree": _thresholded_degree,
+    "sector_degree": _sector_degree,
+    "neutralized_degree": _neutralized_degree,
+    "neighbor_msr": _neighbor_msr,
+    "colluding_power": _colluding_power,
+    "colluding_msr": _colluding_msr,
+    "colluding_degree": _colluding_degree,
+}
 
 
-def estimate_generic(spec: ExperimentSpec, threads: int = 1):
-    """Dispatch an ExperimentSpec to its estimator.
+def estimate_generic(kind: str, cfg: NetworkConfig | None, trials: int, rng: Rng, threads: int = 1, **params) -> Sample:
+    """Draw one outcome of the named kind per trial.
 
-    Scalar experiments return an Estimate; CDF experiments a CdfEstimate on
-    spec.rho_grid; the isolation experiment an IsolationEstimate pair.
-    The PMF/Voronoi kinds have dedicated entry points with richer returns.
+    params are the kind's own: L (sector_degree), rho_n (neutralized_degree),
+    neighbor_index (neighbor_msr), r_l (colluding_msr) and r_window (the
+    colluding kinds; default colluding_window(cfg)).  voronoi_area ignores cfg.
     """
-    kind = spec.kind
-    if kind == "out_degree_pmf":
-        return estimate_out_degree_pmf(spec, threads)[1]
-    if kind == "in_degree_pmf":
-        return estimate_in_degree_pmf(spec, threads)[1]
-    if kind == "isolation":
-        return _isolation_blocks(spec, threads)
-    if kind == "voronoi_moments":
-        vm, _ = estimate_voronoi_moments(4, spec.trials, Rng(spec.base_seed), threads)
-        return vm
-    if kind == "thresholded_mean":
-        return _thresholded_mean_blocks(spec, threads)
-    if kind == "sector_pmf":
-        return _sector_pmf_blocks(spec, threads)[1]
-    if kind == "neutralization_mean":
-        return _neutralization_blocks(spec, threads)
-    if kind == "msr_cdf_neighbor":
-        return _msr_neighbor_blocks(spec, threads)
-    if kind == "colluding_power":
-        w = spec.r_window if spec.r_window is not None else colluding_window(spec.cfg)
-        return estimate_colluding_power(spec.cfg, w, spec.trials, Rng(spec.base_seed), threads)[0]
-    if kind == "colluding_msr_cdf":
-        return _colluding_cdf_blocks(spec, threads)
-    if kind == "colluding_mean_degree":
-        return _colluding_mean_degree_blocks(spec, threads)
-    raise AssertionError(f"unhandled kind {kind!r}")
+    if kind not in _SAMPLERS:
+        raise ValueError(f"unknown experiment kind {kind!r}; expected one of {tuple(_SAMPLERS)}")
+    if not (isinstance(trials, int) and trials >= 1):
+        raise ValueError(f"trials must be an integer >= 1, got {trials}")
+    return _SAMPLERS[kind](cfg, partial(_run_blocks, trials, rng, threads), **params)

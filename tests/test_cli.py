@@ -50,6 +50,12 @@ def test_config_type_errors(tmp_path):
     p.write_text(json.dumps([1, 2]))
     with pytest.raises(cli._UsageError, match="flat"):
         load_config(str(p))
+    # a CSV header goes through the same conversion as a JSON config
+    c = tmp_path / "cfg.csv"
+    c.write_text("# experiment = degree\n# trials = many\nn,pmf\n")
+    with pytest.raises(cli._UsageError, match="trials"):
+        load_config(str(c))
+    assert cli.main(["degree", "--config", str(c)]) == 1
 
 
 def test_missing_config_file():
@@ -148,6 +154,7 @@ def test_usage_errors_exit_1(capsys):
     assert cli.main(["not-a-subcommand"]) == 1
     assert cli.main([]) == 1
     assert cli.main(["collude", "--sweep-b", "3:1:0.5"]) == 1
+    assert cli.main(["msr", "--neighbor", "0"]) == 1
     capsys.readouterr()
 
 
@@ -172,12 +179,12 @@ def test_absurd_guard_radius_exits_2_before_sampling(tmp_path, capsys, monkeypat
     assert f"about {expected:.3g} legitimate points" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("experiment, sampler", [("degree", "estimate_out_degree_pmf"), ("isolation", "estimate_generic")])
-def test_sparse_eavesdroppers_exit_2_before_sampling(tmp_path, capsys, monkeypatch, experiment, sampler):
+@pytest.mark.parametrize("experiment", ["degree", "isolation"])
+def test_sparse_eavesdroppers_exit_2_before_sampling(tmp_path, capsys, monkeypatch, experiment):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before refusing the in-degree window")
 
-    monkeypatch.setattr(mc, sampler, no_sampling)
+    monkeypatch.setattr(mc, "estimate_generic", no_sampling)
     code, out = _run([experiment, "--lambda-e", "1e-6"], tmp_path)
     assert code == 2 and not out.exists()
     # default lambda_l 1: the window holds ln(1e6 / 1e-4) / 1e-6 points per trial
