@@ -23,7 +23,6 @@ from .analytic import (
     p_in_isolation,
     p_in_isolation_series,
     p_out_isolation,
-    p_outage_neighbor,
     pmf_out_degree,
     pmf_out_degree_sectored,
     stirling2,
@@ -39,7 +38,7 @@ from .montecarlo import (
     in_degree_window,
     neutralization_window,
 )
-from .pointprocess import Point, PointSet, Rng, ordered_distances, sample_disk, sample_nearest_distance
+from .pointprocess import PointSet, Rng, sample_disk, sample_nearest_distance
 from .propagation import FadingModel, GainModel, gain, sample_fading
 from .secrecy import (
     ISGraph,
@@ -65,10 +64,8 @@ __all__ = [
     "__version__",
     "backend_name",
     # geometry and randomness
-    "Point",
     "PointSet",
     "Rng",
-    "ordered_distances",
     "sample_disk",
     "sample_nearest_distance",
     # propagation
@@ -108,7 +105,6 @@ __all__ = [
     "p_in_isolation",
     "p_in_isolation_series",
     "p_out_isolation",
-    "p_outage_neighbor",
     "pmf_out_degree",
     "pmf_out_degree_sectored",
     "stirling2",

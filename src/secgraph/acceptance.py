@@ -245,7 +245,7 @@ def neighbor_msr(threads: int) -> CriterionResult:
         ok = ok and dev <= 3.0
         parts.append(f"i={i}: p_exist dev {dev:.2f} SE")
         if i == 1:
-            F = np.array([analytic.cdf_msr_neighbor(r, i, cfg) for r in grid])
+            F = analytic.cdf_msr_neighbor(grid, i, cfg)
             ks1 = float(np.max(np.abs(values - F)))
             ok = ok and ks1 < 0.02
     parts.append(f"i=1 CDF KS={ks1:.4f} (<0.02)")

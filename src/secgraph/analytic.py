@@ -42,7 +42,6 @@ __all__ = [
     "mean_out_degree_neutralization_lb",
     "cdf_msr_neighbor",
     "p_exist_neighbor",
-    "p_outage_neighbor",
     "c_alpha",
     "cdf_msr_colluding",
     "cdf_msr_noncolluding_link",
@@ -284,54 +283,62 @@ def mean_out_degree_neutralization_lb(rho_n: float, lambda_l: float, lambda_e: f
     return lambda_l / lambda_e * (math.pi * lambda_e * r2 + math.exp(math.pi * lambda_l * r2))
 
 
-def _neighbor_integrand(z, rho: float, i: int, cfg: NetworkConfig):
-    """Density-of-rate integrand times the eavesdropper survival factor."""
+def _neighbor_integrand(z, rho, i: int, cfg: NetworkConfig):
+    """Density-of-rate integrand times the eavesdropper survival factor.
+
+    Evaluated in log space and exponentiated once: the density's constant
+    (pi lambda_l)^i / (i-1)! overflows a float for i >= 171 on its own.
+    """
     b = cfg.gain.b
     snr_l = cfg.p_l / cfg.sigma2_l
     snr_e = cfg.p_l / cfg.sigma2_e
     pl = math.pi * cfg.lambda_l
+    log_const = i * math.log(pl) - math.lgamma(i) + i / b * math.log(snr_l)
     z = np.asarray(z, dtype=np.float64)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         g_l = np.exp2(z) - 1.0
         g_e = np.exp2(z - rho) - 1.0
-        dens = (
-            math.log(2.0) / b * pl**i / math.factorial(i - 1) * snr_l ** (i / b)
-            * np.exp2(z) * g_l ** (-1.0 - i / b)
-            * np.exp(-pl * (snr_l / g_l) ** (1.0 / b))
+        log_dens = (
+            log_const + z * math.log(2.0) - (1.0 + i / b) * np.log(g_l)
+            - pl * (snr_l / g_l) ** (1.0 / b)
+            - math.pi * cfg.lambda_e * (snr_e / g_e) ** (1.0 / b)
         )
-        surv = np.exp(-math.pi * cfg.lambda_e * (snr_e / g_e) ** (1.0 / b))
-        out = dens * surv
+        out = math.log(2.0) / b * np.exp(log_dens)
     return np.where(np.isfinite(out), out, 0.0)
 
 
-def cdf_msr_neighbor(rho: float, i: int, cfg: NetworkConfig) -> float:
+def cdf_msr_neighbor(rho, i: int, cfg: NetworkConfig):
     """CDF of the secrecy rate to the i-th nearest legitimate node.
 
     One minus the tail integral of the rate density against the probability
     that every eavesdropper is far enough; integrated over z in (rho, inf)
     by double-exponential quadrature after the rational map z = rho + t/(1-t).
+    rho may be a scalar or an array of rates: all of them go through one
+    elementwise quadrature call.  Returns a float for a scalar and an array
+    of rho's shape otherwise; rates below 0 give 0.
     """
     if cfg.gain.kind != "unbounded":
         raise ValueError("neighbor MSR law requires the unbounded gain model")
     if not (isinstance(i, int) and i >= 1):
         raise ValueError(f"neighbor index must be an integer >= 1, got {i}")
-    if math.isnan(rho):
+    rho = np.asarray(rho, dtype=np.float64)
+    if np.isnan(rho).any():
         raise ValueError("rho must not be NaN")
-    if rho < 0:
-        return 0.0
 
-    def f(t):
-        t = np.asarray(t, dtype=np.float64)
+    def f(t, r):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            z = rho + t / (1.0 - t)
+            z = r + t / (1.0 - t)
             jac = (1.0 - t) ** -2.0
-        vals = _neighbor_integrand(z, rho, i, cfg) * jac
+        vals = _neighbor_integrand(z, r, i, cfg) * jac
         return np.where(np.isfinite(vals), vals, 0.0)
 
-    res = integrate.tanhsinh(f, 0.0, 1.0, atol=_ABS_TOL, rtol=_REL_TOL)
-    if not res.success:
+    pos = rho >= 0
+    res = integrate.tanhsinh(f, 0.0, 1.0, args=(rho[pos],), atol=_ABS_TOL, rtol=_REL_TOL)
+    if not np.all(res.success):
         raise RuntimeError(f"neighbor MSR quadrature failed: status {res.status}")
-    return float(min(max(1.0 - res.integral, 0.0), 1.0))
+    out = np.zeros(rho.shape)
+    out[pos] = np.clip(1.0 - res.integral, 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def p_exist_neighbor(i: int, lambda_l: float, lambda_e: float) -> float:
@@ -340,16 +347,6 @@ def p_exist_neighbor(i: int, lambda_l: float, lambda_e: float) -> float:
     if not (isinstance(i, int) and i >= 1):
         raise ValueError(f"neighbor index must be an integer >= 1, got {i}")
     return (lambda_l / (lambda_l + lambda_e)) ** i
-
-
-def p_outage_neighbor(rho: float, i: int, cfg: NetworkConfig) -> float:
-    """Secrecy-outage probability at target rate rho.
-
-    For rho > 0 this is exactly the rate CDF at rho (the outage event is the
-    rate falling at or below the target); delegation keeps the two readings
-    identical by construction.
-    """
-    return cdf_msr_neighbor(rho, i, cfg)
 
 
 def c_alpha(alpha: float) -> float:

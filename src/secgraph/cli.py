@@ -386,9 +386,8 @@ def _run_msr(rc: RunConfig):
     grid = (0.0,) + tuple(np.linspace(0.08, 8.0, 100))
     sample = mc.estimate_generic("neighbor_msr", cfg, rc.trials, Rng(rc.seed), rc.threads, neighbor_index=i)
     values, ses = sample.ecdf(grid)
-    rows = []
-    for rho, v, se in zip(grid, values, ses):
-        rows.append((rho, analytic.cdf_msr_neighbor(rho, i, cfg), float(v), float(se)))
+    cdf = analytic.cdf_msr_neighbor(grid, i, cfg)
+    rows = [(rho, float(F), float(v), float(se)) for rho, F, v, se in zip(grid, cdf, values, ses)]
     p_ana = analytic.p_exist_neighbor(i, cfg.lambda_l, cfg.lambda_e)
     p_sim = 1.0 - float(values[0])
     se0 = float(ses[0])

@@ -16,12 +16,10 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "Point",
     "PointSet",
     "Rng",
     "sample_disk",
     "sample_nearest_distance",
-    "ordered_distances",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -74,28 +72,11 @@ class Rng:
         return np.random.Generator(np.random.PCG64(substream_key(self.seed, self.stream_index)))
 
 
-@dataclass(frozen=True)
-class Point:
-    """A planar position in meters."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
-
-    @property
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
-
 class PointSet:
     """One realization of a planar point process inside a disk window.
 
-    Positions are stored as an (n, 2) float array `xy`; the `points` view
-    materializes Point objects on demand.  Instances are immutable after
-    construction and safe to share across threads.
+    Positions are stored as an (n, 2) float array `xy`.  Instances are
+    immutable after construction and safe to share across threads.
     """
 
     __slots__ = ("xy", "density", "window_radius", "__dict__")
@@ -122,10 +103,6 @@ class PointSet:
 
     def __repr__(self) -> str:
         return f"PointSet(n={len(self)}, density={self.density}, window_radius={self.window_radius})"
-
-    @property
-    def points(self) -> list[Point]:
-        return [Point(float(x), float(y)) for x, y in self.xy]
 
     @cached_property
     def ordered_r(self) -> np.ndarray:
@@ -162,8 +139,3 @@ def sample_nearest_distance(density: float, rng: Rng) -> float:
         raise ValueError(f"density must be finite and > 0, got {density}")
     g = rng.generator()
     return math.sqrt(g.exponential(1.0 / (math.pi * density)))
-
-
-def ordered_distances(ps: PointSet) -> np.ndarray:
-    """Nondecreasing origin distances of a realization."""
-    return ps.ordered_r

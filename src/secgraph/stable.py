@@ -31,7 +31,7 @@ from scipy.special import roots_legendre
 
 from .pointprocess import Rng
 
-__all__ = ["StableParams", "cf", "cdf_normalized", "sample", "mellin_neg_moment"]
+__all__ = ["StableParams", "cdf_normalized", "sample", "mellin_neg_moment"]
 
 
 @dataclass(frozen=True)
@@ -49,16 +49,6 @@ class StableParams:
             raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-
-
-def cf(w, p: StableParams):
-    """Characteristic function at w.  Accepts arrays; alpha=1 is out of scope."""
-    if p.alpha == 1:
-        raise ValueError("alpha=1 characteristic-function branch is out of scope")
-    w = np.asarray(w, dtype=np.float64)
-    skew = 1.0 - 1j * p.beta * np.sign(w) * math.tan(math.pi * p.alpha / 2.0)
-    out = np.exp(-p.gamma * np.abs(w) ** p.alpha * skew)
-    return out if out.ndim else complex(out)
 
 
 def mellin_neg_moment(alpha: float) -> float:

@@ -33,7 +33,6 @@ from secgraph import (
     p_in_isolation,
     p_in_isolation_series,
     p_out_isolation,
-    p_outage_neighbor,
     pmf_out_degree,
     pmf_out_degree_sectored,
     stirling2,
@@ -210,9 +209,9 @@ def test_neighbor_cdf_at_zero_matches_existence(i):
 
 def test_neighbor_cdf_shape():
     grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 25.0]
-    vals = [cdf_msr_neighbor(r, 1, CFG) for r in grid]
-    assert all(0.0 <= v <= 1.0 for v in vals)
-    assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
+    vals = cdf_msr_neighbor(grid, 1, CFG)
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+    assert np.all(np.diff(vals) >= -1e-9)
     # the rate tail decays like P{R_1 < 2^(-rho/(2b))}, slowly but surely
     assert vals[-1] > 0.999
     assert cdf_msr_neighbor(-1.0, 1, CFG) == 0.0
@@ -222,10 +221,52 @@ def test_neighbor_cdf_shape():
         cdf_msr_neighbor(1.0, 0, CFG)
 
 
-def test_outage_is_the_rate_cdf():
-    for rho in (0.0, 0.7, 2.0):
-        assert p_outage_neighbor(rho, 2, CFG) == cdf_msr_neighbor(rho, 2, CFG)
-    assert p_outage_neighbor(-0.5, 2, CFG) == 0.0
+@pytest.mark.parametrize("i", [1, 2, 6, 20, 100, 170, 171, 200, 500, 1000])
+@pytest.mark.parametrize(
+    "cfg",
+    [NetworkConfig(p_l=10.0), NetworkConfig(lambda_e=1.0, p_l=10.0, gain=GainModel(kind="unbounded", b=4.0))],
+    ids=["lambda_e=0.1,b=2", "lambda_e=1,b=4"],
+)
+def test_neighbor_cdf_at_zero_for_far_neighbors(cfg, i):
+    # (pi lambda_l)^i / (i-1)! overflows a float from i = 171 on; the log-space density does not
+    got = cdf_msr_neighbor(0.0, i, cfg)
+    assert got == pytest.approx(1.0 - p_exist_neighbor(i, cfg.lambda_l, cfg.lambda_e), abs=1e-9)
+
+
+# the grids of `secgraph msr` and of the neighbor_msr criterion, with their configurations
+_MSR_GRIDS = {
+    "cli": ((0.0,) + tuple(np.linspace(0.08, 8.0, 100)), NetworkConfig(p_l=10.0)),
+    "criterion": (
+        (0.0,) + tuple(np.linspace(0.04, 8.0, 200)),
+        NetworkConfig(lambda_l=1.0, lambda_e=0.1, p_l=10.0, gain=GainModel(kind="unbounded", b=2.0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("i", [1, 2, 6])
+@pytest.mark.parametrize("grid_name", sorted(_MSR_GRIDS))
+def test_neighbor_cdf_array_equals_scalar_loop(grid_name, i):
+    grid, cfg = _MSR_GRIDS[grid_name]
+    scalar = np.array([cdf_msr_neighbor(r, i, cfg) for r in grid])
+    assert np.array_equal(cdf_msr_neighbor(np.array(grid), i, cfg), scalar)
+
+
+def test_neighbor_cdf_array_shapes():
+    rho = np.array([[0.0, 0.5, 1.0], [2.0, 4.0, 8.0]])
+    got = cdf_msr_neighbor(rho, 2, CFG)
+    assert got.shape == (2, 3)
+    assert np.array_equal(got.ravel(), cdf_msr_neighbor(rho.ravel(), 2, CFG))
+    zero_d = cdf_msr_neighbor(np.array(0.5), 2, CFG)
+    assert type(zero_d) is float
+    assert zero_d == cdf_msr_neighbor(0.5, 2, CFG)
+
+
+def test_neighbor_cdf_array_negative_and_nan():
+    got = cdf_msr_neighbor(np.array([-1.0, 0.5, -1e-300, 2.0, -np.inf]), 1, CFG)
+    assert got[0] == 0.0 and got[2] == 0.0 and got[4] == 0.0
+    assert 0.0 < got[1] < got[3] < 1.0
+    with pytest.raises(ValueError):
+        cdf_msr_neighbor(np.array([0.0, 1.0, math.nan]), 1, CFG)
 
 
 # ------------------------------------------------------------ colluding laws

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from secgraph import cli, montecarlo as mc
+from secgraph import analytic, cli, montecarlo as mc
 from secgraph.cli import RunConfig, _parse_sweep, load_config, save_config
 
 
@@ -147,6 +147,20 @@ def test_same_seed_same_bytes(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_msr_analytic_column_is_one_quadrature_call(tmp_path, monkeypatch):
+    calls = []
+    tanhsinh = analytic.integrate.tanhsinh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return tanhsinh(*args, **kwargs)
+
+    monkeypatch.setattr(analytic.integrate, "tanhsinh", counting)
+    code, _ = _run(["msr", "--trials", "500"], tmp_path)
+    assert code == 0
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_usage_errors_exit_1(capsys):
@@ -155,6 +169,14 @@ def test_usage_errors_exit_1(capsys):
     assert cli.main([]) == 1
     assert cli.main(["collude", "--sweep-b", "3:1:0.5"]) == 1
     assert cli.main(["msr", "--neighbor", "0"]) == 1
+    capsys.readouterr()
+
+
+def test_msr_far_neighbor_runs(tmp_path, capsys):
+    # the density's constant (pi lambda_l)^i / (i-1)! alone overflows a float for i >= 171
+    code, out = _run(["msr", "--neighbor", "200", "--trials", "2000"], tmp_path)
+    assert code == 0 and out.exists()
+    assert "# neighbor = 200" in out.read_text()
     capsys.readouterr()
 
 

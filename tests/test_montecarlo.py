@@ -277,9 +277,9 @@ def test_neighbor_cdf_tracks_quadrature():
     cfg = NetworkConfig(lambda_l=1.0, lambda_e=0.1)
     grid = (0.0, 0.5, 1.0, 2.0, 4.0)
     values, ses = _sample("neighbor_msr", cfg=cfg, trials=20_000, threads=4).ecdf(grid)
-    for g, v, se in zip(grid, values, ses):
-        want = analytic.cdf_msr_neighbor(float(g), 1, cfg)
-        assert v == pytest.approx(want, abs=max(6 * se, 1e-3))
+    want = analytic.cdf_msr_neighbor(grid, 1, cfg)
+    for v, se, w in zip(values, ses, want):
+        assert v == pytest.approx(w, abs=max(6 * se, 1e-3))
 
 
 def test_colluding_power_matches_stable_median():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from secgraph.pointprocess import Point, PointSet, Rng, ordered_distances, sample_disk, sample_nearest_distance
+from secgraph.pointprocess import PointSet, Rng, sample_disk, sample_nearest_distance
 
 
 def test_rng_reproducible():
@@ -76,14 +76,10 @@ def test_nearest_distance_rejects_zero_density():
 
 def test_ordered_distances_sorted_and_complete():
     ps = sample_disk(2.0, 3.0, Rng(11))
-    d = ordered_distances(ps)
+    d = ps.ordered_r
     assert len(d) == len(ps)
     assert np.all(np.diff(d) >= 0)
     assert d[0] == pytest.approx(np.min(np.hypot(ps.xy[:, 0], ps.xy[:, 1])))
-
-
-def test_point_norm():
-    assert Point(3.0, 4.0).norm == pytest.approx(5.0)
 
 
 def test_pointset_validation():

@@ -17,7 +17,7 @@ from scipy.special import gamma as gamma_fn, ndtr
 
 from secgraph import stable
 from secgraph.pointprocess import Rng
-from secgraph.stable import StableParams, cdf_normalized, cf, mellin_neg_moment, sample
+from secgraph.stable import StableParams, cdf_normalized, mellin_neg_moment, sample
 
 
 def levy_cdf(x):
@@ -33,23 +33,6 @@ def test_params_validation():
         StableParams(alpha=0.5, beta=2.0)
     with pytest.raises(ValueError):
         StableParams(alpha=0.5, gamma=-1.0)
-
-
-def test_cf_at_zero_is_one():
-    p = StableParams(alpha=0.4, gamma=2.0)
-    assert cf(0.0, p) == pytest.approx(1.0)
-
-
-def test_cf_modulus_decays():
-    p = StableParams(alpha=0.5, gamma=1.0)
-    w = np.array([0.1, 1.0, 10.0])
-    mod = np.abs(cf(w, p))
-    assert np.all(np.diff(mod) < 0)
-    # gamma multiplies the whole exponent in this convention: |phi| = exp(-gamma |w|^alpha)
-    assert np.allclose(mod, np.exp(-(w**0.5)), rtol=1e-12)
-    # the skewness term only rotates the phase
-    expected = np.exp(-(w**0.5) * (1.0 - 1j * math.tan(math.pi / 4)))
-    assert np.allclose(cf(w, p), expected, rtol=1e-12)
 
 
 def test_inversion_matches_levy_closed_form():
