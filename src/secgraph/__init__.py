@@ -20,7 +20,6 @@ from .analytic import (
     moments_in_degree,
     p_exist_colluding,
     p_exist_neighbor,
-    p_in_isolation,
     p_in_isolation_series,
     p_out_isolation,
     pmf_out_degree,
@@ -102,7 +101,6 @@ __all__ = [
     "moments_in_degree",
     "p_exist_colluding",
     "p_exist_neighbor",
-    "p_in_isolation",
     "p_in_isolation_series",
     "p_out_isolation",
     "pmf_out_degree",

@@ -1,10 +1,11 @@
 """Self-contained acceptance checks: every analytic result cross-validated
 against simulation at fixed seeds and published tolerances.
 
-Each criterion function returns a CriterionResult and never raises on a
-tolerance miss; run_all collects the full battery in a stable order.  The
-CLI selftest subcommand and the test suite both dispatch here, so a green
-selftest and a green test run certify the same thing.
+Each criterion function only judges: it returns (passed, detail) and never
+raises on a tolerance miss.  run_all times each one, wraps it in a
+CriterionResult, and runs the full battery in a stable order.  The CLI
+selftest subcommand and the test suite both dispatch through run_all, so a
+green selftest and a green test run certify the same thing.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from . import analytic, montecarlo as mc, stable
+from . import analytic, cli, montecarlo as mc, stable
 from .analytic import TABLE_VORONOI_MOMENTS
 from .pointprocess import Rng
 from .propagation import FadingModel, GainModel
@@ -33,10 +34,6 @@ class CriterionResult:
     seconds: float
 
 
-def _result(name: str, t0: float, passed: bool, detail: str) -> CriterionResult:
-    return CriterionResult(name=name, passed=passed, detail=detail, seconds=time.time() - t0)
-
-
 def _geometric(lambda_l: float, lambda_e: float):
     return lambda n: analytic.pmf_out_degree(n, lambda_l, lambda_e)
 
@@ -44,7 +41,7 @@ def _geometric(lambda_l: float, lambda_e: float):
 # ---------------------------------------------------------------------------
 
 
-def out_degree_law(threads: int) -> CriterionResult:
+def out_degree_law(threads: int) -> tuple[bool, str]:
     """Out-degree PMF is geometric with mean lambda_l/lambda_e; TV < 0.01 at 1e5
     trials, mean within 3 SE, under 10 seconds."""
     t0 = time.time()
@@ -54,12 +51,12 @@ def out_degree_law(threads: int) -> CriterionResult:
     tv = analytic.tv_distance(pmf, _geometric(1.0, 0.4))
     dev = abs(est.value - cfg.ratio) / est.std_error
     elapsed = time.time() - t0
-    ok = tv < 0.01 and dev <= 3.0 and elapsed < 10.0
+    ok = tv < 0.01 and abs(est.value - cfg.ratio) <= est.tolerance(3.0) and elapsed < 10.0
     detail = f"TV={tv:.4f} (<0.01), mean={est.value:.4f} vs {cfg.ratio} ({dev:.2f} SE), {elapsed:.2f}s (<10s)"
-    return _result("out_degree_law", t0, ok, detail)
+    return ok, detail
 
 
-def voronoi_moments(threads: int) -> CriterionResult:
+def voronoi_moments(threads: int) -> tuple[bool, str]:
     """Typical-cell area moments match (1, 1.280, 1.993, 3.650) within
     (1%, 5%, 5%, 8%) at 1e5 cells, under 5 minutes."""
     t0 = time.time()
@@ -74,47 +71,41 @@ def voronoi_moments(threads: int) -> CriterionResult:
         + " rel=" + "/".join(f"{r:.2%}" for r in rels)
         + f" (tol 1/5/5/8%), {elapsed:.1f}s (<300s)"
     )
-    return _result("voronoi_moments", t0, ok, detail)
+    return ok, detail
 
 
-def in_degree_moment(threads: int) -> CriterionResult:
+def in_degree_moment(threads: int) -> tuple[bool, str]:
     """Simulated E{N_in^2} at density ratio 1 matches the Stirling/area-moment
     composition 2.280 within 5%."""
-    t0 = time.time()
     cfg = NetworkConfig(lambda_l=1.0, lambda_e=1.0)
     pmf = mc.estimate_generic("in_degree", cfg, 100_000, Rng(103), threads).pmf()
     target = analytic.moments_in_degree(2, 1.0, TABLE_VORONOI_MOMENTS)
     m2 = pmf.moment(2)
     rel = abs(m2 - target) / target
     ok = rel < 0.05
-    return _result("in_degree_moment", t0, ok, f"E{{N^2}}={m2:.4f} vs {target:.3f}, rel={rel:.2%} (<5%)")
+    return ok, f"E{{N^2}}={m2:.4f} vs {target:.3f}, rel={rel:.2%} (<5%)"
 
 
-def isolation_ordering(threads: int) -> CriterionResult:
+def isolation_ordering(threads: int) -> tuple[bool, str]:
     """In-isolation probability is strictly below out-isolation at every
     eavesdropper/legitimate density ratio in {0.25, 0.5, 1, 2, 4}, with the
     gap exceeding 3 combined standard errors."""
-    t0 = time.time()
     parts = []
     ok = True
     for j, q in enumerate((0.25, 0.5, 1.0, 2.0, 4.0)):
         cfg = NetworkConfig(lambda_l=1.0, lambda_e=q)
-        # P(degree = 0) of an out- and an in-degree sample
-        out = mc.estimate_generic("out_degree", cfg, 100_000, Rng(10400 + j), threads)
-        into = mc.estimate_generic("in_degree", cfg, 100_000, Rng(10400 + j).substream(1), threads)
-        p_out, p_in = mc.Sample(out.values == 0).mean(), mc.Sample(into.values == 0).mean()
+        p_out, p_in = cli._isolation(cfg, 100_000, 10400 + j, threads)
         gap = p_out.value - p_in.value
         comb = math.hypot(p_out.std_error, p_in.std_error)
         ok = ok and gap > 3.0 * comb
         parts.append(f"q={q}: gap={gap:.4f} ({gap / comb:.1f} SE)")
-    return _result("isolation_ordering", t0, ok, "; ".join(parts))
+    return ok, "; ".join(parts)
 
 
-def fading_invariance(threads: int) -> CriterionResult:
+def fading_invariance(threads: int) -> tuple[bool, str]:
     """Out-degree PMF is unchanged by per-link propagation effects: path-loss
     only, Nakagami m=1, Nakagami m=3, and lognormal sigma_s=1 all sit within
     TV 0.01 of the geometric law at 1e5 trials (and pairwise within 0.015)."""
-    t0 = time.time()
     models = [
         ("none", FadingModel(kind="none")),
         ("nakagami1", FadingModel(kind="nakagami", m=1.0)),
@@ -142,15 +133,14 @@ def fading_invariance(threads: int) -> CriterionResult:
             pair_max = max(pair_max, 0.5 * float(np.abs(pa - pb).sum()))
     ok = ok and pair_max < 0.015
     parts.append(f"pairwise max TV={pair_max:.4f} (<0.015)")
-    return _result("fading_invariance", t0, ok, "; ".join(parts) + " (each <0.01)")
+    return ok, "; ".join(parts) + " (each <0.01)"
 
 
-def thresholded_mean(threads: int) -> CriterionResult:
+def thresholded_mean(threads: int) -> tuple[bool, str]:
     """Mean degree under a secrecy-rate threshold: quadrature matches
     simulation within 3% across rho {0, 0.5, 1, 2, 4} x power {0.5, 5};
     the Jensen bound is never violated; the rho=0 value hits the closed
     form (lambda_l/lambda_e)(sigma2_e/sigma2_l)^(1/b) to 1e-6."""
-    t0 = time.time()
     ok = True
     worst = 0.0
     jensen_ok = True
@@ -173,13 +163,12 @@ def thresholded_mean(threads: int) -> CriterionResult:
         f"worst |sim-exact|/exact={worst:.2%} (<3%) over 10 (rho, power) points; "
         f"Jensen bound respected: {jensen_ok}; rho=0 closed form to 1e-6: {closed_ok}"
     )
-    return _result("thresholded_mean", t0, ok, detail)
+    return ok, detail
 
 
-def sectorization(threads: int) -> CriterionResult:
+def sectorization(threads: int) -> tuple[bool, str]:
     """Sectorized transmission: out-degree is negative binomial; TV < 0.015
     and mean within 3 SE of L * lambda_l/lambda_e for L in {1, 2, 4, 8}."""
-    t0 = time.time()
     ok = True
     parts = []
     for j, L in enumerate((1, 2, 4, 8)):
@@ -188,9 +177,9 @@ def sectorization(threads: int) -> CriterionResult:
         pmf, est = sample.pmf(), sample.mean()
         tv = analytic.tv_distance(pmf, lambda n: analytic.pmf_out_degree_sectored(n, L, 1.0, 0.4))
         dev = abs(est.value - L * cfg.ratio) / est.std_error
-        ok = ok and tv < 0.015 and dev <= 3.0
+        ok = ok and tv < 0.015 and abs(est.value - L * cfg.ratio) <= est.tolerance(3.0)
         parts.append(f"L={L}: TV={tv:.4f}, mean dev {dev:.2f} SE")
-    return _result("sectorization", t0, ok, "; ".join(parts) + " (TV<0.015, dev<=3)")
+    return ok, "; ".join(parts) + " (TV<0.015, dev<=3)"
 
 
 _NEUTRALIZATION_TRIALS = {
@@ -200,19 +189,18 @@ _NEUTRALIZATION_TRIALS = {
 }
 
 
-def neutralization(threads: int) -> CriterionResult:
+def neutralization(threads: int) -> tuple[bool, str]:
     """Guard-disk neutralization: simulated mean degree dominates the analytic
     lower bound on the (guard radius, density) grid, allowing 3 SE of
     estimator noise where the true mean sits close to the bound; at radius 0
     the mean is within 3 SE of lambda_l/lambda_e."""
-    t0 = time.time()
     ok = True
     parts = []
     for j, lam_e in enumerate((0.1, 0.2, 0.5)):
         cfg = NetworkConfig(lambda_l=1.0, lambda_e=lam_e)
         est0 = mc.estimate_generic("neutralized_degree", cfg, 100_000, Rng(10800 + j), threads, rho_n=0.0).mean()
         dev0 = abs(est0.value - cfg.ratio) / est0.std_error
-        ok = ok and dev0 <= 3.0
+        ok = ok and abs(est0.value - cfg.ratio) <= est0.tolerance(3.0)
         parts.append(f"le={lam_e} rho=0: dev {dev0:.2f} SE")
         for rho in (0.5, 1.0, 1.5):
             trials = _NEUTRALIZATION_TRIALS[(lam_e, rho)]
@@ -220,16 +208,15 @@ def neutralization(threads: int) -> CriterionResult:
             est = mc.estimate_generic("neutralized_degree", cfg, trials, Rng(seed), threads, rho_n=rho).mean()
             lb = analytic.mean_out_degree_neutralization_lb(rho, 1.0, lam_e)
             margin = (est.value - lb) / est.std_error
-            ok = ok and est.value >= lb - 3.0 * est.std_error
+            ok = ok and est.value >= lb - est.tolerance(3.0)
             parts.append(f"le={lam_e} rho={rho}: margin {margin:+.1f} SE")
-    return _result("neutralization", t0, ok, "; ".join(parts))
+    return ok, "; ".join(parts)
 
 
-def neighbor_msr(threads: int) -> CriterionResult:
+def neighbor_msr(threads: int) -> tuple[bool, str]:
     """Secrecy rate to the i-th nearest neighbor: existence probability matches
     (lambda_l/(lambda_l+lambda_e))^i within 3 SE for i in {1, 2, 4, 6}; the
     empirical rate CDF matches quadrature with KS < 0.02 at 1e5 trials."""
-    t0 = time.time()
     cfg = NetworkConfig(lambda_l=1.0, lambda_e=0.1, p_l=10.0, gain=GainModel(kind="unbounded", b=2.0))
     grid = (0.0,) + tuple(np.linspace(0.04, 8.0, 200))
     ok = True
@@ -238,25 +225,23 @@ def neighbor_msr(threads: int) -> CriterionResult:
     for j, i in enumerate((1, 2, 4, 6)):
         sample = mc.estimate_generic("neighbor_msr", cfg, 100_000, Rng(10900 + j), threads, neighbor_index=i)
         values, ses = sample.ecdf(grid)
-        p_sim = 1.0 - values[0]
-        se = ses[0]
+        exist = mc.Estimate(1.0 - values[0], ses[0], 100_000)
         p_ana = analytic.p_exist_neighbor(i, cfg.lambda_l, cfg.lambda_e)
-        dev = abs(p_sim - p_ana) / se
-        ok = ok and dev <= 3.0
+        dev = abs(exist.value - p_ana) / exist.std_error
+        ok = ok and abs(exist.value - p_ana) <= exist.tolerance(3.0)
         parts.append(f"i={i}: p_exist dev {dev:.2f} SE")
         if i == 1:
             F = analytic.cdf_msr_neighbor(grid, i, cfg)
             ks1 = float(np.max(np.abs(values - F)))
             ok = ok and ks1 < 0.02
     parts.append(f"i=1 CDF KS={ks1:.4f} (<0.02)")
-    return _result("neighbor_msr", t0, ok, "; ".join(parts))
+    return ok, "; ".join(parts)
 
 
-def stable_numerics(threads: int) -> CriterionResult:
+def stable_numerics(threads: int) -> tuple[bool, str]:
     """One-sided stable machinery: the Kanter-integral CDF matches
     2Q(1/sqrt(x)) to 1e-6 at alpha=1/2; sampler matches that CDF with
     KS < 0.002 at alpha in {1/2, 1/3}; the Mellin identity holds to 1e-9."""
-    t0 = time.time()
     xs = np.logspace(-3.0, 3.0, 61)
     closed = 2.0 * ndtr(-1.0 / np.sqrt(xs))
     err_half = float(np.max(np.abs(stable.cdf_normalized(xs, 0.5) - closed)))
@@ -288,13 +273,12 @@ def stable_numerics(threads: int) -> CriterionResult:
         + "; ".join(ks_parts)
         + f" (<0.002); Mellin err={mellin_err:.2e} (<1e-9)"
     )
-    return _result("stable_numerics", t0, ok, detail)
+    return ok, detail
 
 
-def colluding_power_law(threads: int) -> CriterionResult:
+def colluding_power_law(threads: int) -> tuple[bool, str]:
     """Aggregate eavesdropper power at b=2 follows the one-sided stable law
     with scale (pi lambda_e / C_(1/2))^2 P_l: KS < 0.01 at 1e5 trials."""
-    t0 = time.time()
     cfg = NetworkConfig(lambda_l=1.0, lambda_e=0.1, gain=GainModel(kind="unbounded", b=2.0))
     w = mc.colluding_window(cfg, rel_std=1e-4)
     samples = mc.estimate_generic("colluding_power", cfg, 100_000, Rng(111), threads, r_window=w).values
@@ -306,13 +290,12 @@ def colluding_power_law(threads: int) -> CriterionResult:
     emp_lo = np.arange(0, n) / n
     ks = float(np.max(np.maximum(np.abs(emp_hi - F), np.abs(emp_lo - F))))
     ok = ks < 0.01
-    return _result("colluding_power_law", t0, ok, f"KS={ks:.5f} (<0.01), window={w:.1f}")
+    return ok, f"KS={ks:.5f} (<0.01), window={w:.1f}"
 
 
-def colluding_degree(threads: int) -> CriterionResult:
+def colluding_degree(threads: int) -> tuple[bool, str]:
     """Mean secure degree against colluding eavesdroppers equals
     (lambda_l/lambda_e) sinc(1/b) within 3% for b in {1.5, 2, 3, 4, 6}."""
-    t0 = time.time()
     ok = True
     parts = []
     for j, b in enumerate((1.5, 2.0, 3.0, 4.0, 6.0)):
@@ -323,14 +306,13 @@ def colluding_degree(threads: int) -> CriterionResult:
         ok = ok and rel < 0.03
         norm = est.value / cfg.ratio
         parts.append(f"b={b}: {norm:.4f} vs {target / cfg.ratio:.4f} ({rel:.2%})")
-    return _result("colluding_degree", t0, ok, "; ".join(parts) + " (<3%); b=2 target 2/pi")
+    return ok, "; ".join(parts) + " (<3%); b=2 target 2/pi"
 
 
-def colluding_outage_ordering(threads: int) -> CriterionResult:
+def colluding_outage_ordering(threads: int) -> tuple[bool, str]:
     """Colluding eavesdroppers are never better for secrecy: outage CDF
     dominates the single-eavesdropper CDF pointwise below the legitimate
     capacity, which for power/noise 10 at unit distance is log2(11)."""
-    t0 = time.time()
     cfg = NetworkConfig(lambda_l=1.0, lambda_e=0.1, p_l=10.0, gain=GainModel(kind="unbounded", b=2.0))
     cap = math.log2(1.0 + cfg.p_l / cfg.sigma2_l)
     grid = np.linspace(1e-3, cap - 1e-3, 400)
@@ -343,10 +325,10 @@ def colluding_outage_ordering(threads: int) -> CriterionResult:
         f"pointwise dominance on (0, {cap:.4f}): {dominated}; "
         f"legitimate capacity={cap:.4f} = log2(11) ~ 3.459"
     )
-    return _result("colluding_outage_ordering", t0, ok, detail)
+    return ok, detail
 
 
-def thread_determinism(threads: int) -> CriterionResult:
+def thread_determinism(threads: int) -> tuple[bool, str]:
     """Every experiment subcommand writes byte-identical output at
     --threads 1 and --threads 4 for the same seed."""
     import contextlib
@@ -354,9 +336,6 @@ def thread_determinism(threads: int) -> CriterionResult:
     import tempfile
     from pathlib import Path
 
-    from . import cli
-
-    t0 = time.time()
     runs = [
         ["degree", "--lambda-l", "1", "--lambda-e", "0.4", "--trials", "10000"],
         ["isolation", "--trials", "10000"],
@@ -385,32 +364,40 @@ def thread_determinism(threads: int) -> CriterionResult:
             ok = ok and match
             parts.append(f"{args[0]}{'' if match else ' MISMATCH'}")
     detail = "byte-identical across thread counts: " + ", ".join(parts)
-    return _result("thread_determinism", t0, ok, detail)
+    return ok, detail
 
 
 CRITERIA = {
-    "out_degree_law": out_degree_law,
-    "in_degree_moment": in_degree_moment,
-    "isolation_ordering": isolation_ordering,
-    "sectorization": sectorization,
-    "thresholded_mean": thresholded_mean,
-    "colluding_outage_ordering": colluding_outage_ordering,
-    "colluding_degree": colluding_degree,
-    "colluding_power_law": colluding_power_law,
-    "neighbor_msr": neighbor_msr,
-    "fading_invariance": fading_invariance,
-    "stable_numerics": stable_numerics,
-    "voronoi_moments": voronoi_moments,
-    "thread_determinism": thread_determinism,
-    "neutralization": neutralization,
+    f.__name__: f
+    for f in (
+        out_degree_law,
+        in_degree_moment,
+        isolation_ordering,
+        sectorization,
+        thresholded_mean,
+        colluding_outage_ordering,
+        colluding_degree,
+        colluding_power_law,
+        neighbor_msr,
+        fading_invariance,
+        stable_numerics,
+        voronoi_moments,
+        thread_determinism,
+        neutralization,
+    )
 }
 
 
 def run_all(threads: int = 1, names=None) -> list:
-    """Run the named criteria (all by default) and return their results in order."""
+    """Run the named criteria (all by default) and return their timed results in order."""
     if names is None:
         names = list(CRITERIA)
     unknown = [n for n in names if n not in CRITERIA]
     if unknown:
         raise ValueError(f"unknown criteria: {unknown}")
-    return [CRITERIA[n](threads) for n in names]
+    results = []
+    for name in names:
+        t0 = time.time()
+        passed, detail = CRITERIA[name](threads)
+        results.append(CriterionResult(name=name, passed=passed, detail=detail, seconds=time.time() - t0))
+    return results

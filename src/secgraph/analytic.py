@@ -36,7 +36,6 @@ __all__ = [
     "pmf_out_degree_sectored",
     "moments_in_degree",
     "p_out_isolation",
-    "p_in_isolation",
     "p_in_isolation_series",
     "mean_out_degree_thresholded",
     "mean_out_degree_neutralization_lb",
@@ -187,25 +186,6 @@ def p_out_isolation(lambda_l: float, lambda_e: float) -> float:
     """Probability a typical node can transmit to nobody: lambda_e/(lambda_l+lambda_e)."""
     _check_densities(lambda_l, lambda_e)
     return lambda_e / (lambda_l + lambda_e)
-
-
-def p_in_isolation(ratio: float, area_samples):
-    """Probability a typical node can receive from nobody, from cell-area draws.
-
-    Returns an Estimate: the sample mean of exp(-ratio * A) over the supplied
-    typical-cell areas, with its standard error.  The ratio is
-    lambda_l/lambda_e.  See p_in_isolation_series for the moment-series route.
-    """
-    from .montecarlo import Estimate  # deferred: montecarlo imports this module
-
-    a = np.asarray(area_samples, dtype=np.float64)
-    if a.size == 0:
-        raise ValueError("area_samples must be nonempty")
-    if not (math.isfinite(ratio) and ratio >= 0):
-        raise ValueError(f"ratio must be >= 0, got {ratio}")
-    vals = np.exp(-ratio * a)
-    se = float(vals.std(ddof=1) / math.sqrt(a.size)) if a.size > 1 else 0.0
-    return Estimate(value=float(vals.mean()), std_error=se, trials=int(a.size))
 
 
 def p_in_isolation_series(ratio: float, vm: VoronoiMoments):

@@ -30,6 +30,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,31 +40,9 @@ from .pointprocess import Rng, substream_key
 from .propagation import GainModel
 from .secrecy import NetworkConfig
 
-__all__ = ["RunConfig", "load_config", "save_config", "main"]
+__all__ = ["RunConfig", "load_config", "main"]
 
 _FORMATS = ("csv", "json")
-_EXPERIMENTS = (
-    "degree",
-    "isolation",
-    "threshold",
-    "sectors",
-    "neutralize",
-    "msr",
-    "collude",
-    "voronoi",
-    "selftest",
-)
-_DEFAULT_TRIALS = {
-    "degree": 100_000,
-    "isolation": 100_000,
-    "threshold": 100_000,
-    "sectors": 100_000,
-    "neutralize": 2_000,
-    "msr": 100_000,
-    "collude": 50_000,
-    "voronoi": 20_000,
-    "selftest": 0,
-}
 _DEFAULT_SEED = 42
 
 
@@ -116,26 +95,26 @@ class RunConfig:
         )
 
 
-_FIELD_TYPES = {f.name: f for f in dataclasses.fields(RunConfig)}
-_FLOAT_KEYS = {"lambda_l", "lambda_e", "b", "power", "sigma2_l", "sigma2_e", "rho", "guard_radius", "r_l"}
-_INT_KEYS = {"sectors", "neighbor", "trials", "seed", "threads"}
+# A key's type is its default's; a key without a default, or with None, is text.
+_KEY_TYPES = {
+    f.name: type(f.default) if isinstance(f.default, (int, float)) else str for f in dataclasses.fields(RunConfig)
+}
 
 
 def _coerce(key: str, value):
-    if key not in _FIELD_TYPES:
+    if key not in _KEY_TYPES:
         raise _UsageError(f"unknown config key {key!r}")
+    kind = _KEY_TYPES[key]
+    if kind is str:
+        if value is not None and not isinstance(value, str):
+            raise _UsageError(f"config key {key!r} expects a string, got {value!r}")
+        return value
     try:
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _INT_KEYS:
-            if isinstance(value, float) and value != int(value):
-                raise ValueError("not an integer")
-            return int(value)
+        if kind is int and isinstance(value, float) and value != int(value):
+            raise ValueError("not an integer")
+        return kind(value)
     except (TypeError, ValueError):
         raise _UsageError(f"config key {key!r} expects a number, got {value!r}") from None
-    if value is not None and not isinstance(value, str):
-        raise _UsageError(f"config key {key!r} expects a string, got {value!r}")
-    return value
 
 
 def load_config(path: str) -> dict:
@@ -170,12 +149,6 @@ def _config_from_csv(fh) -> dict:
         val = val.strip()
         out[key.strip()] = None if val == "null" else val
     return out
-
-
-def save_config(rc: RunConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(rc), fh, indent=2, sort_keys=False)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +227,11 @@ def _emit(rc: RunConfig, columns, rows, summary) -> str:
     return path
 
 
-def _summary(analytic_value, simulated, se, tolerance, passed) -> dict:
+def _summary(analytic_value, simulated, se, tolerance, passed=None) -> dict:
+    """The run's gate; it passes, unless another predicate is given, when the
+    simulated value is within tolerance of the analytic one."""
+    if passed is None:
+        passed = abs(simulated - analytic_value) <= tolerance
     return {
         "analytic": analytic_value,
         "simulated": simulated,
@@ -280,23 +257,27 @@ def _sub_seed(seed: int, k: int) -> int:
 # experiment runners
 
 
+def _pmf_rows(law, trials: int, pmf, *others):
+    """One row per degree n: n, law(n), pmf's probability, each of the other
+    PMFs' probabilities, and the binomial SE of pmf's."""
+    pmfs = (pmf, *others)
+    rows = []
+    for n in range(max(len(p.probs) for p in pmfs)):
+        ps = [float(p.probs[n]) if n < len(p.probs) else 0.0 for p in pmfs]
+        se = math.sqrt(max(ps[0] * (1.0 - ps[0]), 0.0) / trials)
+        rows.append((n, law(n), *ps, se))
+    return rows
+
+
 def _run_degree(rc: RunConfig):
     cfg = rc.network()
     # the in-degree window refuses an over-budget density before any sampling
     mc.in_degree_window(cfg.lambda_l, cfg.lambda_e)
     out = mc.estimate_generic("out_degree", cfg, rc.trials, Rng(rc.seed), rc.threads)
-    pmf_out, est_out = out.pmf(), out.mean()
+    est = out.mean()
     pmf_in = mc.estimate_generic("in_degree", cfg, rc.trials, Rng(_sub_seed(rc.seed, 1)), rc.threads).pmf()
-    width = max(len(pmf_out.probs), len(pmf_in.probs))
-    rows = []
-    for n in range(width):
-        po = float(pmf_out.probs[n]) if n < len(pmf_out.probs) else 0.0
-        pi = float(pmf_in.probs[n]) if n < len(pmf_in.probs) else 0.0
-        se = math.sqrt(max(po * (1.0 - po), 0.0) / rc.trials)
-        rows.append((n, analytic.pmf_out_degree(n, rc.lambda_l, rc.lambda_e), po, pi, se))
-    target = cfg.ratio
-    tol = 3.0 * est_out.std_error
-    summary = _summary(target, est_out.value, est_out.std_error, tol, abs(est_out.value - target) <= tol)
+    rows = _pmf_rows(lambda n: analytic.pmf_out_degree(n, rc.lambda_l, rc.lambda_e), rc.trials, out.pmf(), pmf_in)
+    summary = _summary(cfg.ratio, est.value, est.std_error, est.tolerance(3.0))
     return ("n", "pmf_analytic_out", "pmf_sim_out", "pmf_sim_in", "se"), rows, summary
 
 
@@ -337,8 +318,7 @@ def _run_threshold(rc: RunConfig):
         est = mc.estimate_generic("thresholded_degree", cfg, rc.trials, Rng(_sub_seed(rc.seed, k)), rc.threads).mean()
         rows.append((rho, exact, bound, est.value, est.std_error))
         if rho == rc.rho:
-            tol = 0.03 * exact
-            summary = _summary(exact, est.value, est.std_error, tol, abs(est.value - exact) <= tol)
+            summary = _summary(exact, est.value, est.std_error, 0.03 * exact)
     return ("rho", "mean_analytic", "mean_bound", "mean_sim", "se"), rows, summary
 
 
@@ -348,15 +328,11 @@ def _run_sectors(rc: RunConfig):
         raise _UsageError(f"sectors must be >= 1, got {L}")
     cfg = rc.network()
     sample = mc.estimate_generic("sector_degree", cfg, rc.trials, Rng(rc.seed), rc.threads, L=L)
-    pmf, est = sample.pmf(), sample.mean()
-    rows = []
-    for n in range(len(pmf.probs)):
-        p = float(pmf.probs[n])
-        se = math.sqrt(max(p * (1.0 - p), 0.0) / rc.trials)
-        rows.append((n, analytic.pmf_out_degree_sectored(n, L, rc.lambda_l, rc.lambda_e), p, se))
-    target = L * cfg.ratio
-    tol = 3.0 * est.std_error
-    summary = _summary(target, est.value, est.std_error, tol, abs(est.value - target) <= tol)
+    est = sample.mean()
+    rows = _pmf_rows(
+        lambda n: analytic.pmf_out_degree_sectored(n, L, rc.lambda_l, rc.lambda_e), rc.trials, sample.pmf()
+    )
+    summary = _summary(L * cfg.ratio, est.value, est.std_error, est.tolerance(3.0))
     return ("n", "pmf_analytic", "pmf_sim", "se"), rows, summary
 
 
@@ -374,7 +350,8 @@ def _run_neutralize(rc: RunConfig):
         lb = analytic.mean_out_degree_neutralization_lb(rho_n, cfg.lambda_l, cfg.lambda_e)
         rows.append((rho_n, lb, est.value, est.std_error))
         if rho_n == rc.guard_radius:
-            summary = _summary(lb, est.value, est.std_error, 3.0 * est.std_error, est.value >= lb - 3.0 * est.std_error)
+            tol = est.tolerance(3.0)
+            summary = _summary(lb, est.value, est.std_error, tol, est.value >= lb - tol)
     return ("rho_n", "bound", "mean_sim", "se"), rows, summary
 
 
@@ -388,11 +365,10 @@ def _run_msr(rc: RunConfig):
     values, ses = sample.ecdf(grid)
     cdf = analytic.cdf_msr_neighbor(grid, i, cfg)
     rows = [(rho, float(F), float(v), float(se)) for rho, F, v, se in zip(grid, cdf, values, ses)]
+    # the share of trials with a positive rate, with the SE of the CDF at 0
+    exist = mc.Estimate(1.0 - float(values[0]), float(ses[0]), rc.trials)
     p_ana = analytic.p_exist_neighbor(i, cfg.lambda_l, cfg.lambda_e)
-    p_sim = 1.0 - float(values[0])
-    se0 = float(ses[0])
-    tol = 3.0 * se0
-    summary = _summary(p_ana, p_sim, se0, tol, abs(p_sim - p_ana) <= tol)
+    summary = _summary(p_ana, exist.value, exist.std_error, exist.tolerance(3.0))
     return ("rho", "cdf_analytic", "cdf_sim", "se"), rows, summary
 
 
@@ -421,11 +397,7 @@ def _run_collude_sweep(rc: RunConfig):
             # the aggregate power diverges: degree 0, nothing to simulate
             rows.append((b, ana / ratio, float("nan"), float("nan")))
             continue
-        cfg = NetworkConfig(
-            lambda_l=rc.lambda_l, lambda_e=rc.lambda_e, p_l=rc.power,
-            sigma2_l=rc.sigma2_l, sigma2_e=rc.sigma2_e,
-            gain=GainModel(kind="unbounded", b=b),
-        )
+        cfg = dataclasses.replace(rc, b=b).network()
         est = mc.estimate_generic("colluding_degree", cfg, rc.trials, Rng(_sub_seed(rc.seed, k)), rc.threads).mean()
         row = (b, ana / ratio, est.value / ratio, est.std_error / ratio)
         rows.append(row)
@@ -433,9 +405,8 @@ def _run_collude_sweep(rc: RunConfig):
             summary_row = row
     if summary_row is None:
         raise _UsageError("--sweep-b produced no simulable points (need b > 1)")
-    b0, ana0, sim0, se0 = summary_row
-    tol = 0.03 * ana0
-    summary = _summary(ana0, sim0, se0, tol, abs(sim0 - ana0) <= tol)
+    _, ana0, sim0, se0 = summary_row
+    summary = _summary(ana0, sim0, se0, 0.03 * ana0)
     return ("b", "sinc_analytic", "degree_sim_normalized", "se"), rows, summary
 
 
@@ -460,9 +431,7 @@ def _run_collude(rc: RunConfig):
     est = mc.estimate_generic("colluding_degree", cfg, rc.trials, Rng(_sub_seed(rc.seed, 99)), rc.threads).mean()
     ratio = cfg.ratio
     ana = analytic.mean_degree_colluding(cfg.lambda_l, cfg.lambda_e, cfg.gain.b) / ratio
-    sim = est.value / ratio
-    tol = 0.03 * ana
-    summary = _summary(ana, sim, est.std_error / ratio, tol, abs(sim - ana) <= tol)
+    summary = _summary(ana, est.value / ratio, est.std_error / ratio, 0.03 * ana)
     return ("rho", "cdf_colluding_analytic", "cdf_colluding_sim", "cdf_noncolluding_analytic", "se"), rows, summary
 
 
@@ -474,14 +443,14 @@ def _run_voronoi(rc: RunConfig):
         powk = areas**k
         se = float(np.std(powk, ddof=1) / math.sqrt(len(powk)))
         rows.append((k, table[k - 1], float(powk.mean()), se))
-    m1, se1 = rows[0][2], rows[0][3]
-    summary = _summary(1.0, m1, se1, 0.01, abs(m1 - 1.0) <= 0.01)
+    summary = _summary(1.0, rows[0][2], rows[0][3], 0.01)
     return ("k", "moment_table", "moment_sim", "se"), rows, summary
 
 
-def _run_selftest(rc: RunConfig, names=None) -> int:
+def _run_selftest(rc: RunConfig, criteria: str | None) -> int:
     from . import acceptance
 
+    names = [n.strip() for n in criteria.split(",") if n.strip()] if criteria else None
     results = acceptance.run_all(threads=rc.threads, names=names)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -496,15 +465,28 @@ def _run_selftest(rc: RunConfig, names=None) -> int:
     return 0 if n_pass == len(results) else 3
 
 
-_RUNNERS = {
-    "degree": _run_degree,
-    "isolation": _run_isolation,
-    "threshold": _run_threshold,
-    "sectors": _run_sectors,
-    "neutralize": _run_neutralize,
-    "msr": _run_msr,
-    "collude": _run_collude,
-    "voronoi": _run_voronoi,
+@dataclass(frozen=True)
+class _Experiment:
+    """A subcommand: its runner, default trials, help text, and the RunConfig
+    keys that only it takes.  A runner maps a RunConfig to columns, rows and
+    summary; selftest's takes the --criteria text too and returns the exit code."""
+
+    run: Callable
+    trials: int
+    help: str
+    keys: tuple = ()
+
+
+_EXPERIMENTS = {
+    "degree": _Experiment(_run_degree, 100_000, "out/in-degree PMFs vs the geometric law"),
+    "isolation": _Experiment(_run_isolation, 100_000, "isolation probabilities across density ratios"),
+    "threshold": _Experiment(_run_threshold, 100_000, "mean degree under a secrecy-rate threshold"),
+    "sectors": _Experiment(_run_sectors, 100_000, "sectorized out-degree vs negative binomial", ("sectors",)),
+    "neutralize": _Experiment(_run_neutralize, 2_000, "guard-disk mean degree vs lower bound", ("guard_radius",)),
+    "msr": _Experiment(_run_msr, 100_000, "secrecy-rate CDF to the i-th neighbor", ("neighbor",)),
+    "collude": _Experiment(_run_collude, 50_000, "colluding-eavesdropper outage and degree", ("r_l", "sweep_b")),
+    "voronoi": _Experiment(_run_voronoi, 20_000, "typical-cell area moments"),
+    "selftest": _Experiment(_run_selftest, 0, "run the acceptance battery"),
 }
 
 
@@ -517,48 +499,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _add_key(parser: _Parser, key: str) -> None:
+    parser.add_argument("--" + key.replace("_", "-"), dest=key, type=_KEY_TYPES[key])
+
+
 def _build_parser() -> _Parser:
+    own = {key for exp in _EXPERIMENTS.values() for key in exp.keys}
     common = _Parser(add_help=False)
-    common.add_argument("--lambda-l", dest="lambda_l", type=float)
-    common.add_argument("--lambda-e", dest="lambda_e", type=float)
-    common.add_argument("--b", dest="b", type=float)
-    common.add_argument("--power", dest="power", type=float)
-    common.add_argument("--sigma2-l", dest="sigma2_l", type=float)
-    common.add_argument("--sigma2-e", dest="sigma2_e", type=float)
-    common.add_argument("--rho", dest="rho", type=float)
-    common.add_argument("--trials", dest="trials", type=int)
-    common.add_argument("--seed", dest="seed", type=int)
-    common.add_argument("--threads", dest="threads", type=int)
-    common.add_argument("--out", dest="out")
-    common.add_argument("--format", dest="format", choices=_FORMATS)
+    for key in _KEY_TYPES:
+        if key != "experiment" and key not in own:
+            _add_key(common, key)
     common.add_argument("--check", action="store_true")
     common.add_argument("--config", dest="config")
 
     parser = _Parser(prog="secgraph", description="secrecy graph experiments over Poisson fields")
     subs = parser.add_subparsers(dest="experiment", metavar="experiment")
     subs.required = True
-    helps = {
-        "degree": "out/in-degree PMFs vs the geometric law",
-        "isolation": "isolation probabilities across density ratios",
-        "threshold": "mean degree under a secrecy-rate threshold",
-        "sectors": "sectorized out-degree vs negative binomial",
-        "neutralize": "guard-disk mean degree vs lower bound",
-        "msr": "secrecy-rate CDF to the i-th neighbor",
-        "collude": "colluding-eavesdropper outage and degree",
-        "voronoi": "typical-cell area moments",
-        "selftest": "run the acceptance battery",
-    }
-    for name in _EXPERIMENTS:
-        sp = subs.add_parser(name, parents=[common], help=helps[name])
-        if name == "sectors":
-            sp.add_argument("--sectors", dest="sectors", type=int)
-        if name == "neutralize":
-            sp.add_argument("--guard-radius", dest="guard_radius", type=float)
-        if name == "msr":
-            sp.add_argument("--neighbor", dest="neighbor", type=int)
-        if name == "collude":
-            sp.add_argument("--r-l", dest="r_l", type=float)
-            sp.add_argument("--sweep-b", dest="sweep_b")
+    for name, exp in _EXPERIMENTS.items():
+        sp = subs.add_parser(name, parents=[common], help=exp.help)
+        for key in exp.keys:
+            _add_key(sp, key)
         if name == "selftest":
             sp.add_argument("--criteria", dest="criteria")
     return parser
@@ -571,7 +531,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         file_values.pop("experiment", None)  # the subcommand on argv wins
         file_values.pop("out", None)
         values.update(file_values)
-    for key in _FIELD_TYPES:
+    for key in _KEY_TYPES:
         flag = getattr(args, key, None)
         if flag is not None and key != "experiment":
             values[key] = flag
@@ -583,7 +543,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             except ValueError:
                 raise _UsageError(f"SECGRAPH_SEED must be an integer, got {env!r}") from None
     if "trials" not in values:
-        values["trials"] = _DEFAULT_TRIALS[args.experiment]
+        values["trials"] = _EXPERIMENTS[args.experiment].trials
     if "threads" not in values:
         values["threads"] = min(os.cpu_count() or 1, 8)
     return RunConfig(**values)
@@ -595,12 +555,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         rc = _resolve(args)
+        run = _EXPERIMENTS[rc.experiment].run
         if rc.experiment == "selftest":
-            names = None
-            if getattr(args, "criteria", None):
-                names = [n.strip() for n in args.criteria.split(",") if n.strip()]
-            return _run_selftest(rc, names)
-        columns, rows, summary = _RUNNERS[rc.experiment](rc)
+            return run(rc, args.criteria)
+        columns, rows, summary = run(rc)
         path = _emit(rc, columns, rows, summary)
         _print_summary(rc, summary, path)
         if args.check and not summary["pass"]:

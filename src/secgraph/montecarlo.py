@@ -101,6 +101,12 @@ class Estimate:
         if not self.trials >= 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 
+    def tolerance(self, k: float = 3.0) -> float:
+        """k standard errors, with the error floored at one count in trials:
+        a sample whose outcomes all agree has SE 0, yet cannot resolve a
+        value finer than 1/trials."""
+        return k * max(self.std_error, 1.0 / self.trials)
+
 
 @dataclass(frozen=True)
 class Sample:

@@ -19,6 +19,7 @@ from secgraph import (
     TABLE_VORONOI_MOMENTS,
     DegreePmf,
     NetworkConfig,
+    Sample,
     VoronoiMoments,
     c_alpha,
     cdf_msr_colluding,
@@ -30,7 +31,6 @@ from secgraph import (
     moments_in_degree,
     p_exist_colluding,
     p_exist_neighbor,
-    p_in_isolation,
     p_in_isolation_series,
     p_out_isolation,
     pmf_out_degree,
@@ -129,20 +129,13 @@ def test_in_isolation_routes_agree_on_degenerate_areas():
     # all-ones areas make the exact answer exp(-ratio); the four-term moment
     # series is then plain Taylor truncation, good to ~c^5/5! at small c
     ratio = 0.1
-    est = p_in_isolation(ratio, np.ones(50))
+    est = Sample(np.exp(-ratio * np.ones(50))).mean()
     assert est.value == pytest.approx(math.exp(-ratio), rel=1e-15)
     assert est.std_error == 0.0
     series, converged = p_in_isolation_series(ratio, VoronoiMoments((1.0, 1.0, 1.0, 1.0)))
     assert series == pytest.approx(math.exp(-ratio), abs=1e-6)
     assert not converged  # stopped at the moment list, not the tolerance
     assert p_in_isolation_series(0.0, TABLE_VORONOI_MOMENTS) == (1.0, True)
-
-
-def test_in_isolation_validation():
-    with pytest.raises(ValueError):
-        p_in_isolation(1.0, [])
-    with pytest.raises(ValueError):
-        p_in_isolation(-0.5, np.ones(3))
 
 
 # --------------------------------------------------------- thresholded mean

@@ -4,14 +4,16 @@ Runs use a few hundred trials; every statistical gate exercised here was
 checked once at the frozen seed, so the assertions are deterministic.
 """
 
+import argparse
 import csv
+import dataclasses
 import json
 import math
 
 import pytest
 
 from secgraph import analytic, cli, montecarlo as mc
-from secgraph.cli import RunConfig, _parse_sweep, load_config, save_config
+from secgraph.cli import RunConfig, _parse_sweep, load_config
 
 
 def _run(args, tmp_path, out_name="out.csv", extra=()):
@@ -25,7 +27,7 @@ def _run(args, tmp_path, out_name="out.csv", extra=()):
 def test_config_round_trip(tmp_path):
     rc = RunConfig(experiment="degree", lambda_e=0.3, trials=500, seed=9, format="json")
     p = tmp_path / "cfg.json"
-    save_config(rc, str(p))
+    p.write_text(json.dumps(dataclasses.asdict(rc)))
     loaded = load_config(str(p))
     assert RunConfig(**loaded) == rc
 
@@ -173,11 +175,20 @@ def test_usage_errors_exit_1(capsys):
 
 
 def test_msr_far_neighbor_runs(tmp_path, capsys):
-    # the density's constant (pi lambda_l)^i / (i-1)! alone overflows a float for i >= 171
-    code, out = _run(["msr", "--neighbor", "200", "--trials", "2000"], tmp_path)
+    # the density's constant (pi lambda_l)^i / (i-1)! alone overflows a float
+    # for i >= 171; no trial has a positive rate, so the check's SE is 0 and
+    # its tolerance is the floor of one count in 2000, times 3
+    code, out = _run(["msr", "--neighbor", "200", "--trials", "2000"], tmp_path, extra=("--check",))
     assert code == 0 and out.exists()
     assert "# neighbor = 200" in out.read_text()
-    capsys.readouterr()
+    assert "tolerance: 0.0015  ->  pass" in capsys.readouterr().out
+
+
+def test_zero_se_degree_check_passes(tmp_path, capsys):
+    # at lambda_l / lambda_e = 0.001 all 100 out-degrees are 0 at this seed
+    code, _ = _run(["degree", "--lambda-e", "1000", "--trials", "100", "--seed", "2"], tmp_path, extra=("--check",))
+    assert code == 0
+    assert "(SE 0)" in capsys.readouterr().out
 
 
 def test_numeric_errors_exit_2(tmp_path, capsys):
@@ -241,6 +252,43 @@ def test_parse_sweep():
     for bad in ("1:2", "a:b:c", "1:2:0", "3:1:0.5"):
         with pytest.raises(cli._UsageError):
             _parse_sweep(bad)
+
+
+# ------------------------------------------------------------ derived parser
+
+def test_parser_derives_one_flag_per_config_key():
+    declared = {"float": float, "int": int, "str": str, "str | None": str}
+    values = {float: "2.5", int: "3", str: "1:2:1"}
+    texts = {"out": "x.csv", "format": "json"}
+    own = {key for exp in cli._EXPERIMENTS.values() for key in exp.keys}
+    parser = cli._build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, exp in cli._EXPERIMENTS.items():
+        actions = subs.choices[name]._actions
+        argv = [name]
+        for field in dataclasses.fields(RunConfig):
+            flags = [a.option_strings for a in actions if a.dest == field.name]
+            if field.name == "experiment" or (field.name in own and field.name not in exp.keys):
+                assert flags == [], (name, field.name)
+                continue
+            assert flags == [["--" + field.name.replace("_", "-")]], (name, field.name)
+            argv += [flags[0][0], texts.get(field.name, values[declared[field.type]])]
+        rc = cli._resolve(parser.parse_args(argv))
+        for flag, text in zip(argv[1::2], argv[2::2]):
+            key = flag[2:].replace("-", "_")
+            kind = declared[RunConfig.__dataclass_fields__[key].type]
+            assert type(getattr(rc, key)) is kind and getattr(rc, key) == kind(text), (name, key)
+        for key in own - set(exp.keys):
+            assert cli.main([name, "--" + key.replace("_", "-"), "1"]) == 1, (name, key)
+
+
+def test_default_trials_per_experiment():
+    parser = cli._build_parser()
+    expected = {
+        "degree": 100_000, "isolation": 100_000, "threshold": 100_000, "sectors": 100_000, "msr": 100_000,
+        "neutralize": 2_000, "collude": 50_000, "voronoi": 20_000, "selftest": 0,
+    }
+    assert {name: cli._resolve(parser.parse_args([name])).trials for name in cli._EXPERIMENTS} == expected
 
 
 # ------------------------------------------------------------------ defaults

@@ -246,7 +246,7 @@ def test_isolation_dual_route_consistency():
     assert p_out_sim.value == pytest.approx(p_out, abs=6 * p_out_sim.std_error)
     # the direct in-degree zero frequency must agree with the area-sample route
     areas = estimate_generic("voronoi_area", None, 3000, Rng(77), threads=4).values
-    via_areas = analytic.p_in_isolation(CFG.ratio, areas)
+    via_areas = Sample(np.exp(-CFG.ratio * areas)).mean()
     gap = abs(p_in_sim.value - via_areas.value)
     combined = math.hypot(p_in_sim.std_error, via_areas.std_error)
     assert gap < 6 * combined
