@@ -330,7 +330,9 @@ def colluding_outage_ordering(threads: int) -> tuple[bool, str]:
 
 def thread_determinism(threads: int) -> tuple[bool, str]:
     """Every experiment subcommand writes byte-identical output at
-    --threads 1 and --threads 4 for the same seed."""
+    --threads 1 and --threads 4 for the same seed.  montecarlo.FORCE_POOL is
+    set meanwhile, so the 4-thread runs send every kind's blocks through the
+    pool, not only those of the kinds that use it by default."""
     import contextlib
     import io
     import tempfile
@@ -349,20 +351,24 @@ def thread_determinism(threads: int) -> tuple[bool, str]:
     ]
     ok = True
     parts = []
-    with tempfile.TemporaryDirectory() as td:
-        for j, args in enumerate(runs):
-            match = True
-            for fmt in ("csv", "json"):
-                p1 = Path(td) / f"run{j}_t1.{fmt}"
-                p4 = Path(td) / f"run{j}_t4.{fmt}"
-                common = args + ["--seed", "7", "--format", fmt]
-                with contextlib.redirect_stdout(io.StringIO()):
-                    rc1 = cli.main(common + ["--threads", "1", "--out", str(p1)])
-                    rc4 = cli.main(common + ["--threads", "4", "--out", str(p4)])
-                same = rc1 == 0 and rc4 == 0 and p1.read_bytes() == p4.read_bytes()
-                match = match and same
-            ok = ok and match
-            parts.append(f"{args[0]}{'' if match else ' MISMATCH'}")
+    forced, mc.FORCE_POOL = mc.FORCE_POOL, True
+    try:
+        with tempfile.TemporaryDirectory() as td:
+            for j, args in enumerate(runs):
+                match = True
+                for fmt in ("csv", "json"):
+                    p1 = Path(td) / f"run{j}_t1.{fmt}"
+                    p4 = Path(td) / f"run{j}_t4.{fmt}"
+                    common = args + ["--seed", "7", "--format", fmt]
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        rc1 = cli.main(common + ["--threads", "1", "--out", str(p1)])
+                        rc4 = cli.main(common + ["--threads", "4", "--out", str(p4)])
+                    same = rc1 == 0 and rc4 == 0 and p1.read_bytes() == p4.read_bytes()
+                    match = match and same
+                ok = ok and match
+                parts.append(f"{args[0]}{'' if match else ' MISMATCH'}")
+    finally:
+        mc.FORCE_POOL = forced
     detail = "byte-identical across thread counts: " + ", ".join(parts)
     return ok, detail
 

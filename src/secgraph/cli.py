@@ -499,8 +499,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_KEY_HELP = {
+    "threads": (
+        "ceiling on worker threads (default min(CPUs, 8)); only samplers whose blocks release "
+        "the GIL use a pool (fading out-degree, guard disks, wide colluding windows), the rest "
+        "run on one thread; results are byte-identical at any value"
+    ),
+}
+
+
 def _add_key(parser: _Parser, key: str) -> None:
-    parser.add_argument("--" + key.replace("_", "-"), dest=key, type=_KEY_TYPES[key])
+    parser.add_argument("--" + key.replace("_", "-"), dest=key, type=_KEY_TYPES[key], help=_KEY_HELP.get(key))
 
 
 def _build_parser() -> _Parser:

@@ -54,7 +54,8 @@ the estimates.  Sampler design notes, per kind:
 Reproducibility: trials are partitioned into fixed-size blocks, each block
 seeded by its own substream of rng, and outcomes are concatenated in block
 order.  Thread count changes only which worker executes a block, never the
-numbers.
+numbers.  threads is a ceiling: only the kinds whose blocks release the GIL
+use a pool (see _run_blocks), the rest run their blocks serially.
 """
 
 from __future__ import annotations
@@ -263,23 +264,38 @@ def _blocks(trials: int) -> list[tuple[int, int]]:
     return out
 
 
-def _run_blocks(trials: int, root: Rng, threads: int, block_fn):
+# Test hook: when set, every run of two or more blocks goes through the pool,
+# so that tests can prove the pooled path byte-identical for every kind.
+FORCE_POOL = False
+
+
+def _run_blocks(trials: int, root: Rng, threads: int, block_fn, pooled: bool = False):
     """Run block_fn(block_rng, block_size) over fixed-size trial blocks.
 
-    Results come back in block order regardless of thread count; block_fn
-    must derive all randomness from the Rng it is handed.
+    The blocks go to a pool of min(threads, blocks) workers only when pooled
+    (or FORCE_POOL) is set; otherwise they run serially, whatever threads
+    says.  Results come back in block order either way; block_fn must derive
+    all randomness from the Rng it is handed.
     """
     plan = _blocks(trials)
-    if threads <= 1:
+    workers = min(threads, len(plan))
+    if workers <= 1 or not (pooled or FORCE_POOL):
         return [block_fn(root.substream(i), n) for i, n in plan]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(block_fn, root.substream(i), n) for i, n in plan]
         return [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------------------
-# samplers: sampler(cfg, run, **params) -> Sample, where run(block_fn) runs
-# block_fn over the trial blocks and returns the block results in order
+# samplers: sampler(cfg, run, **params) -> Sample, where run(block_fn, pooled)
+# runs block_fn over the trial blocks and returns the block results in order.
+# A sampler passes pooled=True only where its blocks do their work in large
+# numpy/scipy calls that release the GIL, which made threads pay: the fading
+# out-degree route, guard disks at rho_n > 0, and colluding windows of
+# _COLLUDING_POOL_POINTS or more expected eavesdroppers.  The exact
+# distance-domain kinds draw 256-element arrays per block, and in_degree and
+# voronoi_area loop over trials in Python; all of them ran slower on two
+# threads than on one, so they run serially.
 
 
 def _baseline_out_degree(cfg: NetworkConfig, run) -> Sample:
@@ -321,7 +337,7 @@ def _out_degree(cfg: NetworkConfig, run) -> Sample:
         return np.bincount(seg_l[hits], minlength=n)
 
     note = f"spatial window radius {w:.3g} sized for {cfg.fading.kind} tails"
-    return Sample(np.concatenate(run(block)), note)
+    return Sample(np.concatenate(run(block, pooled=True)), note)
 
 
 def _disk_block_draw(g, lam: float, w: float, n: int):
@@ -490,7 +506,7 @@ def _neutralized_degree(cfg: NetworkConfig, run, rho_n: float = 0.0) -> Sample:
         parts = [_neutralized_degrees(g, cfg, rho_n, w0, min(chunk, n - start)) for start in range(0, n, chunk)]
         return np.concatenate([deg for deg, _ in parts]), sum(grown for _, grown in parts)
 
-    parts = run(block)
+    parts = run(block, pooled=True)
     degrees = np.concatenate([deg for deg, _ in parts])
     growths = sum(grown for _, grown in parts)
     note = (
@@ -515,9 +531,16 @@ def _neighbor_msr(cfg: NetworkConfig, run, neighbor_index: int = 1) -> Sample:
     return Sample(np.concatenate(run(block)), f"exact distance-domain sampling, neighbor {i}")
 
 
+# Expected eavesdroppers per trial from which a colluding window's blocks go
+# to the pool.  The count depends only on b and rel_std: colluding_window
+# gives 456 at b = 1.5 and 51 at b = 2, which ran 1.3x faster and 1.5x
+# slower on two threads.
+_COLLUDING_POOL_POINTS = 100.0
+
+
 def _colluding_power_block(cfg: NetworkConfig, r_window: float | None):
     """Block of aggregate eavesdropper powers, windowed sum plus mean-tail
-    correction, and its audit note."""
+    correction, whether its blocks go to the pool, and its audit note."""
     w = colluding_window(cfg) if r_window is None else r_window
     b = cfg.gain.b
     if cfg.gain.kind != "unbounded" or b <= 1.0:
@@ -533,26 +556,27 @@ def _colluding_power_block(cfg: NetworkConfig, r_window: float | None):
         seg = np.repeat(np.arange(n), ne)
         return np.bincount(seg, weights=cfg.p_l * r2 ** (-b), minlength=n) + tail
 
-    return block, f"window radius {w:.4g}, mean-tail correction {tail:.3e}"
+    pooled = cfg.lambda_e * math.pi * w * w >= _COLLUDING_POOL_POINTS
+    return block, pooled, f"window radius {w:.4g}, mean-tail correction {tail:.3e}"
 
 
 def _colluding_power(cfg: NetworkConfig, run, r_window: float | None = None) -> Sample:
-    block, note = _colluding_power_block(cfg, r_window)
-    return Sample(np.concatenate(run(block)), note)
+    block, pooled, note = _colluding_power_block(cfg, r_window)
+    return Sample(np.concatenate(run(block, pooled)), note)
 
 
 def _colluding_msr(cfg: NetworkConfig, run, r_l: float = 1.0, r_window: float | None = None) -> Sample:
-    power_block, note = _colluding_power_block(cfg, r_window)
+    power_block, pooled, note = _colluding_power_block(cfg, r_window)
     prx_l = cfg.p_l * r_l ** (-2.0 * cfg.gain.b)
 
     def block(rng: Rng, n: int):
         return msr_link(np.full(n, prx_l), power_block(rng, n), cfg.sigma2_l, cfg.sigma2_e)
 
-    return Sample(np.concatenate(run(block)), note)
+    return Sample(np.concatenate(run(block, pooled)), note)
 
 
 def _colluding_degree(cfg: NetworkConfig, run, r_window: float | None = None) -> Sample:
-    power_block, note = _colluding_power_block(cfg, r_window)
+    power_block, pooled, note = _colluding_power_block(cfg, r_window)
     # secure radius r with P_l r^(-2b)/sigma2_l > P_agg/sigma2_e
     c = cfg.p_l * cfg.sigma2_e / cfg.sigma2_l
 
@@ -561,7 +585,7 @@ def _colluding_degree(cfg: NetworkConfig, run, r_window: float | None = None) ->
         r2 = (c / agg) ** (1.0 / cfg.gain.b)
         return rng.substream(1).generator().poisson(lam=cfg.lambda_l * math.pi * r2)
 
-    return Sample(np.concatenate(run(block)), note)
+    return Sample(np.concatenate(run(block, pooled)), note)
 
 
 _SAMPLERS = {

@@ -10,10 +10,11 @@ other criterion under 4 s.
 """
 
 import os
+from pathlib import Path
 
 import pytest
 
-from secgraph import acceptance
+from secgraph import acceptance, montecarlo
 
 THREADS = min(os.cpu_count() or 1, 4)
 
@@ -25,3 +26,27 @@ def test_criterion(name, capsys):
     with capsys.disabled():
         print(line)
     assert result.passed, result.detail
+
+
+def test_thread_determinism_forces_the_pool(monkeypatch):
+    # every CLI run of the criterion sees the hook set, and it is restored
+    # afterwards, also when a run raises
+    seen = []
+
+    def fake_main(argv):
+        seen.append(montecarlo.FORCE_POOL)
+        Path(argv[argv.index("--out") + 1]).write_text("same")
+        return 0
+
+    monkeypatch.setattr(acceptance.cli, "main", fake_main)
+    passed, _ = acceptance.thread_determinism(1)
+    assert passed and len(seen) == 36 and all(seen)
+    assert montecarlo.FORCE_POOL is False
+
+    def failing_main(argv):
+        raise RuntimeError("run failed")
+
+    monkeypatch.setattr(acceptance.cli, "main", failing_main)
+    with pytest.raises(RuntimeError):
+        acceptance.thread_determinism(1)
+    assert montecarlo.FORCE_POOL is False

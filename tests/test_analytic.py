@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy.special import ndtr
 
 from secgraph import (
@@ -217,13 +218,55 @@ def test_neighbor_cdf_shape():
 @pytest.mark.parametrize("i", [1, 2, 6, 20, 100, 170, 171, 200, 500, 1000])
 @pytest.mark.parametrize(
     "cfg",
-    [NetworkConfig(p_l=10.0), NetworkConfig(lambda_e=1.0, p_l=10.0, gain=GainModel(kind="unbounded", b=4.0))],
-    ids=["lambda_e=0.1,b=2", "lambda_e=1,b=4"],
+    [
+        NetworkConfig(p_l=10.0),
+        NetworkConfig(lambda_e=1.0, p_l=10.0, gain=GainModel(kind="unbounded", b=4.0)),
+        NetworkConfig(),
+        NetworkConfig(lambda_e=1.0, gain=GainModel(kind="unbounded", b=4.0)),
+        NetworkConfig(lambda_e=0.01, p_l=0.1),
+    ],
+    ids=["lambda_e=0.1,b=2", "lambda_e=1,b=4", "lambda_e=0.1,b=2,p_l=1", "lambda_e=1,b=4,p_l=1", "lambda_e=0.01,p_l=0.1"],
 )
 def test_neighbor_cdf_at_zero_for_far_neighbors(cfg, i):
-    # (pi lambda_l)^i / (i-1)! overflows a float from i = 171 on; the log-space density does not
+    # the neighbour's rate concentrates near 0 for large i and small p_l: a
+    # map in the rate missed 1 - p_exist by up to 7e-3 at lambda_e=0.01, p_l=0.1
     got = cdf_msr_neighbor(0.0, i, cfg)
     assert got == pytest.approx(1.0 - p_exist_neighbor(i, cfg.lambda_l, cfg.lambda_e), abs=1e-9)
+
+
+@pytest.mark.parametrize("i", [1, 3, 6, 50])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        NetworkConfig(lambda_e=1.0, gain=GainModel(kind="unbounded", b=1.5)),
+        NetworkConfig(p_l=0.1),
+        NetworkConfig(lambda_e=0.1, p_l=10.0),
+    ],
+    ids=["lambda_e=1,b=1.5", "lambda_e=0.1,p_l=0.1", "lambda_e=0.1,p_l=10"],
+)
+def test_neighbor_cdf_matches_direct_quadrature(cfg, i):
+    # independent route: adaptive quadrature over x = pi lambda_l r_l^2 of
+    # the Gamma(i, 1) density times the eavesdropper survival, split at the
+    # mode; a map in the rate missed it by 8500x the tolerance at i=3, b=1.5
+    b, rho = cfg.gain.b, np.array([0.05, 0.3, 1.0, 3.0])
+    snr = cfg.p_l / cfg.sigma2_l
+
+    def integrand(x, r):
+        g_e = (1.0 + snr * (math.pi * cfg.lambda_l / x) ** b) * 2.0**-r - 1.0
+        if g_e <= 0:
+            return 0.0
+        log_dens = (i - 1) * math.log(x) - x - math.lgamma(i)
+        return math.exp(log_dens - math.pi * cfg.lambda_e * (snr / g_e) ** (1.0 / b))
+
+    want = []
+    for r in rho:
+        x_max = math.pi * cfg.lambda_l * (snr / (2.0**r - 1.0)) ** (1.0 / b)
+        cuts = sorted({0.0, min(i - 1.0, x_max), x_max})
+        tail = sum(integrate.quad(integrand, a, c, args=(r,), epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+                   for a, c in zip(cuts, cuts[1:]))
+        want.append(1.0 - tail)
+    got = cdf_msr_neighbor(rho, i, cfg)
+    assert np.all(np.abs(got - want) <= np.maximum(1e-9, 1e-7 * (1.0 - np.array(want))))
 
 
 # the grids of `secgraph msr` and of the neighbor_msr criterion, with their configurations

@@ -8,6 +8,7 @@ the acceptance criteria.
 
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -124,11 +125,73 @@ def test_fading_window_ordering():
         ("colluding_degree", {"cfg": NetworkConfig(lambda_e=0.5), "trials": 2048}),
     ],
 )
-def test_thread_count_invariance(kind, kw):
+def test_thread_count_invariance(kind, kw, monkeypatch):
     a = _sample(kind, threads=1, **kw)
+    # FORCE_POOL sends every kind's blocks through the pool, serial kinds
+    # included; record the thread each block runs in to prove it did
+    idents = []
+    run_blocks = montecarlo._run_blocks
+
+    def recorded(trials, root, threads, block_fn, pooled=False):
+        def block(rng, n):
+            idents.append(threading.get_ident())
+            return block_fn(rng, n)
+
+        return run_blocks(trials, root, threads, block, pooled)
+
+    monkeypatch.setattr(montecarlo, "FORCE_POOL", True)
+    monkeypatch.setattr(montecarlo, "_run_blocks", recorded)
     b = _sample(kind, threads=4, **kw)
+    assert len(idents) == len(montecarlo._blocks(len(a.values))) > 1
+    assert threading.get_ident() not in idents
     assert np.array_equal(a.values, b.values)
     assert a.bias_note == b.bias_note  # window-growth counts included
+
+
+class _PoolStarted(Exception):
+    pass
+
+
+def _no_pool(max_workers):
+    raise _PoolStarted(max_workers)
+
+
+_POOLED = [
+    ("out_degree", {"cfg": NetworkConfig(lambda_e=0.5, fading=FadingModel("lognormal", sigma_s=1.0))}),
+    ("colluding_degree", {"cfg": NetworkConfig(lambda_e=0.1, gain=GainModel("unbounded", 1.5))}),
+    ("neutralized_degree", {"rho_n": 1.5}),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,kw",
+    [
+        ("out_degree", {}),
+        ("in_degree", {"trials": 600}),
+        ("voronoi_area", {"cfg": None, "trials": 600}),
+        ("thresholded_degree", {"cfg": NetworkConfig(lambda_e=0.5, rho=1.0)}),
+        ("sector_degree", {"L": 3}),
+        ("neutralized_degree", {"rho_n": 0.0}),
+        ("neighbor_msr", {"neighbor_index": 2}),
+        ("colluding_power", {"trials": 2048}),
+        ("colluding_msr", {"r_l": 0.5, "trials": 2048}),
+        ("colluding_degree", {"cfg": NetworkConfig(lambda_e=0.1, gain=GainModel("unbounded", 2.0)), "trials": 2048}),
+    ]
+    + [(kind, {**kw, "trials": 24}) for kind, kw in _POOLED],
+)
+def test_serial_runs_start_no_pool(kind, kw, monkeypatch):
+    # kinds whose blocks hold the GIL, and any single-block run, never start a pool
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _no_pool)
+    assert len(_sample(kind, threads=4, **kw).values) == kw.get("trials", 4096)
+
+
+@pytest.mark.parametrize("kind,kw", _POOLED)
+def test_pooled_runs_reach_the_pool(kind, kw, monkeypatch):
+    # the pool gets min(threads, blocks) workers: 2 for two blocks at threads=4
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _no_pool)
+    with pytest.raises(_PoolStarted) as started:
+        _sample(kind, trials=2 * montecarlo._BLOCK, threads=4, **kw)
+    assert started.value.args == (2,)
 
 
 def test_same_seed_same_pmf_different_seed_differs():
