@@ -533,8 +533,8 @@ def _neighbor_msr(cfg: NetworkConfig, run, neighbor_index: int = 1) -> Sample:
 
 # Expected eavesdroppers per trial from which a colluding window's blocks go
 # to the pool.  The count depends only on b and rel_std: colluding_window
-# gives 456 at b = 1.5 and 51 at b = 2, which ran 1.3x faster and 1.5x
-# slower on two threads.
+# gives 456 at b = 1.5 and 51 at b = 2, whose blocks ran 1.2x faster and
+# 1.7x slower on two threads than on one.
 _COLLUDING_POOL_POINTS = 100.0
 
 

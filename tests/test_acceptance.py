@@ -4,9 +4,10 @@ tolerance, printing one PASS/FAIL line.
 These are the binding checks; run with `pytest -v -s tests/test_acceptance.py`
 to watch the lines as they complete, or `secgraph selftest` for the same
 battery outside pytest.  Measured on a 2-vCPU VM at 2 threads, the full set
-takes 70-90 s: `neutralization` 25-45 s, `isolation_ordering` and
-`thread_determinism` about 14 s each, `voronoi_moments` 7-9 s, and every
-other criterion under 4 s.
+takes 85-130 s, most of the spread being the shared host: `neutralization`
+34-75 s, `thread_determinism` 17-31 s, `isolation_ordering` 13-19 s,
+`voronoi_moments` 8-10 s, `fading_invariance` 4-5 s, and every other
+criterion under 3 s.
 """
 
 import os

@@ -228,8 +228,9 @@ def test_neighbor_cdf_shape():
     ids=["lambda_e=0.1,b=2", "lambda_e=1,b=4", "lambda_e=0.1,b=2,p_l=1", "lambda_e=1,b=4,p_l=1", "lambda_e=0.01,p_l=0.1"],
 )
 def test_neighbor_cdf_at_zero_for_far_neighbors(cfg, i):
-    # the neighbour's rate concentrates near 0 for large i and small p_l: a
-    # map in the rate missed 1 - p_exist by up to 7e-3 at lambda_e=0.01, p_l=0.1
+    # (pi lambda_l)^i / (i-1)! overflows a float from i = 171 on, and for
+    # large i or small p_l the rate concentrates near 0, where a quadrature in
+    # the rate itself lost the mass (7e-3 off at lambda_e=0.01, p_l=0.1, i=500)
     got = cdf_msr_neighbor(0.0, i, cfg)
     assert got == pytest.approx(1.0 - p_exist_neighbor(i, cfg.lambda_l, cfg.lambda_e), abs=1e-9)
 
@@ -247,7 +248,8 @@ def test_neighbor_cdf_at_zero_for_far_neighbors(cfg, i):
 def test_neighbor_cdf_matches_direct_quadrature(cfg, i):
     # independent route: adaptive quadrature over x = pi lambda_l r_l^2 of
     # the Gamma(i, 1) density times the eavesdropper survival, split at the
-    # mode; a map in the rate missed it by 8500x the tolerance at i=3, b=1.5
+    # mode; a quadrature in the rate itself missed it by 8500x the tolerance
+    # at i=3, b=1.5
     b, rho = cfg.gain.b, np.array([0.05, 0.3, 1.0, 3.0])
     snr = cfg.p_l / cfg.sigma2_l
 
