@@ -49,7 +49,11 @@ the estimates.  Sampler design notes, per kind:
                      deterministic mean of the truncated tail,
                      2 pi lambda_e P_l W^(2-2b)/(2b-2); colluding_msr and
                      colluding_degree map it to a secrecy rate at distance
-                     r_l and to a secure count.
+                     r_l and to a secure count.  A block draws all its
+                     eavesdroppers in one array, where each trial's are one
+                     contiguous run; their powers are computed in place and
+                     each run is summed where it lies (np.add.reduceat), so
+                     no per-point trial index is built.
 
 Reproducibility: trials are partitioned into fixed-size blocks, each block
 seeded by its own substream of rng, and outcomes are concatenated in block
@@ -221,6 +225,13 @@ _NEUTRAL_POINT_BUDGET = 1e6
 # together up to this many, which spreads the call's fixed cost over many
 # cheap trials while a costly trial still gets a call of its own.
 _NEUTRAL_CALL_POINTS = 2e4
+# Expected legitimate points per block, _BLOCK lambda_l pi (w0 + rho_n)^2,
+# from which guard-disk blocks go to the pool.  Timed at 2048 trials, blocks
+# of 1.8k points (lambda_e 0.5, rho_n 0.5) ran 0.8x as fast on two threads as
+# on one, 3.2k (lambda_e 0.5, rho_n 0.67) 0.92x, 4.1k (lambda_e 0.5 and 1,
+# rho_n 0.75) 1.19x, 4.5k (lambda_e 0.1, rho_n 0.5) 1.0x and 11k (lambda_e
+# 0.5, rho_n 1) 1.75x (medians of 15-21 rounds).
+_NEUTRAL_POOL_POINTS = 4e3
 
 
 def neutralization_window(cfg: NetworkConfig, rho_n: float) -> float:
@@ -291,11 +302,12 @@ def _run_blocks(trials: int, root: Rng, threads: int, block_fn, pooled: bool = F
 # runs block_fn over the trial blocks and returns the block results in order.
 # A sampler passes pooled=True only where its blocks do their work in large
 # numpy/scipy calls that release the GIL, which made threads pay: the fading
-# out-degree route, guard disks at rho_n > 0, and colluding windows of
-# _COLLUDING_POOL_POINTS or more expected eavesdroppers.  The exact
-# distance-domain kinds draw 256-element arrays per block, and in_degree and
-# voronoi_area loop over trials in Python; all of them ran slower on two
-# threads than on one, so they run serially.
+# out-degree route, guard-disk blocks of _NEUTRAL_POOL_POINTS or more expected
+# legitimate points, and colluding windows of _COLLUDING_POOL_POINTS or more
+# expected eavesdroppers.  The exact distance-domain kinds draw 256-element
+# arrays per block, and in_degree and voronoi_area loop over trials in Python;
+# all of them ran slower on two threads than on one, so they run serially, as
+# do the smaller guard-disk and colluding blocks.
 
 
 def _baseline_out_degree(cfg: NetworkConfig, run) -> Sample:
@@ -506,7 +518,7 @@ def _neutralized_degree(cfg: NetworkConfig, run, rho_n: float = 0.0) -> Sample:
         parts = [_neutralized_degrees(g, cfg, rho_n, w0, min(chunk, n - start)) for start in range(0, n, chunk)]
         return np.concatenate([deg for deg, _ in parts]), sum(grown for _, grown in parts)
 
-    parts = run(block, pooled=True)
+    parts = run(block, pooled=_BLOCK * per_trial >= _NEUTRAL_POOL_POINTS)
     degrees = np.concatenate([deg for deg, _ in parts])
     growths = sum(grown for _, grown in parts)
     note = (
@@ -533,9 +545,10 @@ def _neighbor_msr(cfg: NetworkConfig, run, neighbor_index: int = 1) -> Sample:
 
 # Expected eavesdroppers per trial from which a colluding window's blocks go
 # to the pool.  The count depends only on b and rel_std: colluding_window
-# gives 456 at b = 1.5 and 51 at b = 2, whose blocks ran 1.2x faster and
-# 1.7x slower on two threads than on one.
-_COLLUDING_POOL_POINTS = 100.0
+# gives 456 at b = 1.5, 333 at b = 1.55, 250 at b = 1.6 and 122 at b = 1.75.
+# Timed at 15000 trials, those ran 1.6x, 1.35x, 1.05x and 0.78x as fast on
+# two threads as on one (medians of 21 rounds).
+_COLLUDING_POOL_POINTS = 300.0
 
 
 def _colluding_power_block(cfg: NetworkConfig, r_window: float | None):
@@ -552,9 +565,18 @@ def _colluding_power_block(cfg: NetworkConfig, r_window: float | None):
     def block(rng: Rng, n: int):
         g = rng.generator()
         ne = g.poisson(cfg.lambda_e * math.pi * w * w, size=n)
-        r2 = w * w * g.random(int(ne.sum()))
-        seg = np.repeat(np.arange(n), ne)
-        return np.bincount(seg, weights=cfg.p_l * r2 ** (-b), minlength=n) + tail
+        # each trial's powers P_l (W^2 U)^(-b) are one contiguous run of p
+        p = g.random(int(ne.sum()))
+        p *= w * w
+        np.power(p, -b, out=p)
+        p *= cfg.p_l
+        # reduceat gives an empty run the element at its start, and refuses a
+        # start equal to len(p), so only the non-empty runs are summed
+        full = ne > 0
+        agg = np.zeros(n)
+        agg[full] = np.add.reduceat(p, (np.add.accumulate(ne) - ne)[full])
+        agg += tail
+        return agg
 
     pooled = cfg.lambda_e * math.pi * w * w >= _COLLUDING_POOL_POINTS
     return block, pooled, f"window radius {w:.4g}, mean-tail correction {tail:.3e}"

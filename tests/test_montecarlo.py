@@ -176,11 +176,17 @@ _POOLED = [
         ("colluding_power", {"trials": 2048}),
         ("colluding_msr", {"r_l": 0.5, "trials": 2048}),
         ("colluding_degree", {"cfg": NetworkConfig(lambda_e=0.1, gain=GainModel("unbounded", 2.0)), "trials": 2048}),
+        ("colluding_degree", {"cfg": NetworkConfig(lambda_e=0.1, gain=GainModel("unbounded", 1.75)), "trials": 2048}),
+        ("neutralized_degree", {"rho_n": 0.25, "trials": 2 * montecarlo._BLOCK}),
+        ("neutralized_degree", {"rho_n": 0.5, "trials": 2 * montecarlo._BLOCK}),
     ]
     + [(kind, {**kw, "trials": 24}) for kind, kw in _POOLED],
 )
 def test_serial_runs_start_no_pool(kind, kw, monkeypatch):
-    # kinds whose blocks hold the GIL, and any single-block run, never start a pool
+    # kinds whose blocks hold the GIL, blocks too small to gain from threads
+    # (122 eavesdroppers per trial at b = 1.75; 612 and 1810 legitimate points
+    # per block at rho_n = 0.25 and 0.5), and any single-block run never start
+    # a pool
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _no_pool)
     assert len(_sample(kind, threads=4, **kw).values) == kw.get("trials", 4096)
 
@@ -362,6 +368,49 @@ def test_colluding_power_matches_stable_median():
 def test_colluding_power_no_eavesdroppers():
     samples = estimate_generic("colluding_power", NetworkConfig(lambda_e=0.0), 100, Rng(3), r_window=10.0).values
     assert len(samples) == 100 and np.all(samples == 0.0)
+
+
+def _colluding_tail(cfg, w):
+    b = cfg.gain.b
+    return 2.0 * math.pi * cfg.lambda_e * cfg.p_l * w ** (2.0 - 2.0 * b) / (2.0 * b - 2.0)
+
+
+def _bincount_powers(cfg, w, rng, n):
+    """Eavesdropper counts and windowed powers of one colluding block, summed
+    through a per-point trial index: the reference for the in-place run sums."""
+    g = rng.generator()
+    ne = g.poisson(cfg.lambda_e * math.pi * w * w, size=n)
+    r2 = w * w * g.random(int(ne.sum()))
+    return ne, np.bincount(np.repeat(np.arange(n), ne), weights=cfg.p_l * r2 ** (-cfg.gain.b), minlength=n)
+
+
+def test_colluding_run_sums_match_bincount():
+    # One expected eavesdropper per trial leaves about a third of the runs
+    # empty: take the first seed whose one-block draw has empty runs at the
+    # first, a middle and the last trial, and a run of two or more.
+    cfg = NetworkConfig(lambda_e=0.5, p_l=3.0, gain=GainModel("unbounded", 1.5))
+    w = math.sqrt(1.0 / (math.pi * cfg.lambda_e))
+    n = 12
+    for seed in range(1000):
+        ne, ref = _bincount_powers(cfg, w, Rng(seed).substream(0), n)
+        if ne[0] == 0 and ne[-1] == 0 and np.any(ne[1:-1] == 0) and np.any(ne > 1):
+            break
+    else:
+        pytest.fail("no seed drew the wanted empty runs")
+    got = estimate_generic("colluding_power", cfg, n, Rng(seed), r_window=w).values
+    tail = _colluding_tail(cfg, w)
+    assert np.all(got[ne == 0] == tail)
+    assert np.all(got[ne > 0] > tail)
+    assert np.allclose(got, ref + tail, rtol=1e-13, atol=0.0)
+
+
+def test_colluding_power_all_runs_empty():
+    # 1.6e-8 expected eavesdroppers per trial: every run of all three blocks
+    # is empty, so each power is the tail term alone
+    cfg = NetworkConfig(lambda_e=0.5)
+    w = 1e-4
+    samples = estimate_generic("colluding_power", cfg, 600, Rng(3), threads=2, r_window=w).values
+    assert len(samples) == 600 and np.all(samples == _colluding_tail(cfg, w))
 
 
 def test_colluding_requires_converging_exponent():
