@@ -52,8 +52,7 @@ the estimates.  Sampler design notes, per kind:
                      r_l and to a secure count.  A block draws all its
                      eavesdroppers in one array, where each trial's are one
                      contiguous run; their powers are computed in place and
-                     each run is summed where it lies (np.add.reduceat), so
-                     no per-point trial index is built.
+                     each run is summed where it lies (np.add.reduceat).
 
 Reproducibility: trials are partitioned into fixed-size blocks, each block
 seeded by its own substream of rng, and outcomes are concatenated in block

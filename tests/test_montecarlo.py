@@ -409,7 +409,7 @@ def test_colluding_power_all_runs_empty():
     # is empty, so each power is the tail term alone
     cfg = NetworkConfig(lambda_e=0.5)
     w = 1e-4
-    samples = estimate_generic("colluding_power", cfg, 600, Rng(3), threads=2, r_window=w).values
+    samples = estimate_generic("colluding_power", cfg, 600, Rng(3), r_window=w).values
     assert len(samples) == 600 and np.all(samples == _colluding_tail(cfg, w))
 
 
