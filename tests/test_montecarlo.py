@@ -176,11 +176,13 @@ _POOLED = [
         ("colluding_power", {"trials": 2048}),
         ("colluding_msr", {"r_l": 0.5, "trials": 2048}),
         ("colluding_degree", {"cfg": NetworkConfig(lambda_e=0.1, gain=GainModel("unbounded", 2.0)), "trials": 2048}),
+    ]
+    + [(kind, {**kw, "trials": 24}) for kind, kw in _POOLED]
+    + [
         ("colluding_degree", {"cfg": NetworkConfig(lambda_e=0.1, gain=GainModel("unbounded", 1.75)), "trials": 2048}),
         ("neutralized_degree", {"rho_n": 0.25, "trials": 2 * montecarlo._BLOCK}),
         ("neutralized_degree", {"rho_n": 0.5, "trials": 2 * montecarlo._BLOCK}),
-    ]
-    + [(kind, {**kw, "trials": 24}) for kind, kw in _POOLED],
+    ],
 )
 def test_serial_runs_start_no_pool(kind, kw, monkeypatch):
     # kinds whose blocks hold the GIL, blocks too small to gain from threads
