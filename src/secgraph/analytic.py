@@ -7,11 +7,12 @@ i-th neighbor, and the colluding-adversary results built on the one-sided
 stable law.  The Monte Carlo harness estimates the same quantities; tests
 compare the two routes.
 
-Semi-infinite integrals are evaluated after mapping to a finite interval
-(rational map z = a + t/(1-t)); tolerances are absolute 1e-9, relative
-1e-7.  Mean-degree functions return math.inf when lambda_e = 0 rather
-than raising: the ratio lambda_l/lambda_e is the natural scale of every
-degree result and has no finite value there.
+Quadratures run to absolute 1e-9, relative 1e-7: QUADPACK takes the
+semi-infinite thresholded-degree integral as it stands, and the neighbour
+secrecy-rate CDF integrates over the Gamma quantile of the neighbour's
+distance, a finite interval.  Mean-degree functions return math.inf when
+lambda_e = 0 rather than raising: the ratio lambda_l/lambda_e is the
+natural scale of every degree result and has no finite value there.
 """
 
 from __future__ import annotations
@@ -335,7 +336,11 @@ def c_alpha(alpha: float) -> float:
     return (1.0 - alpha) / (math.gamma(2.0 - alpha) * math.cos(math.pi * alpha / 2.0))
 
 
-def _colluding_args(r_l: float, cfg: NetworkConfig):
+def _link_cdf(rho, r_l: float, cfg: NetworkConfig, eaves_cdf):
+    """Secrecy-rate CDF of a link at distance r_l, for a scalar or array rho:
+    0 below 0, 1 from the capacity log2(1 + snr_l) up, and in between
+    1 - eaves_cdf(tau) at the eavesdropper SNR tau = (1 + snr_l) 2^(-rho) - 1
+    that leaves the link the rate rho (0 when lambda_e = 0)."""
     if cfg.gain.kind != "unbounded":
         raise ValueError("colluding analysis requires the unbounded gain model")
     b = cfg.gain.b
@@ -343,54 +348,46 @@ def _colluding_args(r_l: float, cfg: NetworkConfig):
         raise ValueError(f"aggregate eavesdropper power diverges for b <= 1 (got b={b})")
     if not (math.isfinite(r_l) and r_l > 0):
         raise ValueError(f"link distance must be > 0, got {r_l}")
-    return b
-
-
-def cdf_msr_colluding(rho: float, r_l: float, cfg: NetworkConfig) -> float:
-    """CDF of the secrecy rate of one link against colluding eavesdroppers.
-
-    Zero below 0, one at and above the legitimate capacity; in between,
-    1 - F_stable of the normalized aggregate-power threshold with
-    alpha = 1/b.
-    """
-    b = _colluding_args(r_l, cfg)
-    if math.isnan(rho):
+    rho = np.asarray(rho, dtype=np.float64)
+    if np.isnan(rho).any():
         raise ValueError("rho must not be NaN")
-    if rho < 0:
-        return 0.0
     snr_l = cfg.p_l / (r_l ** (2.0 * b) * cfg.sigma2_l)
     cap = math.log2(1.0 + snr_l)
-    if rho >= cap:
-        return 1.0
-    tau = (1.0 + snr_l) * 2.0**-rho - 1.0
-    if cfg.lambda_e == 0:
-        return 0.0
-    scale = (math.pi * cfg.lambda_e / c_alpha(1.0 / b)) ** b * cfg.p_l / cfg.sigma2_e
-    return 1.0 - stable.cdf_normalized(tau / scale, 1.0 / b)
+    out = np.where(rho >= cap, 1.0, 0.0)
+    inside = (rho >= 0) & (rho < cap)
+    if cfg.lambda_e > 0:
+        out[inside] = 1.0 - eaves_cdf((1.0 + snr_l) * 2.0 ** -rho[inside] - 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
-def cdf_msr_noncolluding_link(rho: float, r_l: float, cfg: NetworkConfig) -> float:
-    """CDF of the same link's secrecy rate when only the nearest eavesdropper counts."""
-    b = _colluding_args(r_l, cfg)
-    if math.isnan(rho):
-        raise ValueError("rho must not be NaN")
-    if rho < 0:
-        return 0.0
-    snr_l = cfg.p_l / (r_l ** (2.0 * b) * cfg.sigma2_l)
-    cap = math.log2(1.0 + snr_l)
-    if rho >= cap:
-        return 1.0
-    tau = (1.0 + snr_l) * 2.0**-rho - 1.0
-    return 1.0 - math.exp(-math.pi * cfg.lambda_e * (cfg.p_l / cfg.sigma2_e / tau) ** (1.0 / b))
+def cdf_msr_colluding(rho, r_l: float, cfg: NetworkConfig):
+    """CDF of the secrecy rate of one link against colluding eavesdroppers,
+    whose aggregate SNR is a scaled one-sided stable variable, alpha = 1/b.
+    Zero below 0, one at and above the legitimate capacity; rho may be a
+    scalar (returns a float) or an array (returns an array of its shape)."""
+    b = cfg.gain.b
+
+    def stable_cdf(tau):
+        scale = (math.pi * cfg.lambda_e / c_alpha(1.0 / b)) ** b * cfg.p_l / cfg.sigma2_e
+        return stable.cdf_normalized(tau / scale, 1.0 / b)
+
+    return _link_cdf(rho, r_l, cfg, stable_cdf)
+
+
+def cdf_msr_noncolluding_link(rho, r_l: float, cfg: NetworkConfig):
+    """CDF of the same link's secrecy rate when only the nearest eavesdropper
+    counts: its SNR stays below tau when no eavesdropper lies within
+    (P_l / (sigma2_e tau))^(1/(2b)).  rho may be a scalar or an array."""
+
+    def nearest_cdf(tau):
+        return np.exp(-math.pi * cfg.lambda_e * (cfg.p_l / cfg.sigma2_e / tau) ** (1.0 / cfg.gain.b))
+
+    return _link_cdf(rho, r_l, cfg, nearest_cdf)
 
 
 def p_exist_colluding(r_l: float, cfg: NetworkConfig) -> float:
     """P{positive secrecy rate against colluding eavesdroppers}."""
-    b = _colluding_args(r_l, cfg)
-    if cfg.lambda_e == 0:
-        return 1.0
-    arg = cfg.sigma2_e / ((math.pi * cfg.lambda_e * r_l**2 / c_alpha(1.0 / b)) ** b * cfg.sigma2_l)
-    return stable.cdf_normalized(arg, 1.0 / b)
+    return 1.0 - cdf_msr_colluding(0.0, r_l, cfg)
 
 
 def mean_degree_colluding(lambda_l: float, lambda_e: float, b: float) -> float:

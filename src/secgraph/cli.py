@@ -38,7 +38,7 @@ import numpy as np
 from . import analytic, montecarlo as mc
 from .pointprocess import Rng, substream_key
 from .propagation import GainModel
-from .secrecy import NetworkConfig
+from .secrecy import NetworkConfig, msr_link
 
 __all__ = ["RunConfig", "load_config", "main"]
 
@@ -415,19 +415,17 @@ def _run_collude(rc: RunConfig):
         return _run_collude_sweep(rc)
     cfg = rc.network()
     cap = math.log2(1.0 + cfg.p_l / (rc.r_l ** (2.0 * cfg.gain.b) * cfg.sigma2_l))
-    grid = tuple(np.linspace(cap / 400.0, cap - cap / 400.0, 100))
-    sample = mc.estimate_generic("colluding_msr", cfg, rc.trials, Rng(rc.seed), rc.threads, r_l=rc.r_l)
-    rows = []
-    for rho, v, se in zip(grid, *sample.ecdf(grid)):
-        rows.append(
-            (
-                rho,
-                analytic.cdf_msr_colluding(rho, rc.r_l, cfg),
-                float(v),
-                analytic.cdf_msr_noncolluding_link(rho, rc.r_l, cfg),
-                float(se),
-            )
-        )
+    grid = np.linspace(cap / 400.0, cap - cap / 400.0, 100)
+    # the link's secrecy rate is a map of the aggregate eavesdropper power
+    power = mc.estimate_generic("colluding_power", cfg, rc.trials, Rng(rc.seed), rc.threads).values
+    prx_l = np.full(len(power), cfg.p_l * rc.r_l ** (-2.0 * cfg.gain.b))
+    values, ses = mc.Sample(msr_link(prx_l, power, cfg.sigma2_l, cfg.sigma2_e)).ecdf(grid)
+    colluding = analytic.cdf_msr_colluding(grid, rc.r_l, cfg)
+    nearest = analytic.cdf_msr_noncolluding_link(grid, rc.r_l, cfg)
+    rows = [
+        (rho, float(Fc), float(v), float(Fn), float(se))
+        for rho, Fc, v, Fn, se in zip(grid, colluding, values, nearest, ses)
+    ]
     est = mc.estimate_generic("colluding_degree", cfg, rc.trials, Rng(_sub_seed(rc.seed, 99)), rc.threads).mean()
     ratio = cfg.ratio
     ana = analytic.mean_degree_colluding(cfg.lambda_l, cfg.lambda_e, cfg.gain.b) / ratio

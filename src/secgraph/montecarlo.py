@@ -4,12 +4,10 @@ estimate_generic(kind, cfg, trials, rng, threads, **params) draws one outcome
 per trial and returns them as a Sample; its mean(), pmf() and ecdf(grid) are
 the estimates.  Sampler design notes, per kind:
 
-  out_degree         no fading: exact in the distance domain.  The nearest
-                     eavesdropper's squared distance is Exp(1/(pi lambda_e));
-                     given it, the secure count is Poisson(lambda_l pi R^2).
-                     No window, no truncation bias.  With fading the graph
-                     predicate is simulated spatially inside a window sized
-                     by the fading tail (recorded in bias_note).
+  out_degree         no fading: the one-sector sector_degree draw, exact in
+                     the distance domain.  With fading the graph predicate is
+                     simulated spatially inside a window sized by the fading
+                     tail (recorded in bias_note).
   in_degree          legitimate points in a disk of radius W, eavesdroppers
                      in 2W: every eavesdropper that could capture a counted
                      point lies within twice that point's radius, so the
@@ -42,14 +40,15 @@ the estimates.  Sampler design notes, per kind:
                      truncation; bias_note counts the growths.  Cheap trials
                      share one filtering call per round, each shifted to its
                      own lattice cell.  At rho_n = 0 it is the exact
-                     out_degree draw.
+                     one-sector draw.
   neighbor_msr       exact: secrecy rate to the i-th nearest legitimate
                      node against the nearest eavesdropper.
   colluding_*        aggregate power summed inside a window plus the
                      deterministic mean of the truncated tail,
-                     2 pi lambda_e P_l W^(2-2b)/(2b-2); colluding_msr and
-                     colluding_degree map it to a secrecy rate at distance
-                     r_l and to a secure count.  A block draws all its
+                     2 pi lambda_e P_l W^(2-2b)/(2b-2); colluding_degree maps
+                     it to a secure count.  (A link's secrecy rate is a
+                     deterministic map of it, msr_link, which callers apply
+                     to the colluding_power sample.)  A block draws all its
                      eavesdroppers in one array, where each trial's are one
                      contiguous run; their powers are computed in place and
                      each run is summed where it lies (np.add.reduceat).
@@ -309,24 +308,9 @@ def _run_blocks(trials: int, root: Rng, threads: int, block_fn, pooled: bool = F
 # do the smaller guard-disk and colluding blocks.
 
 
-def _baseline_out_degree(cfg: NetworkConfig, run) -> Sample:
-    """Out-degrees of typical nodes of the baseline graph: the squared
-    nearest-eavesdropper distance R^2 ~ Exp(mean 1/(pi lambda_e)), then
-    Poisson(pi lambda_l R^2) legitimate points inside it."""
-    if cfg.lambda_e <= 0:
-        raise ValueError("out-degree estimation needs lambda_e > 0")
-
-    def block(rng: Rng, n: int):
-        g = rng.generator()
-        re2 = g.exponential(scale=1.0 / (math.pi * cfg.lambda_e), size=n)
-        return g.poisson(lam=cfg.lambda_l * math.pi * re2)
-
-    return Sample(np.concatenate(run(block)), "exact distance-domain sampling, no truncation")
-
-
 def _out_degree(cfg: NetworkConfig, run) -> Sample:
     if cfg.fading.kind == "none":
-        return _baseline_out_degree(cfg, run)
+        return _sector_degree(cfg, run)  # one sector: the geometric law
     w = fading_window(cfg.fading, cfg.lambda_e)
 
     def block(rng: Rng, n: int):
@@ -351,15 +335,6 @@ def _out_degree(cfg: NetworkConfig, run) -> Sample:
     return Sample(np.concatenate(run(block, pooled=True)), note)
 
 
-def _disk_block_draw(g, lam: float, w: float, n: int):
-    """Counts and squared radii plus angles for n disk realizations."""
-    counts = g.poisson(lam * math.pi * w * w, size=n)
-    total = int(counts.sum())
-    r = w * np.sqrt(g.random(total))
-    theta = g.uniform(0.0, 2.0 * math.pi, total)
-    return counts, r, theta
-
-
 def _in_degree(cfg: NetworkConfig, run) -> Sample:
     if cfg.lambda_e <= 0:
         raise ValueError("in-degree estimation needs lambda_e > 0")
@@ -367,17 +342,11 @@ def _in_degree(cfg: NetworkConfig, run) -> Sample:
 
     def block(rng: Rng, n: int):
         g = rng.generator()
-        nl, rl, thl = _disk_block_draw(g, cfg.lambda_l, w, n)
-        ne, re, the = _disk_block_draw(g, cfg.lambda_e, 2.0 * w, n)
-        lx = rl * np.cos(thl)
-        ly = rl * np.sin(thl)
-        ex = re * np.cos(the)
-        ey = re * np.sin(the)
-        loff = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(nl, out=loff[1:])
-        eoff = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(ne, out=eoff[1:])
-        return count_in_cell(lx, ly, loff, ex, ey, eoff)
+        trials = np.arange(n)
+        lseg, _, lx, ly = _annuli_draw(g, cfg.lambda_l, 0.0, w, trials)
+        eseg, _, ex, ey = _annuli_draw(g, cfg.lambda_e, 0.0, 2.0 * w, trials)
+        bounds = np.arange(n + 1)
+        return count_in_cell(lx, ly, np.searchsorted(lseg, bounds), ex, ey, np.searchsorted(eseg, bounds))
 
     bias = cfg.lambda_l / cfg.lambda_e * math.exp(-cfg.lambda_e * math.pi * w * w)
     return Sample(np.concatenate(run(block)), f"window radius {w:.3g}, truncation bias bound {bias:.2e}")
@@ -419,6 +388,8 @@ def _voronoi_area(cfg, run) -> Sample:
 
 
 def _thresholded_degree(cfg: NetworkConfig, run) -> Sample:
+    if cfg.lambda_e <= 0:
+        raise ValueError("thresholded-degree estimation needs lambda_e > 0")
     lam = 1.0 / (math.pi * cfg.lambda_e)
     area_rate = cfg.lambda_l * math.pi
 
@@ -432,6 +403,8 @@ def _thresholded_degree(cfg: NetworkConfig, run) -> Sample:
 
 
 def _sector_degree(cfg: NetworkConfig, run, L: int = 1) -> Sample:
+    if cfg.lambda_e <= 0:
+        raise ValueError("sector-degree estimation needs lambda_e > 0")
     lam = 1.0 / (math.pi * cfg.lambda_e / L)
     wedge_rate = cfg.lambda_l * math.pi / L
 
@@ -507,7 +480,7 @@ def _neutralized_degrees(g, cfg: NetworkConfig, rho_n: float, w0: float, m: int)
 
 def _neutralized_degree(cfg: NetworkConfig, run, rho_n: float = 0.0) -> Sample:
     if rho_n == 0.0:
-        return _baseline_out_degree(cfg, run)  # no guard disks: the baseline law
+        return _sector_degree(cfg, run)  # no guard disks: the baseline law
     w0 = neutralization_window(cfg, rho_n)
     per_trial = cfg.lambda_l * math.pi * (w0 + rho_n) ** 2
     chunk = int(min(_BLOCK, max(1.0, _NEUTRAL_CALL_POINTS / per_trial)))
@@ -531,6 +504,8 @@ def _neighbor_msr(cfg: NetworkConfig, run, neighbor_index: int = 1) -> Sample:
     i = neighbor_index
     if not (isinstance(i, int) and i >= 1):
         raise ValueError(f"neighbor index must be an integer >= 1, got {i}")
+    if cfg.lambda_e <= 0:
+        raise ValueError("neighbor-MSR estimation needs lambda_e > 0")
     b = cfg.gain.b
 
     def block(rng: Rng, n: int):
@@ -586,16 +561,6 @@ def _colluding_power(cfg: NetworkConfig, run, r_window: float | None = None) -> 
     return Sample(np.concatenate(run(block, pooled)), note)
 
 
-def _colluding_msr(cfg: NetworkConfig, run, r_l: float = 1.0, r_window: float | None = None) -> Sample:
-    power_block, pooled, note = _colluding_power_block(cfg, r_window)
-    prx_l = cfg.p_l * r_l ** (-2.0 * cfg.gain.b)
-
-    def block(rng: Rng, n: int):
-        return msr_link(np.full(n, prx_l), power_block(rng, n), cfg.sigma2_l, cfg.sigma2_e)
-
-    return Sample(np.concatenate(run(block, pooled)), note)
-
-
 def _colluding_degree(cfg: NetworkConfig, run, r_window: float | None = None) -> Sample:
     power_block, pooled, note = _colluding_power_block(cfg, r_window)
     # secure radius r with P_l r^(-2b)/sigma2_l > P_agg/sigma2_e
@@ -618,7 +583,6 @@ _SAMPLERS = {
     "neutralized_degree": _neutralized_degree,
     "neighbor_msr": _neighbor_msr,
     "colluding_power": _colluding_power,
-    "colluding_msr": _colluding_msr,
     "colluding_degree": _colluding_degree,
 }
 
@@ -627,8 +591,8 @@ def estimate_generic(kind: str, cfg: NetworkConfig | None, trials: int, rng: Rng
     """Draw one outcome of the named kind per trial.
 
     params are the kind's own: L (sector_degree), rho_n (neutralized_degree),
-    neighbor_index (neighbor_msr), r_l (colluding_msr) and r_window (the
-    colluding kinds; default colluding_window(cfg)).  voronoi_area ignores cfg.
+    neighbor_index (neighbor_msr) and r_window (the colluding kinds; default
+    colluding_window(cfg)).  voronoi_area ignores cfg.
     """
     if kind not in _SAMPLERS:
         raise ValueError(f"unknown experiment kind {kind!r}; expected one of {tuple(_SAMPLERS)}")

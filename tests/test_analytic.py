@@ -309,6 +309,50 @@ def test_neighbor_cdf_array_negative_and_nan():
 
 # ------------------------------------------------------------ colluding laws
 
+_LINK_CDFS = [cdf_msr_colluding, cdf_msr_noncolluding_link]
+_LINK_CFG = NetworkConfig(lambda_l=1.0, lambda_e=0.1, p_l=10.0)
+_LINK_CAP = math.log2(11.0)
+
+
+@pytest.mark.parametrize("cdf", _LINK_CDFS)
+@pytest.mark.parametrize("b", [1.5, 2.0, 3.0])
+def test_link_cdf_array_equals_scalar_loop(cdf, b):
+    cfg = NetworkConfig(lambda_l=1.0, lambda_e=0.1, p_l=10.0, gain=GainModel("unbounded", b))
+    grid = np.linspace(1e-3, _LINK_CAP - 1e-3, 200)
+    got = cdf(grid, 1.0, cfg)
+    scalar = np.array([cdf(float(r), 1.0, cfg) for r in grid])
+    assert got.shape == grid.shape
+    assert np.max(np.abs(got - scalar)) <= 5e-16
+
+
+@pytest.mark.parametrize("cdf", _LINK_CDFS)
+def test_link_cdf_array_shapes(cdf):
+    rho = np.array([[0.0, 0.5, 1.0], [2.0, 3.0, 4.0]])
+    got = cdf(rho, 1.0, _LINK_CFG)
+    assert got.shape == (2, 3)
+    assert np.array_equal(got.ravel(), cdf(rho.ravel(), 1.0, _LINK_CFG))
+    zero_d = cdf(np.array(0.5), 1.0, _LINK_CFG)
+    assert type(zero_d) is float
+    assert zero_d == cdf(0.5, 1.0, _LINK_CFG)
+
+
+@pytest.mark.parametrize("cdf", _LINK_CDFS)
+def test_link_cdf_array_edges(cdf):
+    rho = np.array([-np.inf, -1.0, -1e-300, 1.0, _LINK_CAP, _LINK_CAP + 1.0, np.inf])
+    got = cdf(rho, 1.0, _LINK_CFG)
+    assert np.all(got[:3] == 0.0) and np.all(got[4:] == 1.0)
+    assert 0.0 < got[3] < 1.0
+    with pytest.raises(ValueError):
+        cdf(np.array([0.0, 1.0, math.nan]), 1.0, _LINK_CFG)
+
+
+@pytest.mark.parametrize("cdf", _LINK_CDFS)
+def test_link_cdf_no_eavesdroppers(cdf):
+    quiet = NetworkConfig(lambda_l=1.0, lambda_e=0.0, p_l=10.0)
+    got = cdf(np.linspace(1e-3, _LINK_CAP - 1e-3, 50), 1.0, quiet)
+    assert np.all(got == 0.0)
+
+
 def test_c_alpha_values():
     assert c_alpha(0.5) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-14)
     with pytest.raises(ValueError):

@@ -197,6 +197,14 @@ def test_numeric_errors_exit_2(tmp_path, capsys):
     assert "diverges" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment", ["sectors", "threshold", "msr"])
+def test_no_eavesdroppers_exit_2_with_named_message(tmp_path, capsys, experiment):
+    code, out = _run([experiment, "--lambda-e", "0", "--trials", "100"], tmp_path)
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert "needs lambda_e > 0" in err and "division" not in err
+
+
 def test_absurd_guard_radius_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before refusing the guard radius")

@@ -63,6 +63,14 @@ def test_estimate_generic_validation():
     assert len(_sample("neighbor_msr", trials=300).values) == 300
 
 
+@pytest.mark.parametrize("kind", ["out_degree", "sector_degree", "thresholded_degree", "neighbor_msr"])
+def test_distance_domain_kinds_refuse_no_eavesdroppers(kind):
+    # the nearest eavesdropper's distance has no law at lambda_e = 0: a named
+    # refusal, not a division by zero inside a block
+    with pytest.raises(ValueError, match="needs lambda_e > 0"):
+        _sample(kind, cfg=NetworkConfig(lambda_e=0.0))
+
+
 def test_sample_reductions():
     # ties count as <=: the two zeros (no secrecy) are in the CDF at 0
     values, ses = Sample(np.array([0.0, 0.0, 0.5, 1.0, 1.0, 2.0])).ecdf((0, 0.5, 1, 1.5))
@@ -109,22 +117,22 @@ def test_fading_window_ordering():
 
 # -------------------------------------------------------------- determinism
 
-@pytest.mark.parametrize(
-    "kind,kw",
-    [
-        ("out_degree", {}),
-        ("out_degree", {"cfg": NetworkConfig(lambda_e=0.5, fading=FadingModel("nakagami", m=2.0)), "trials": 600}),
-        ("in_degree", {"trials": 600}),
-        ("voronoi_area", {"cfg": None, "trials": 600}),
-        ("thresholded_degree", {"cfg": NetworkConfig(lambda_e=0.5, rho=1.0)}),
-        ("sector_degree", {"L": 3}),
-        ("neutralized_degree", {"rho_n": 0.4, "trials": 512}),
-        ("neighbor_msr", {"neighbor_index": 2}),
-        ("colluding_power", {"trials": 2048}),
-        ("colluding_msr", {"r_l": 0.5, "trials": 2048}),
-        ("colluding_degree", {"cfg": NetworkConfig(lambda_e=0.5), "trials": 2048}),
-    ],
-)
+_INVARIANCE = [
+    ("out_degree", {}),
+    ("out_degree", {"cfg": NetworkConfig(lambda_e=0.5, fading=FadingModel("nakagami", m=2.0)), "trials": 600}),
+    ("in_degree", {"trials": 600}),
+    ("voronoi_area", {"cfg": None, "trials": 600}),
+    ("thresholded_degree", {"cfg": NetworkConfig(lambda_e=0.5, rho=1.0)}),
+    ("sector_degree", {"L": 3}),
+    ("neutralized_degree", {"rho_n": 0.4, "trials": 512}),
+    ("neighbor_msr", {"neighbor_index": 2}),
+    ("colluding_power", {"trials": 2048}),
+    ("colluding_power", {"cfg": NetworkConfig(lambda_e=0.1, gain=GainModel("unbounded", 1.5)), "trials": 2048}),
+    ("colluding_degree", {"cfg": NetworkConfig(lambda_e=0.5), "trials": 2048}),
+]
+
+
+@pytest.mark.parametrize("kind,kw", _INVARIANCE)
 def test_thread_count_invariance(kind, kw, monkeypatch):
     a = _sample(kind, threads=1, **kw)
     # FORCE_POOL sends every kind's blocks through the pool, serial kinds
@@ -163,8 +171,7 @@ _POOLED = [
 ]
 
 
-@pytest.mark.parametrize(
-    "kind,kw",
+_SERIAL = (
     [
         ("out_degree", {}),
         ("in_degree", {"trials": 600}),
@@ -174,7 +181,7 @@ _POOLED = [
         ("neutralized_degree", {"rho_n": 0.0}),
         ("neighbor_msr", {"neighbor_index": 2}),
         ("colluding_power", {"trials": 2048}),
-        ("colluding_msr", {"r_l": 0.5, "trials": 2048}),
+        ("colluding_power", {"cfg": NetworkConfig(lambda_e=0.1, gain=GainModel("unbounded", 1.75)), "trials": 2048}),
         ("colluding_degree", {"cfg": NetworkConfig(lambda_e=0.1, gain=GainModel("unbounded", 2.0)), "trials": 2048}),
     ]
     + [(kind, {**kw, "trials": 24}) for kind, kw in _POOLED]
@@ -182,8 +189,11 @@ _POOLED = [
         ("colluding_degree", {"cfg": NetworkConfig(lambda_e=0.1, gain=GainModel("unbounded", 1.75)), "trials": 2048}),
         ("neutralized_degree", {"rho_n": 0.25, "trials": 2 * montecarlo._BLOCK}),
         ("neutralized_degree", {"rho_n": 0.5, "trials": 2 * montecarlo._BLOCK}),
-    ],
+    ]
 )
+
+
+@pytest.mark.parametrize("kind,kw", _SERIAL)
 def test_serial_runs_start_no_pool(kind, kw, monkeypatch):
     # kinds whose blocks hold the GIL, blocks too small to gain from threads
     # (122 eavesdroppers per trial at b = 1.75; 612 and 1810 legitimate points
@@ -191,6 +201,13 @@ def test_serial_runs_start_no_pool(kind, kw, monkeypatch):
     # a pool
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _no_pool)
     assert len(_sample(kind, threads=4, **kw).values) == kw.get("trials", 4096)
+
+
+def test_every_kind_has_thread_cases():
+    # a new kind must join the invariance cases and the pool-rule cases
+    kinds = set(montecarlo._SAMPLERS)
+    assert kinds == {kind for kind, _ in _INVARIANCE}
+    assert kinds == {kind for kind, _ in _SERIAL + _POOLED}
 
 
 @pytest.mark.parametrize("kind,kw", _POOLED)
