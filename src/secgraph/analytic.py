@@ -336,11 +336,8 @@ def c_alpha(alpha: float) -> float:
     return (1.0 - alpha) / (math.gamma(2.0 - alpha) * math.cos(math.pi * alpha / 2.0))
 
 
-def _link_cdf(rho, r_l: float, cfg: NetworkConfig, eaves_cdf):
-    """Secrecy-rate CDF of a link at distance r_l, for a scalar or array rho:
-    0 below 0, 1 from the capacity log2(1 + snr_l) up, and in between
-    1 - eaves_cdf(tau) at the eavesdropper SNR tau = (1 + snr_l) 2^(-rho) - 1
-    that leaves the link the rate rho (0 when lambda_e = 0)."""
+def _link_snr(r_l: float, cfg: NetworkConfig) -> float:
+    """SNR of a link at distance r_l under the unbounded gain with b > 1."""
     if cfg.gain.kind != "unbounded":
         raise ValueError("colluding analysis requires the unbounded gain model")
     b = cfg.gain.b
@@ -348,10 +345,18 @@ def _link_cdf(rho, r_l: float, cfg: NetworkConfig, eaves_cdf):
         raise ValueError(f"aggregate eavesdropper power diverges for b <= 1 (got b={b})")
     if not (math.isfinite(r_l) and r_l > 0):
         raise ValueError(f"link distance must be > 0, got {r_l}")
+    return cfg.p_l / (r_l ** (2.0 * b) * cfg.sigma2_l)
+
+
+def _link_cdf(rho, r_l: float, cfg: NetworkConfig, eaves_cdf):
+    """Secrecy-rate CDF of a link at distance r_l, for a scalar or array rho:
+    0 below 0, 1 from the capacity log2(1 + snr_l) up, and in between
+    1 - eaves_cdf(tau) at the eavesdropper SNR tau = (1 + snr_l) 2^(-rho) - 1
+    that leaves the link the rate rho (0 when lambda_e = 0)."""
+    snr_l = _link_snr(r_l, cfg)
     rho = np.asarray(rho, dtype=np.float64)
     if np.isnan(rho).any():
         raise ValueError("rho must not be NaN")
-    snr_l = cfg.p_l / (r_l ** (2.0 * b) * cfg.sigma2_l)
     cap = math.log2(1.0 + snr_l)
     out = np.where(rho >= cap, 1.0, 0.0)
     inside = (rho >= 0) & (rho < cap)
@@ -360,18 +365,20 @@ def _link_cdf(rho, r_l: float, cfg: NetworkConfig, eaves_cdf):
     return float(out) if out.ndim == 0 else out
 
 
+def _colluding_snr_cdf(tau, cfg: NetworkConfig):
+    """CDF of the aggregate eavesdropper SNR (lambda_e > 0): a one-sided
+    stable law, alpha = 1/b, with scale (pi lambda_e / C_alpha)^b P_l / sigma2_e."""
+    b = cfg.gain.b
+    scale = (math.pi * cfg.lambda_e / c_alpha(1.0 / b)) ** b * cfg.p_l / cfg.sigma2_e
+    return stable.cdf_normalized(tau / scale, 1.0 / b)
+
+
 def cdf_msr_colluding(rho, r_l: float, cfg: NetworkConfig):
     """CDF of the secrecy rate of one link against colluding eavesdroppers,
     whose aggregate SNR is a scaled one-sided stable variable, alpha = 1/b.
     Zero below 0, one at and above the legitimate capacity; rho may be a
     scalar (returns a float) or an array (returns an array of its shape)."""
-    b = cfg.gain.b
-
-    def stable_cdf(tau):
-        scale = (math.pi * cfg.lambda_e / c_alpha(1.0 / b)) ** b * cfg.p_l / cfg.sigma2_e
-        return stable.cdf_normalized(tau / scale, 1.0 / b)
-
-    return _link_cdf(rho, r_l, cfg, stable_cdf)
+    return _link_cdf(rho, r_l, cfg, lambda tau: _colluding_snr_cdf(tau, cfg))
 
 
 def cdf_msr_noncolluding_link(rho, r_l: float, cfg: NetworkConfig):
@@ -386,8 +393,12 @@ def cdf_msr_noncolluding_link(rho, r_l: float, cfg: NetworkConfig):
 
 
 def p_exist_colluding(r_l: float, cfg: NetworkConfig) -> float:
-    """P{positive secrecy rate against colluding eavesdroppers}."""
-    return 1.0 - cdf_msr_colluding(0.0, r_l, cfg)
+    """P{positive secrecy rate against colluding eavesdroppers}: the aggregate
+    eavesdropper SNR stays below the link's.  The stable CDF is evaluated
+    directly, not as a complement, so a small probability keeps its relative
+    accuracy."""
+    snr_l = _link_snr(r_l, cfg)
+    return float(_colluding_snr_cdf(snr_l, cfg)) if cfg.lambda_e > 0 else 1.0
 
 
 def mean_degree_colluding(lambda_l: float, lambda_e: float, b: float) -> float:

@@ -1,10 +1,11 @@
-"""The per-trial kernels of the local-connectivity estimators.
+"""The kernels of the local-connectivity estimators.
 
-cell_area clips the origin's Voronoi cell, count_in_cell counts the
-legitimate points inside it, and neutral_survivors applies the guard disks.
-All three are numpy (neutral_survivors on a scipy k-d tree); BACKEND names
-that single implementation, and backend_name() is the stable way to query
-it, so that recorded timings say what they measured.
+cell_area finds the origin's Voronoi cell in every trial of a block at once,
+as the polar of the convex hull of the dual points 2p/|p|^2; count_in_cell
+counts the legitimate points inside the origin's cell, and neutral_survivors
+applies the guard disks.  All three are numpy (neutral_survivors on a scipy
+k-d tree); BACKEND names that single implementation, and backend_name() is
+the stable way to query it, so that recorded timings say what they measured.
 """
 
 from __future__ import annotations
@@ -21,75 +22,53 @@ def backend_name() -> str:
     return BACKEND
 
 
-def cell_area(xs, ys, half_width):
-    """Area of the origin's Voronoi cell among candidate points, clipped to a square.
+def cell_area(x, y, seg, n, half_width):
+    """Areas of the origin's Voronoi cells in n trials at once, by polar duality.
 
-    xs, ys must be sorted by ascending distance from the origin.  Starts from
-    the square [-half_width, half_width]^2 and clips the half-plane closer to
-    the origin than to each candidate.  A candidate at distance d cannot cut
-    the polygon once d^2 >= 4 * max vertex radius^2; candidates are sorted, so
-    the first such candidate ends the loop.
+    x, y are the candidate points of every trial and seg their trial index,
+    0 <= seg < n.  The cell {v : v.a <= 1 for every a = 2p/|p|^2} is the polar
+    of the convex hull of the dual points a.  Sorted by angle, a trial's
+    points lose, all at once, every point that makes no strict left turn with
+    its cyclic neighbours, until none does; what is left is the hull.  The
+    cell vertex between consecutive hull points a_j, a_k solves
+    v.a_j = v.a_k = 1.
 
-    Returns (area, max_vertex_radius, candidates_used, complete) where
-    complete is 1 when the early-exit condition was reached (every remaining
-    point provably irrelevant) and 0 when the candidate list was exhausted
-    first.  The caller decides whether the result is exact for the infinite
-    process (complete and max_vertex_radius inside the safety margin).
+    A trial is safe when its hull has at least 3 points, no angular gap
+    between consecutive hull points reaches pi (the cell is bounded), and
+    every cell vertex lies within half_width.  No point beyond 2 half_width
+    can then cut the cell, so when the candidates are every point within
+    2 half_width, a safe area is the cell of the whole process.
+
+    Returns (areas, safe, used): the per-trial areas (meaningful only where
+    safe), the per-trial safe mask, and the number of hull points in all.
     """
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    ys = np.ascontiguousarray(ys, dtype=np.float64)
-    n = len(xs)
-    hw = float(half_width)
-    px = [-hw, hw, hw, -hw]
-    py = [-hw, -hw, hw, hw]
-    max_r2 = 2.0 * hw * hw
-    used = 0
-    complete = 0
-    for i in range(n):
-        cx = float(xs[i])
-        cy = float(ys[i])
-        d2 = cx * cx + cy * cy
-        if d2 >= 4.0 * max_r2:
-            complete = 1
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    seg = np.asarray(seg, dtype=np.int64)
+    order = np.lexsort((np.arctan2(y, x), seg))
+    seg = seg[order]
+    r2 = x[order] ** 2 + y[order] ** 2
+    ax = 2.0 * x[order] / r2
+    ay = 2.0 * y[order] / r2
+    while True:
+        counts = np.bincount(seg, minlength=n)
+        end = np.cumsum(counts)
+        first, last = (end - counts)[seg], end[seg] - 1
+        i = np.arange(seg.size)
+        prev = np.where(i == first, last, i - 1)
+        nxt = np.where(i == last, first, i + 1)
+        left = (ax - ax[prev]) * (ay[nxt] - ay) - (ay - ay[prev]) * (ax[nxt] - ax) > 0.0
+        if left.all():
             break
-        used += 1
-        h = 0.5 * d2
-        m = len(px)
-        qx = []
-        qy = []
-        sa = px[0] * cx + py[0] * cy - h
-        for k in range(m):
-            k1 = k + 1
-            if k1 == m:
-                k1 = 0
-            sb = px[k1] * cx + py[k1] * cy - h
-            if sa <= 0.0:
-                qx.append(px[k])
-                qy.append(py[k])
-            if (sa <= 0.0) != (sb <= 0.0):
-                t = sa / (sa - sb)
-                qx.append(px[k] + t * (px[k1] - px[k]))
-                qy.append(py[k] + t * (py[k1] - py[k]))
-            sa = sb
-        px = qx
-        py = qy
-        if len(px) < 3:
-            # numerically degenerate; origin is interior so this cannot
-            # happen for real inputs; signal the caller to retry
-            return 0.0, 0.0, used, 0
-        max_r2 = 0.0
-        for k in range(len(px)):
-            r2 = px[k] * px[k] + py[k] * py[k]
-            if r2 > max_r2:
-                max_r2 = r2
-    area2 = 0.0
-    m = len(px)
-    for k in range(m):
-        k1 = k + 1
-        if k1 == m:
-            k1 = 0
-        area2 += px[k] * py[k1] - px[k1] * py[k]
-    return 0.5 * area2, float(np.sqrt(max_r2)), used, complete
+        seg, ax, ay = seg[left], ax[left], ay[left]
+    cross = ax * ay[nxt] - ay * ax[nxt]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vx = (ay[nxt] - ay) / cross
+        vy = (ax - ax[nxt]) / cross
+    areas = 0.5 * np.bincount(seg, vx * vy[nxt] - vx[nxt] * vy, minlength=n)
+    outside = (cross <= 0.0) | ~(vx * vx + vy * vy < half_width * half_width)
+    safe = (counts >= 3) & (np.bincount(seg, outside, minlength=n) == 0)
+    return areas, safe, int(seg.size)
 
 
 def count_in_cell(lx, ly, loff, ex, ey, eoff):

@@ -13,10 +13,12 @@ the estimates.  Sampler design notes, per kind:
                      point lies within twice that point's radius, so the
                      only bias is legitimate points beyond W, bounded by
                      (lambda_l/lambda_e) exp(-lambda_e pi W^2).
-  voronoi_area       typical unit-density cell by clipping against sorted
-                     candidates; when a cell fails the safety condition (max
-                     vertex radius under half the window) the same
-                     realization is extended with a fresh annulus, which
+  voronoi_area       typical unit-density cell as the polar of the convex
+                     hull of the points mapped by p -> 2p/|p|^2, every trial
+                     of a block in one cell_area call; the trials whose cell
+                     fails the safety condition (bounded, max vertex radius
+                     under half the window) have their realization extended
+                     by a fresh annulus and go through one more call, which
                      preserves the Poisson law and keeps the estimator
                      unbiased.  Ignores cfg.
   thresholded_degree exact: the secure range is a deterministic map of the
@@ -303,9 +305,12 @@ def _run_blocks(trials: int, root: Rng, threads: int, block_fn, pooled: bool = F
 # out-degree route, guard-disk blocks of _NEUTRAL_POOL_POINTS or more expected
 # legitimate points, and colluding windows of _COLLUDING_POOL_POINTS or more
 # expected eavesdroppers.  The exact distance-domain kinds draw 256-element
-# arrays per block, and in_degree and voronoi_area loop over trials in Python;
-# all of them ran slower on two threads than on one, so they run serially, as
-# do the smaller guard-disk and colluding blocks.
+# arrays per block and in_degree loops over trials in Python; all of them ran
+# slower on two threads than on one, so they run serially, as do the smaller
+# guard-disk and colluding blocks.  voronoi_area runs serially too, though its
+# blocks (array work on about 13k points each) ran 1.6x as fast pooled on two
+# threads at 6000 trials and 1.3x at 1e5 (medians of 21 and 4 rounds on a
+# 2-vCPU VM); that is not yet confirmed under load.
 
 
 def _out_degree(cfg: NetworkConfig, run) -> Sample:
@@ -354,33 +359,24 @@ def _in_degree(cfg: NetworkConfig, run) -> Sample:
 
 def _voronoi_block(rng: Rng, n: int):
     g = rng.generator()
+    w = 4.0
+    seg, _, x, y = _annuli_draw(g, 1.0, 0.0, w, np.arange(n))
     areas = np.empty(n)
-    for t in range(n):
-        w = 4.0
-        cnt = g.poisson(math.pi * w * w)
-        r = w * np.sqrt(g.random(cnt))
-        th = g.uniform(0.0, 2.0 * math.pi, cnt)
-        xs = r * np.cos(th)
-        ys = r * np.sin(th)
-        for _attempt in range(12):
-            order = np.argsort(xs * xs + ys * ys, kind="stable")
-            sx = np.ascontiguousarray(xs[order])
-            sy = np.ascontiguousarray(ys[order])
-            area, max_r, used, complete = cell_area(sx, sy, w / 2.0)
-            if complete and max_r < w / 2.0:
-                break
-            # cell not provably exact: extend the same realization
-            w_new = 1.5 * w
-            extra = g.poisson(math.pi * (w_new * w_new - w * w))
-            r2 = np.sqrt(g.random(extra) * (w_new * w_new - w * w) + w * w)
-            th2 = g.uniform(0.0, 2.0 * math.pi, extra)
-            xs = np.concatenate([xs, r2 * np.cos(th2)])
-            ys = np.concatenate([ys, r2 * np.sin(th2)])
-            w = w_new
-        else:
-            raise RuntimeError("typical-cell window exhausted after repeated extension")
-        areas[t] = area
-    return areas
+    pending = np.ones(n, dtype=bool)
+    for _round in range(12):
+        cells, safe, _ = cell_area(x, y, seg, n, w / 2.0)
+        areas[safe] = cells[safe]  # only pending trials have candidates
+        pending &= ~safe
+        if not pending.any():
+            return areas
+        # a cell not provably exact: extend the same realizations
+        keep = pending[seg]
+        aseg, _, ax, ay = _annuli_draw(g, 1.0, w, 1.5 * w, np.flatnonzero(pending))
+        seg = np.concatenate([seg[keep], aseg])
+        x = np.concatenate([x[keep], ax])
+        y = np.concatenate([y[keep], ay])
+        w *= 1.5
+    raise RuntimeError("typical-cell window exhausted after repeated extension")
 
 
 def _voronoi_area(cfg, run) -> Sample:
@@ -403,6 +399,8 @@ def _thresholded_degree(cfg: NetworkConfig, run) -> Sample:
 
 
 def _sector_degree(cfg: NetworkConfig, run, L: int = 1) -> Sample:
+    if not (isinstance(L, int) and L >= 1):
+        raise ValueError(f"L must be an integer >= 1, got {L}")
     if cfg.lambda_e <= 0:
         raise ValueError("sector-degree estimation needs lambda_e > 0")
     lam = 1.0 / (math.pi * cfg.lambda_e / L)

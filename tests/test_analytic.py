@@ -408,9 +408,14 @@ def test_collusion_can_only_hurt():
 
 
 def test_p_exist_colluding_levy_oracle():
-    cfg = NetworkConfig(lambda_l=1.0, lambda_e=0.1)
-    arg = cfg.sigma2_e / ((math.pi * cfg.lambda_e * 1.0 / c_alpha(0.5)) ** 2 * cfg.sigma2_l)
-    assert p_exist_colluding(1.0, cfg) == pytest.approx(2.0 * ndtr(-1.0 / math.sqrt(arg)), abs=1e-9)
+    # relative accuracy down to 9e-218 at lambda_e = 8, where a complement
+    # of the CDF would round to 0
+    for lambda_e in (0.1, 1.0, 3.0, 5.0, 8.0):
+        cfg = NetworkConfig(lambda_l=1.0, lambda_e=lambda_e)
+        arg = cfg.sigma2_e / ((math.pi * cfg.lambda_e * 1.0 / c_alpha(0.5)) ** 2 * cfg.sigma2_l)
+        want = 2.0 * ndtr(-1.0 / math.sqrt(arg))
+        assert want > 0.0
+        assert p_exist_colluding(1.0, cfg) == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
 # ------------------------------------------------------------ PMF utilities

@@ -1,7 +1,7 @@
 """The kernels' geometry must agree with an independent implementation.
 
-cell_area is checked against scipy's Voronoi diagram on realizations where
-the cell is provably interior; count_in_cell and neutral_survivors against
+cell_area is checked against scipy's Voronoi diagram on the trials it marks
+safe, and its safety rule against the points it claims cannot matter; count_in_cell and neutral_survivors against
 brute-force all-pairs loops, and neutral_survivors also on exact ties at
 the guard radius, which random inputs never draw.
 """
@@ -15,11 +15,14 @@ from scipy.spatial import Voronoi
 from secgraph.kernels import cell_area, count_in_cell, neutral_survivors
 
 
-def _cell_points(rng, n, w):
-    r = w * np.sqrt(rng.random(n))
-    t = rng.uniform(0, 2 * math.pi, n)
-    order = np.argsort(r * r, kind="stable")
-    return np.ascontiguousarray((r * np.cos(t))[order]), np.ascontiguousarray((r * np.sin(t))[order])
+def _cell_points(rng, n, r0, r1):
+    """Uniform points in the annulus r0 <= r < r1 for each of n trials: the
+    trial index and the coordinates of every point."""
+    area = math.pi * (r1 * r1 - r0 * r0)
+    seg = np.repeat(np.arange(n), rng.poisson(area, n))
+    r = np.sqrt(rng.random(seg.size) * (r1 * r1 - r0 * r0) + r0 * r0)
+    t = rng.uniform(0, 2 * math.pi, seg.size)
+    return seg, r * np.cos(t), r * np.sin(t)
 
 
 def _scipy_cell_area(xs, ys):
@@ -36,26 +39,50 @@ def _scipy_cell_area(xs, ys):
 
 def test_cell_area_matches_scipy_voronoi():
     rng = np.random.default_rng(7)
+    seg, xs, ys = _cell_points(rng, 250, 0.0, 4.0)
+    areas, safe, used = cell_area(xs, ys, seg, 250, 2.0)
+    assert isinstance(used, int) and 3 * safe.sum() <= used < len(xs)
     checked = 0
-    for _ in range(250):
-        xs, ys = _cell_points(rng, rng.poisson(math.pi * 16.0) + 3, 4.0)
-        area, max_r, used, complete = cell_area(xs, ys, 2.0)
-        if not (complete and max_r < 2.0):
-            continue
-        ref = _scipy_cell_area(xs, ys)
-        if ref is None:
-            continue
-        assert area == pytest.approx(ref, abs=1e-12)
+    for t in np.flatnonzero(safe):
+        ref = _scipy_cell_area(xs[seg == t], ys[seg == t])
+        assert ref is not None
+        assert areas[t] == pytest.approx(ref, abs=1e-12)
         checked += 1
-    assert checked > 150
+    assert checked >= 150
 
 
-def test_cell_area_incomplete_flag_with_few_points():
-    # a single far candidate cannot close a bounded cell
-    xs = np.array([3.0])
-    ys = np.array([0.0])
-    area, max_r, used, complete = cell_area(xs, ys, 10.0)
-    assert complete == 0
+def test_cell_area_safe_cell_ignores_points_beyond_window():
+    # the safety rule's purpose: a cell marked safe at window W is the cell of
+    # the whole process, so the points between W and 1.5W change nothing
+    rng = np.random.default_rng(17)
+    n, w = 200, 4.0
+    seg, xs, ys = _cell_points(rng, n, 0.0, w)
+    areas, safe, _ = cell_area(xs, ys, seg, n, w / 2.0)
+    aseg, ax, ay = _cell_points(rng, n, w, 1.5 * w)
+    grown, grown_safe, _ = cell_area(
+        np.concatenate([xs, ax]), np.concatenate([ys, ay]), np.concatenate([seg, aseg]), n, 1.5 * w / 2.0
+    )
+    assert safe.sum() >= 150
+    assert grown_safe[safe].all()
+    assert np.array_equal(grown[safe], areas[safe])
+
+
+def test_cell_area_unsafe_cases():
+    diamond = ([2.0, -2.0, -2.0, 2.0], [2.0, 2.0, -2.0, -2.0])  # cell |x| + |y| <= 2, vertex radius 2
+    trials = [
+        ([3.0], [0.0]),  # a lone far candidate cannot close a bounded cell
+        ([1.0, -1.0, 0.0, 0.5], [1.0, 1.0, 2.0, 3.0]),  # all candidates in one half-plane
+        diamond,  # vertex radius equal to half_width
+        (np.multiply(diamond[0], 0.5), np.multiply(diamond[1], 0.5)),  # vertex radius 1
+    ]
+    xs = np.concatenate([t[0] for t in trials])
+    ys = np.concatenate([t[1] for t in trials])
+    seg = np.repeat(np.arange(len(trials)), [len(t[0]) for t in trials])
+    areas, safe, _ = cell_area(xs, ys, seg, len(trials) + 1, 2.0)
+    assert safe.tolist() == [False, False, False, True, False]  # trial 4 has no candidates
+    assert areas[3] == 2.0
+    areas, safe, _ = cell_area(*diamond, np.zeros(4, dtype=np.int64), 1, np.nextafter(2.0, 3.0))
+    assert safe[0] and areas[0] == 8.0
 
 
 def test_count_in_cell_single_trial_brute_force():

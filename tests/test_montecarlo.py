@@ -31,6 +31,7 @@ from secgraph import (
     estimate_generic,
     fading_window,
     in_degree_window,
+    kernels,
     montecarlo,
     sample_disk,
 )
@@ -60,6 +61,9 @@ def test_estimate_generic_validation():
         _sample("out_degree", trials=0)
     with pytest.raises(ValueError):
         _sample("neighbor_msr", neighbor_index=0)
+    for L in (0, 2.5):
+        with pytest.raises(ValueError, match="L must be an integer >= 1"):
+            _sample("sector_degree", trials=10, L=L)
     assert len(_sample("neighbor_msr", trials=300).values) == 300
 
 
@@ -346,6 +350,25 @@ def test_voronoi_moments_near_table():
     moments = [np.mean(areas**k) for k in range(1, 5)]
     for got, want, tol in zip(moments, analytic.TABLE_VORONOI_MOMENTS.moments, (0.02, 0.06, 0.12, 0.3)):
         assert got == pytest.approx(want, rel=tol)
+
+
+def test_voronoi_blocks_extend_only_unsafe_trials(monkeypatch):
+    # one batched cell_area call per block, plus one per extension round with
+    # the unsafe trials alone.  A safety rule that failed every trial would
+    # grow every block by 2.25x in points per round, so the check comes
+    # before the kernel runs.
+    calls = []
+
+    def traced(x, y, seg, n, half_width):
+        trials = int(np.count_nonzero(np.bincount(seg, minlength=n)))
+        assert half_width == 2.0 or trials <= 4, f"{trials} trials extended to half-width {half_width}"
+        calls.append((half_width, trials))
+        return kernels.cell_area(x, y, seg, n, half_width)
+
+    monkeypatch.setattr(montecarlo, "cell_area", traced)
+    assert len(estimate_generic("voronoi_area", None, 1024, Rng(5)).values) == 1024
+    assert [t for hw, t in calls if hw == 2.0] == [256] * 4
+    assert len(calls) <= 8
 
 
 def test_thresholded_mean_tracks_quadrature():
