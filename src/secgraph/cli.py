@@ -44,6 +44,9 @@ __all__ = ["RunConfig", "load_config", "main"]
 
 _FORMATS = ("csv", "json")
 _DEFAULT_SEED = 42
+# A pool starts one OS thread per block up to --threads, so an unbounded value
+# could start thousands of them.
+_MAX_THREADS = 64
 
 
 class _UsageError(Exception):
@@ -80,8 +83,8 @@ class RunConfig:
             raise _UsageError(f"format must be one of {_FORMATS}, got {self.format!r}")
         if self.experiment != "selftest" and self.trials < 1:
             raise _UsageError(f"trials must be >= 1, got {self.trials}")
-        if self.threads < 1:
-            raise _UsageError(f"threads must be >= 1, got {self.threads}")
+        if not 1 <= self.threads <= _MAX_THREADS:
+            raise _UsageError(f"threads must be between 1 and {_MAX_THREADS}, got {self.threads}")
 
     def network(self, rho: float | None = None) -> NetworkConfig:
         return NetworkConfig(
@@ -499,7 +502,7 @@ class _Parser(argparse.ArgumentParser):
 
 _KEY_HELP = {
     "threads": (
-        "ceiling on worker threads (default min(CPUs, 8)); only samplers whose blocks release "
+        "ceiling on worker threads (default min(CPUs, 8), at most 64); only samplers whose blocks release "
         "the GIL use a pool (fading out-degree, guard disks, wide colluding windows), the rest "
         "run on one thread; results are byte-identical at any value"
     ),

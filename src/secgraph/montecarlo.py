@@ -55,11 +55,16 @@ the estimates.  Sampler design notes, per kind:
                      contiguous run; their powers are computed in place and
                      each run is summed where it lies (np.add.reduceat).
 
-Reproducibility: trials are partitioned into fixed-size blocks, each block
-seeded by its own substream of rng, and outcomes are concatenated in block
-order.  Thread count changes only which worker executes a block, never the
-numbers.  threads is a ceiling: only the kinds whose blocks release the GIL
-use a pool (see _run_blocks), the rest run their blocks serially.
+Reproducibility: trials are partitioned into blocks, each block seeded by
+its own substream of rng, and outcomes are concatenated in block order.  A
+block holds 256 trials, except in the samplers that name their expected
+array elements per trial (draws): the distance-domain one-sector, sector,
+thresholded and neighbour-rate draws and the colluding kinds.  Their blocks
+hold the largest of 256, 512, ..., 4096 trials that expects at most 2^17
+draws (_block_size).  The size follows from the kind and its parameters
+alone, so thread count changes only which worker executes a block, never
+the numbers.  threads is a ceiling: only the kinds whose blocks release the
+GIL use a pool (see _run_blocks), the rest run their blocks serially.
 """
 
 from __future__ import annotations
@@ -88,7 +93,21 @@ __all__ = [
     "neutralization_window",
 ]
 
+# Trials per block of the samplers that do not name their draws per trial;
+# the point budgets and pool thresholds below are stated per such block.
 _BLOCK = 256
+# A block that names its draws holds the largest _BLOCK 2^k trials, up to
+# _MAX_BLOCK, that expects at most _BLOCK_DRAWS array elements.  A block
+# pays a fixed cost before it draws anything (seeding its generator alone
+# takes about 14 us), which dominated the one-draw-per-trial kinds at 256
+# trials.  The draw cap keeps memory flat: 1024 trials for every kind raised
+# the exact_laws benchmark's peak memory from 91 to 104 MB on a 2-vCPU VM,
+# where its b = 1.5 colluding blocks hold 456 draws per trial.
+_MAX_BLOCK = 16 * _BLOCK
+_BLOCK_DRAWS = 2**17
+# Trials one estimate may ask for: its outcomes alone are 400 MB of float64,
+# twice that while the blocks are concatenated.
+_TRIAL_BUDGET = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -263,16 +282,19 @@ def neutralization_window(cfg: NetworkConfig, rho_n: float) -> float:
 # block harness
 
 
-def _blocks(trials: int) -> list[tuple[int, int]]:
-    out = []
-    start = 0
-    idx = 0
-    while start < trials:
-        n = min(_BLOCK, trials - start)
-        out.append((idx, n))
-        start += n
-        idx += 1
-    return out
+def _block_size(draws: float | None) -> int:
+    """Trials per block for draws expected array elements per trial: _BLOCK
+    when draws is None, else the largest _BLOCK 2^k up to _MAX_BLOCK whose
+    block expects at most _BLOCK_DRAWS (never below _BLOCK)."""
+    size = _BLOCK
+    while draws is not None and size < _MAX_BLOCK and 2 * size * draws <= _BLOCK_DRAWS:
+        size *= 2
+    return size
+
+
+def _blocks(trials: int, size: int) -> list[tuple[int, int]]:
+    """(substream index, trials) of each block, the last one partial."""
+    return [(i, min(size, trials - start)) for i, start in enumerate(range(0, trials, size))]
 
 
 # Test hook: when set, every run of two or more blocks goes through the pool,
@@ -280,15 +302,16 @@ def _blocks(trials: int) -> list[tuple[int, int]]:
 FORCE_POOL = False
 
 
-def _run_blocks(trials: int, root: Rng, threads: int, block_fn, pooled: bool = False):
-    """Run block_fn(block_rng, block_size) over fixed-size trial blocks.
+def _run_blocks(trials: int, root: Rng, threads: int, block_fn, pooled: bool = False, draws: float | None = None):
+    """Run block_fn(block_rng, block_size) over trial blocks of
+    _block_size(draws) trials.
 
     The blocks go to a pool of min(threads, blocks) workers only when pooled
     (or FORCE_POOL) is set; otherwise they run serially, whatever threads
     says.  Results come back in block order either way; block_fn must derive
     all randomness from the Rng it is handed.
     """
-    plan = _blocks(trials)
+    plan = _blocks(trials, _block_size(draws))
     workers = min(threads, len(plan))
     if workers <= 1 or not (pooled or FORCE_POOL):
         return [block_fn(root.substream(i), n) for i, n in plan]
@@ -298,19 +321,22 @@ def _run_blocks(trials: int, root: Rng, threads: int, block_fn, pooled: bool = F
 
 
 # ---------------------------------------------------------------------------
-# samplers: sampler(cfg, run, **params) -> Sample, where run(block_fn, pooled)
-# runs block_fn over the trial blocks and returns the block results in order.
+# samplers: sampler(cfg, run, **params) -> Sample, where run(block_fn, pooled,
+# draws) runs block_fn over the trial blocks and returns the block results in
+# order.  A sampler whose blocks hold a few array elements per trial passes
+# their expected count as draws, so that its blocks grow past 256 trials.
 # A sampler passes pooled=True only where its blocks do their work in large
 # numpy/scipy calls that release the GIL, which made threads pay: the fading
 # out-degree route, guard-disk blocks of _NEUTRAL_POOL_POINTS or more expected
 # legitimate points, and colluding windows of _COLLUDING_POOL_POINTS or more
-# expected eavesdroppers.  The exact distance-domain kinds draw 256-element
-# arrays per block and in_degree loops over trials in Python; all of them ran
-# slower on two threads than on one, so they run serially, as do the smaller
-# guard-disk and colluding blocks.  voronoi_area runs serially too, though its
-# blocks (array work on about 13k points each) ran 1.6x as fast pooled on two
-# threads at 6000 trials and 1.3x at 1e5 (medians of 21 and 4 rounds on a
-# 2-vCPU VM); that is not yet confirmed under load.
+# expected eavesdroppers.  The exact distance-domain kinds draw a few array
+# elements per trial and in_degree loops over trials in Python; all of them
+# ran slower on two threads than on one at 256-trial blocks, so they run
+# serially, as do the smaller guard-disk and colluding blocks.  voronoi_area
+# runs serially too, though its blocks (array work on about 13k points each)
+# ran 1.6x as fast pooled on two threads at 6000 trials and 1.3x at 1e5
+# (medians of 21 and 4 rounds on a 2-vCPU VM); that is not yet confirmed
+# under load.
 
 
 def _out_degree(cfg: NetworkConfig, run) -> Sample:
@@ -395,7 +421,7 @@ def _thresholded_degree(cfg: NetworkConfig, run) -> Sample:
         psi = secure_range_thresholded(re, cfg)
         return g.poisson(lam=area_rate * psi * psi)
 
-    return Sample(np.concatenate(run(block)), "exact distance-domain sampling")
+    return Sample(np.concatenate(run(block, draws=1)), "exact distance-domain sampling")
 
 
 def _sector_degree(cfg: NetworkConfig, run, L: int = 1) -> Sample:
@@ -411,7 +437,7 @@ def _sector_degree(cfg: NetworkConfig, run, L: int = 1) -> Sample:
         dmin2 = g.exponential(scale=lam, size=(n, L))
         return g.poisson(lam=wedge_rate * dmin2).sum(axis=1)
 
-    return Sample(np.concatenate(run(block)), f"exact per-sector distance-domain sampling, L={L}")
+    return Sample(np.concatenate(run(block, draws=L)), f"exact per-sector distance-domain sampling, L={L}")
 
 
 def _annuli_draw(g, lam: float, r0: float, r1: float, trials: np.ndarray):
@@ -512,7 +538,7 @@ def _neighbor_msr(cfg: NetworkConfig, run, neighbor_index: int = 1) -> Sample:
         re2 = g.exponential(scale=1.0 / (math.pi * cfg.lambda_e), size=n)
         return msr_link(cfg.p_l * rl2 ** (-b), cfg.p_l * re2 ** (-b), cfg.sigma2_l, cfg.sigma2_e)
 
-    return Sample(np.concatenate(run(block)), f"exact distance-domain sampling, neighbor {i}")
+    return Sample(np.concatenate(run(block, draws=1)), f"exact distance-domain sampling, neighbor {i}")
 
 
 # Expected eavesdroppers per trial from which a colluding window's blocks go
@@ -525,7 +551,7 @@ _COLLUDING_POOL_POINTS = 300.0
 
 def _colluding_power_block(cfg: NetworkConfig, r_window: float | None):
     """Block of aggregate eavesdropper powers, windowed sum plus mean-tail
-    correction, whether its blocks go to the pool, and its audit note."""
+    correction, how to run it (pooled, draws) and its audit note."""
     w = colluding_window(cfg) if r_window is None else r_window
     b = cfg.gain.b
     if cfg.gain.kind != "unbounded" or b <= 1.0:
@@ -550,17 +576,18 @@ def _colluding_power_block(cfg: NetworkConfig, r_window: float | None):
         agg += tail
         return agg
 
-    pooled = cfg.lambda_e * math.pi * w * w >= _COLLUDING_POOL_POINTS
-    return block, pooled, f"window radius {w:.4g}, mean-tail correction {tail:.3e}"
+    eaves = cfg.lambda_e * math.pi * w * w
+    how = {"pooled": eaves >= _COLLUDING_POOL_POINTS, "draws": eaves}
+    return block, how, f"window radius {w:.4g}, mean-tail correction {tail:.3e}"
 
 
 def _colluding_power(cfg: NetworkConfig, run, r_window: float | None = None) -> Sample:
-    block, pooled, note = _colluding_power_block(cfg, r_window)
-    return Sample(np.concatenate(run(block, pooled)), note)
+    block, how, note = _colluding_power_block(cfg, r_window)
+    return Sample(np.concatenate(run(block, **how)), note)
 
 
 def _colluding_degree(cfg: NetworkConfig, run, r_window: float | None = None) -> Sample:
-    power_block, pooled, note = _colluding_power_block(cfg, r_window)
+    power_block, how, note = _colluding_power_block(cfg, r_window)
     # secure radius r with P_l r^(-2b)/sigma2_l > P_agg/sigma2_e
     c = cfg.p_l * cfg.sigma2_e / cfg.sigma2_l
 
@@ -569,7 +596,7 @@ def _colluding_degree(cfg: NetworkConfig, run, r_window: float | None = None) ->
         r2 = (c / agg) ** (1.0 / cfg.gain.b)
         return rng.substream(1).generator().poisson(lam=cfg.lambda_l * math.pi * r2)
 
-    return Sample(np.concatenate(run(block, pooled)), note)
+    return Sample(np.concatenate(run(block, **how)), note)
 
 
 _SAMPLERS = {
@@ -596,4 +623,9 @@ def estimate_generic(kind: str, cfg: NetworkConfig | None, trials: int, rng: Rng
         raise ValueError(f"unknown experiment kind {kind!r}; expected one of {tuple(_SAMPLERS)}")
     if not (isinstance(trials, int) and trials >= 1):
         raise ValueError(f"trials must be an integer >= 1, got {trials}")
+    if trials > _TRIAL_BUDGET:
+        raise ValueError(
+            f"{trials} trials would hold {8e-9 * trials:.3g} GB of outcomes, over the budget of "
+            f"{_TRIAL_BUDGET:.3g} trials per estimate"
+        )
     return _SAMPLERS[kind](cfg, partial(_run_blocks, trials, rng, threads), **params)

@@ -234,6 +234,31 @@ def test_sparse_eavesdroppers_exit_2_before_sampling(tmp_path, capsys, monkeypat
     assert f"about {expected:.3g} legitimate points per 256-trial block" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "experiment", ["degree", "isolation", "threshold", "sectors", "neutralize", "msr", "collude", "voronoi"]
+)
+def test_absurd_trial_count_exits_2_before_sampling(tmp_path, capsys, monkeypatch, experiment):
+    # a trillion trials would hold 8 TB of outcomes: refused before any block
+    # is planned or drawn
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("ran blocks before refusing the trial count")
+
+    monkeypatch.setattr(mc, "_run_blocks", no_blocks)
+    code, out = _run([experiment, "--trials", "1000000000000"], tmp_path)
+    assert code == 2 and not out.exists()
+    assert "over the budget of 5e+07 trials per estimate" in capsys.readouterr().err
+
+
+def test_threads_over_the_ceiling_exit_1(tmp_path, capsys):
+    code, out = _run(["sectors", "--threads", str(cli._MAX_THREADS + 1), "--trials", "10"], tmp_path)
+    assert code == 1 and not out.exists()
+    assert f"threads must be between 1 and {cli._MAX_THREADS}" in capsys.readouterr().err
+    code, out = _run(["sectors", "--threads", str(cli._MAX_THREADS), "--trials", "10"], tmp_path)
+    assert code == 0 and out.exists()
+    with pytest.raises(cli._UsageError):
+        RunConfig(experiment="sectors", threads=0)
+
+
 def test_failed_check_exits_3(tmp_path, capsys):
     # 150 Voronoi trials cannot hit the 1% gate at this seed; verified frozen
     code, _ = _run(["voronoi", "--trials", "150", "--seed", "1"], tmp_path, extra=("--check",))

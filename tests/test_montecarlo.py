@@ -121,19 +121,40 @@ def test_fading_window_ordering():
 
 # -------------------------------------------------------------- determinism
 
+# Two full blocks and a partial one of the one-draw-per-trial kinds (4096
+# trials per block), and of colluding windows at b = 2 (51 expected
+# eavesdroppers per trial, 2048 trials per block): a run of one block would
+# prove nothing about the pool.
+_CHEAP = 2 * montecarlo._MAX_BLOCK + 100
+_COLLUDING_B2 = 2 * 2048 + 100
+
 _INVARIANCE = [
-    ("out_degree", {}),
+    ("out_degree", {"trials": _CHEAP}),
     ("out_degree", {"cfg": NetworkConfig(lambda_e=0.5, fading=FadingModel("nakagami", m=2.0)), "trials": 600}),
     ("in_degree", {"trials": 600}),
     ("voronoi_area", {"cfg": None, "trials": 600}),
-    ("thresholded_degree", {"cfg": NetworkConfig(lambda_e=0.5, rho=1.0)}),
-    ("sector_degree", {"L": 3}),
+    ("thresholded_degree", {"cfg": NetworkConfig(lambda_e=0.5, rho=1.0), "trials": _CHEAP}),
+    ("sector_degree", {"L": 3, "trials": _CHEAP}),
     ("neutralized_degree", {"rho_n": 0.4, "trials": 512}),
-    ("neighbor_msr", {"neighbor_index": 2}),
-    ("colluding_power", {"trials": 2048}),
+    ("neighbor_msr", {"neighbor_index": 2, "trials": _CHEAP}),
+    ("colluding_power", {"trials": _COLLUDING_B2}),
     ("colluding_power", {"cfg": NetworkConfig(lambda_e=0.1, gain=GainModel("unbounded", 1.5)), "trials": 2048}),
-    ("colluding_degree", {"cfg": NetworkConfig(lambda_e=0.5), "trials": 2048}),
+    ("colluding_degree", {"cfg": NetworkConfig(lambda_e=0.5), "trials": _COLLUDING_B2}),
 ]
+
+
+def _record_blocks(monkeypatch, record):
+    """Have every block call record(n), n its trial count, in the thread that runs it."""
+    run_blocks = montecarlo._run_blocks
+
+    def recorded(trials, root, threads, block_fn, pooled=False, draws=None):
+        def block(rng, n):
+            record(n)
+            return block_fn(rng, n)
+
+        return run_blocks(trials, root, threads, block, pooled, draws)
+
+    monkeypatch.setattr(montecarlo, "_run_blocks", recorded)
 
 
 @pytest.mark.parametrize("kind,kw", _INVARIANCE)
@@ -141,21 +162,13 @@ def test_thread_count_invariance(kind, kw, monkeypatch):
     a = _sample(kind, threads=1, **kw)
     # FORCE_POOL sends every kind's blocks through the pool, serial kinds
     # included; record the thread each block runs in to prove it did
-    idents = []
-    run_blocks = montecarlo._run_blocks
-
-    def recorded(trials, root, threads, block_fn, pooled=False):
-        def block(rng, n):
-            idents.append(threading.get_ident())
-            return block_fn(rng, n)
-
-        return run_blocks(trials, root, threads, block, pooled)
-
+    blocks = []
     monkeypatch.setattr(montecarlo, "FORCE_POOL", True)
-    monkeypatch.setattr(montecarlo, "_run_blocks", recorded)
+    _record_blocks(monkeypatch, lambda n: blocks.append((n, threading.get_ident())))
     b = _sample(kind, threads=4, **kw)
-    assert len(idents) == len(montecarlo._blocks(len(a.values))) > 1
-    assert threading.get_ident() not in idents
+    size = max(n for n, _ in blocks)  # the kind's own block size
+    assert len(blocks) == len(montecarlo._blocks(len(a.values), size)) > 1
+    assert threading.get_ident() not in {ident for _, ident in blocks}
     assert np.array_equal(a.values, b.values)
     assert a.bias_note == b.bias_note  # window-growth counts included
 
@@ -177,16 +190,19 @@ _POOLED = [
 
 _SERIAL = (
     [
-        ("out_degree", {}),
+        ("out_degree", {"trials": _CHEAP}),
         ("in_degree", {"trials": 600}),
         ("voronoi_area", {"cfg": None, "trials": 600}),
-        ("thresholded_degree", {"cfg": NetworkConfig(lambda_e=0.5, rho=1.0)}),
-        ("sector_degree", {"L": 3}),
-        ("neutralized_degree", {"rho_n": 0.0}),
-        ("neighbor_msr", {"neighbor_index": 2}),
-        ("colluding_power", {"trials": 2048}),
+        ("thresholded_degree", {"cfg": NetworkConfig(lambda_e=0.5, rho=1.0), "trials": _CHEAP}),
+        ("sector_degree", {"L": 3, "trials": _CHEAP}),
+        ("neutralized_degree", {"rho_n": 0.0, "trials": _CHEAP}),
+        ("neighbor_msr", {"neighbor_index": 2, "trials": _CHEAP}),
+        ("colluding_power", {"trials": _COLLUDING_B2}),
         ("colluding_power", {"cfg": NetworkConfig(lambda_e=0.1, gain=GainModel("unbounded", 1.75)), "trials": 2048}),
-        ("colluding_degree", {"cfg": NetworkConfig(lambda_e=0.1, gain=GainModel("unbounded", 2.0)), "trials": 2048}),
+        (
+            "colluding_degree",
+            {"cfg": NetworkConfig(lambda_e=0.1, gain=GainModel("unbounded", 2.0)), "trials": _COLLUDING_B2},
+        ),
     ]
     + [(kind, {**kw, "trials": 24}) for kind, kw in _POOLED]
     + [
@@ -221,6 +237,64 @@ def test_pooled_runs_reach_the_pool(kind, kw, monkeypatch):
     with pytest.raises(_PoolStarted) as started:
         _sample(kind, trials=2 * montecarlo._BLOCK, threads=4, **kw)
     assert started.value.args == (2,)
+
+
+def test_block_size_follows_draws(monkeypatch):
+    sizes = []
+    _record_blocks(monkeypatch, sizes.append)
+
+    def block_trials(kind, trials, **kw):
+        sizes.clear()
+        _sample(kind, trials=trials, **kw)
+        return sizes
+
+    # one expected draw per trial: 4096-trial blocks, the last one partial
+    cheap = [
+        ("out_degree", {}),
+        ("thresholded_degree", {"cfg": NetworkConfig(lambda_e=0.5, rho=1.0)}),
+        ("sector_degree", {"L": 3}),
+        ("neutralized_degree", {"rho_n": 0.0}),
+        ("neighbor_msr", {"neighbor_index": 2}),
+    ]
+    for kind, kw in cheap:
+        assert block_trials(kind, _CHEAP, **kw) == [4096, 4096, 100], kind
+    # the spatial kinds keep 256-trial blocks, on which their point budgets
+    # and pool thresholds are stated
+    spatial = [
+        ("in_degree", {}),
+        ("voronoi_area", {"cfg": None}),
+        ("out_degree", {"cfg": NetworkConfig(lambda_e=0.5, fading=FadingModel("nakagami", m=2.0))}),
+        ("neutralized_degree", {"rho_n": 0.5}),
+    ]
+    for kind, kw in spatial:
+        assert block_trials(kind, 600, **kw) == [256, 256, 88], kind
+    # colluding windows at the default size expect 456, 250, 122, 51 and 9.5
+    # eavesdroppers per trial; the pooled b = 1.5 blocks keep 256 trials, and
+    # still reach the pool with 2 workers (test_pooled_runs_reach_the_pool)
+    cfgs = [NetworkConfig(lambda_e=0.1, gain=GainModel("unbounded", b)) for b in (1.5, 1.6, 1.75, 2.0, 3.0)]
+    eaves = [cfg.lambda_e * math.pi * colluding_window(cfg) ** 2 for cfg in cfgs]
+    assert [montecarlo._block_size(d) for d in eaves] == [256, 512, 1024, 2048, 4096]
+    for kind in ("colluding_power", "colluding_degree"):
+        assert block_trials(kind, 600, cfg=cfgs[0]) == [256, 256, 88], kind
+        assert block_trials(kind, _COLLUDING_B2, cfg=cfgs[3]) == [2048, 2048, 100], kind
+    # no block expects more than the draw cap, unless it is a 256-trial block
+    for d in [None, 0.0, 1.0, 7.5, 31.9, 32.0, 33.0, 255.0, 256.0, 300.0, 512.0, 1e4, math.inf]:
+        size = montecarlo._block_size(d)
+        assert montecarlo._BLOCK <= size <= montecarlo._MAX_BLOCK
+        assert size == montecarlo._BLOCK or size * d <= montecarlo._BLOCK_DRAWS, d
+    assert montecarlo._block_size(None) == montecarlo._block_size(1e4) == montecarlo._BLOCK
+    assert montecarlo._block_size(32.0) == 4096 and montecarlo._block_size(33.0) == 2048
+
+
+def test_absurd_trial_count_is_refused_before_sampling(monkeypatch):
+    def sampled(*args, **kwargs):
+        pytest.fail("a refused trial count reached the block harness")
+
+    monkeypatch.setattr(montecarlo, "_run_blocks", sampled)
+    with pytest.raises(ValueError, match="over the budget of 5e[+]07 trials"):
+        _sample("sector_degree", trials=10**12)
+    with pytest.raises(ValueError, match="over the budget"):
+        _sample("out_degree", trials=montecarlo._TRIAL_BUDGET + 1)
 
 
 def test_same_seed_same_pmf_different_seed_differs():
