@@ -298,7 +298,7 @@ def colluding_degree(threads: int) -> tuple[bool, str]:
     for j, b in enumerate((1.5, 2.0, 3.0, 4.0, 6.0)):
         cfg = NetworkConfig(lambda_l=1.0, lambda_e=0.1, gain=GainModel(kind="unbounded", b=b))
         est = mc.estimate_generic("colluding_degree", cfg, 100_000, Rng(11200 + j), threads).mean()
-        target = analytic.mean_degree_colluding(1.0, 0.1, b)
+        target = analytic.mean_degree_colluding(cfg)
         rel = abs(est.value - target) / target
         ok = ok and rel < 0.03
         norm = est.value / cfg.ratio

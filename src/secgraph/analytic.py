@@ -144,32 +144,45 @@ def _check_densities(lambda_l: float, lambda_e: float) -> None:
         raise ValueError(f"lambda_e must be >= 0, got {lambda_e}")
 
 
-def pmf_out_degree(n: int, lambda_l: float, lambda_e: float) -> float:
-    """Geometric out-degree law p^n (1-p), p = lambda_l/(lambda_l+lambda_e)."""
+def _degrees(n) -> np.ndarray:
+    """n as a float array, each element checked to be a nonnegative integer."""
+    k = np.asarray(n, dtype=np.float64)
+    if not np.all((k >= 0) & (k == np.floor(k)) & np.isfinite(k)):
+        raise ValueError(f"degree must be a nonnegative integer, got {n}")
+    return k
+
+
+def pmf_out_degree(n, lambda_l: float, lambda_e: float):
+    """Geometric out-degree law p^n (1-p), p = lambda_l/(lambda_l+lambda_e).
+
+    n may be a degree (returns a float) or an array of degrees (returns an
+    array of its shape)."""
     _check_densities(lambda_l, lambda_e)
     if lambda_e <= 0:
         raise ValueError("out-degree PMF needs lambda_e > 0")
-    if n < 0 or n != int(n):
-        raise ValueError(f"degree must be a nonnegative integer, got {n}")
+    k = _degrees(n)
     p = lambda_l / (lambda_l + lambda_e)
-    return p**n * (1.0 - p)
+    out = p**k * (1.0 - p)
+    return float(out) if out.ndim == 0 else out
 
 
-def pmf_out_degree_sectored(n: int, L: int, lambda_l: float, lambda_e: float) -> float:
+def pmf_out_degree_sectored(n, L: int, lambda_l: float, lambda_e: float):
     """Negative binomial out-degree law under L sectors: C(L+n-1, L-1) p^n (1-p)^L.
 
-    Evaluated in log space; overflows for large L+n otherwise.
+    Evaluated in log space; overflows for large L+n otherwise.  n may be a
+    degree (returns a float) or an array of degrees (returns an array of its
+    shape).
     """
     _check_densities(lambda_l, lambda_e)
     if lambda_e <= 0:
         raise ValueError("sectored PMF needs lambda_e > 0")
     if not (isinstance(L, int) and L >= 1):
         raise ValueError(f"sector count must be an integer >= 1, got {L}")
-    if n < 0 or n != int(n):
-        raise ValueError(f"degree must be a nonnegative integer, got {n}")
+    k = _degrees(n)
     p = lambda_l / (lambda_l + lambda_e)
-    logc = gammaln(L + n) - gammaln(L) - gammaln(n + 1)
-    return float(math.exp(logc + n * math.log(p) + L * math.log1p(-p)))
+    logc = gammaln(L + k) - gammaln(L) - gammaln(k + 1)
+    out = np.exp(logc + k * math.log(p) + L * math.log1p(-p))
+    return float(out) if out.ndim == 0 else out
 
 
 def moments_in_degree(order: int, ratio: float, vm: VoronoiMoments) -> float:
@@ -401,17 +414,22 @@ def p_exist_colluding(r_l: float, cfg: NetworkConfig) -> float:
     return float(_colluding_snr_cdf(snr_l, cfg)) if cfg.lambda_e > 0 else 1.0
 
 
-def mean_degree_colluding(lambda_l: float, lambda_e: float, b: float) -> float:
-    """Mean secure degree against colluding eavesdroppers: (lambda_l/lambda_e) sinc(1/b).
+def mean_degree_colluding(cfg: NetworkConfig) -> float:
+    """Mean secure degree against colluding eavesdroppers:
+    (lambda_l/lambda_e) sinc(1/b) (sigma2_e/sigma2_l)^(1/b).
 
-    b = 1 returns 0 (the degradation factor vanishes); b < 1 is an error
-    (the aggregate power diverges).  lambda_e = 0 gives inf.
+    The secure radius is r^2 = (P_l sigma2_e / (sigma2_l P_agg))^(1/b), so
+    the transmit power cancels and the noise ratio scales the mean.  b = 1
+    returns 0 (the degradation factor vanishes); b < 1 is an error (the
+    aggregate power diverges).  lambda_e = 0 gives inf.
     """
-    _check_densities(lambda_l, lambda_e)
-    if not math.isfinite(b) or b < 1.0:
+    if cfg.gain.kind != "unbounded":
+        raise ValueError("colluding mean degree requires the unbounded gain model")
+    b = cfg.gain.b
+    if b < 1.0:
         raise ValueError(f"b must be >= 1, got {b}")
-    if lambda_e == 0:
+    if cfg.lambda_e == 0:
         return math.inf
     if b == 1.0:
         return 0.0
-    return lambda_l / lambda_e * float(np.sinc(1.0 / b))
+    return cfg.ratio * float(np.sinc(1.0 / b)) * (cfg.sigma2_e / cfg.sigma2_l) ** (1.0 / b)

@@ -16,9 +16,11 @@ Subcommands map to the library's experiment families:
 Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 tolerance
 failure (with --check, or from selftest).
 
-Every CSV starts with the full run configuration echoed as `# key = value`
-lines, so any output file doubles as a config: `--config file.csv` (or a
-JSON output file) reproduces the run that wrote it.
+Each subcommand takes as flags exactly the RunConfig keys its run reads
+(_EXPERIMENTS); every other key keeps its default.  Every CSV starts with
+those keys echoed as `# key = value` lines, so any output file doubles as a
+config: `--config file.csv` (or a JSON output file) reproduces the run that
+wrote it.
 """
 
 from __future__ import annotations
@@ -55,7 +57,10 @@ class _UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs; any two equal RunConfigs produce identical files."""
+    """Everything a run needs; any two equal RunConfigs produce identical files.
+
+    A key that the experiment's run does not read must hold its default, so
+    a config never claims a setting that did not reach the numbers."""
 
     experiment: str
     lambda_l: float = 1.0
@@ -79,9 +84,17 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.experiment not in _EXPERIMENTS:
             raise _UsageError(f"unknown experiment {self.experiment!r}")
+        keys = _EXPERIMENTS[self.experiment].keys
+        for f in dataclasses.fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name not in keys and value != f.default:
+                raise _UsageError(
+                    f"{self.experiment} does not read {f.name!r}: got {value!r}, "
+                    f"only its default {f.default!r} is accepted"
+                )
         if self.format not in _FORMATS:
             raise _UsageError(f"format must be one of {_FORMATS}, got {self.format!r}")
-        if self.experiment != "selftest" and self.trials < 1:
+        if self.trials < 1:
             raise _UsageError(f"trials must be >= 1, got {self.trials}")
         if not 1 <= self.threads <= _MAX_THREADS:
             raise _UsageError(f"threads must be between 1 and {_MAX_THREADS}, got {self.threads}")
@@ -187,10 +200,13 @@ _EPHEMERAL_KEYS = ("threads", "out")
 
 
 def _echo_config(rc: RunConfig) -> dict:
-    d = dataclasses.asdict(rc)
-    for key in _EPHEMERAL_KEYS:
-        d.pop(key)
-    return d
+    """The experiment and the keys its run reads, in field order."""
+    keys = _EXPERIMENTS[rc.experiment].keys
+    return {
+        f.name: getattr(rc, f.name)
+        for f in dataclasses.fields(rc)
+        if f.name == "experiment" or (f.name in keys and f.name not in _EPHEMERAL_KEYS)
+    }
 
 
 def _write_csv(path: str, rc: RunConfig, columns, rows) -> None:
@@ -262,13 +278,16 @@ def _sub_seed(seed: int, k: int) -> int:
 
 def _pmf_rows(law, trials: int, pmf, *others):
     """One row per degree n: n, law(n), pmf's probability, each of the other
-    PMFs' probabilities, and the binomial SE of pmf's."""
+    PMFs' probabilities, and the binomial SE of pmf's.  law is called once,
+    on the array of every degree."""
     pmfs = (pmf, *others)
+    size = max(len(p.probs) for p in pmfs)
+    table = law(np.arange(size))
     rows = []
-    for n in range(max(len(p.probs) for p in pmfs)):
+    for n in range(size):
         ps = [float(p.probs[n]) if n < len(p.probs) else 0.0 for p in pmfs]
         se = math.sqrt(max(ps[0] * (1.0 - ps[0]), 0.0) / trials)
-        rows.append((n, law(n), *ps, se))
+        rows.append((n, float(table[n]), *ps, se))
     return rows
 
 
@@ -394,13 +413,13 @@ def _run_collude_sweep(rc: RunConfig):
     rows = []
     summary_row = None
     for k, b in enumerate(_parse_sweep(rc.sweep_b)):
-        ana = analytic.mean_degree_colluding(rc.lambda_l, rc.lambda_e, b)
+        cfg = dataclasses.replace(rc, b=b).network()
+        ana = analytic.mean_degree_colluding(cfg)
         ratio = rc.lambda_l / rc.lambda_e
         if b <= 1.0:
             # the aggregate power diverges: degree 0, nothing to simulate
             rows.append((b, ana / ratio, float("nan"), float("nan")))
             continue
-        cfg = dataclasses.replace(rc, b=b).network()
         est = mc.estimate_generic("colluding_degree", cfg, rc.trials, Rng(_sub_seed(rc.seed, k)), rc.threads).mean()
         row = (b, ana / ratio, est.value / ratio, est.std_error / ratio)
         rows.append(row)
@@ -431,7 +450,7 @@ def _run_collude(rc: RunConfig):
     ]
     est = mc.estimate_generic("colluding_degree", cfg, rc.trials, Rng(_sub_seed(rc.seed, 99)), rc.threads).mean()
     ratio = cfg.ratio
-    ana = analytic.mean_degree_colluding(cfg.lambda_l, cfg.lambda_e, cfg.gain.b) / ratio
+    ana = analytic.mean_degree_colluding(cfg) / ratio
     summary = _summary(ana, est.value / ratio, est.std_error / ratio, 0.03 * ana)
     return ("rho", "cdf_colluding_analytic", "cdf_colluding_sim", "cdf_noncolluding_analytic", "se"), rows, summary
 
@@ -468,26 +487,35 @@ def _run_selftest(rc: RunConfig, criteria: str | None) -> int:
 
 @dataclass(frozen=True)
 class _Experiment:
-    """A subcommand: its runner, default trials, help text, and the RunConfig
-    keys that only it takes.  A runner maps a RunConfig to columns, rows and
-    summary; selftest's takes the --criteria text too and returns the exit code."""
+    """A subcommand: its runner, default trials (None: it takes none), help
+    text, and every RunConfig key its run reads.  Those keys are its flags,
+    its config echo and the config-file keys it accepts off their defaults.
+    A runner maps a RunConfig to columns, rows and summary; selftest's takes
+    the --criteria text too and returns the exit code."""
 
     run: Callable
-    trials: int
+    trials: int | None
     help: str
-    keys: tuple = ()
+    keys: tuple
 
+
+# what every sampling run reads: its budget, stream, thread ceiling and output
+_RUN = ("trials", "seed", "threads", "out", "format")
+# and the densities of the two Poisson fields
+_FIELDS = _RUN + ("lambda_l", "lambda_e")
+# and the link budget: path-loss exponent, transmit power, the two noise powers
+_LINK = _FIELDS + ("b", "power", "sigma2_l", "sigma2_e")
 
 _EXPERIMENTS = {
-    "degree": _Experiment(_run_degree, 100_000, "out/in-degree PMFs vs the geometric law"),
-    "isolation": _Experiment(_run_isolation, 100_000, "isolation probabilities across density ratios"),
-    "threshold": _Experiment(_run_threshold, 100_000, "mean degree under a secrecy-rate threshold"),
-    "sectors": _Experiment(_run_sectors, 100_000, "sectorized out-degree vs negative binomial", ("sectors",)),
-    "neutralize": _Experiment(_run_neutralize, 2_000, "guard-disk mean degree vs lower bound", ("guard_radius",)),
-    "msr": _Experiment(_run_msr, 100_000, "secrecy-rate CDF to the i-th neighbor", ("neighbor",)),
-    "collude": _Experiment(_run_collude, 50_000, "colluding-eavesdropper outage and degree", ("r_l", "sweep_b")),
-    "voronoi": _Experiment(_run_voronoi, 20_000, "typical-cell area moments"),
-    "selftest": _Experiment(_run_selftest, 0, "run the acceptance battery"),
+    "degree": _Experiment(_run_degree, 100_000, "out/in-degree PMFs vs the geometric law", _FIELDS),
+    "isolation": _Experiment(_run_isolation, 100_000, "isolation probabilities across density ratios", _FIELDS),
+    "threshold": _Experiment(_run_threshold, 100_000, "mean degree under a secrecy-rate threshold", _LINK + ("rho",)),
+    "sectors": _Experiment(_run_sectors, 100_000, "sectorized out-degree vs negative binomial", _FIELDS + ("sectors",)),
+    "neutralize": _Experiment(_run_neutralize, 2_000, "guard-disk mean degree vs lower bound", _FIELDS + ("guard_radius",)),
+    "msr": _Experiment(_run_msr, 100_000, "secrecy-rate CDF to the i-th neighbor", _LINK + ("neighbor",)),
+    "collude": _Experiment(_run_collude, 50_000, "colluding-eavesdropper outage and degree", _LINK + ("r_l", "sweep_b")),
+    "voronoi": _Experiment(_run_voronoi, 20_000, "typical-cell area moments", _RUN),
+    "selftest": _Experiment(_run_selftest, None, "run the acceptance battery", ("threads", "out", "format")),
 }
 
 
@@ -514,46 +542,43 @@ def _add_key(parser: _Parser, key: str) -> None:
 
 
 def _build_parser() -> _Parser:
-    own = {key for exp in _EXPERIMENTS.values() for key in exp.keys}
-    common = _Parser(add_help=False)
-    for key in _KEY_TYPES:
-        if key != "experiment" and key not in own:
-            _add_key(common, key)
-    common.add_argument("--check", action="store_true")
-    common.add_argument("--config", dest="config")
-
     parser = _Parser(prog="secgraph", description="secrecy graph experiments over Poisson fields")
     subs = parser.add_subparsers(dest="experiment", metavar="experiment")
     subs.required = True
     for name, exp in _EXPERIMENTS.items():
-        sp = subs.add_parser(name, parents=[common], help=exp.help)
-        for key in exp.keys:
-            _add_key(sp, key)
+        sp = subs.add_parser(name, help=exp.help)
+        for key in _KEY_TYPES:
+            if key in exp.keys:
+                _add_key(sp, key)
         if name == "selftest":
             sp.add_argument("--criteria", dest="criteria")
+        else:
+            sp.add_argument("--check", action="store_true")
+            sp.add_argument("--config", dest="config")
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
+    exp = _EXPERIMENTS[args.experiment]
     values = {"experiment": args.experiment}
     if getattr(args, "config", None):
         file_values = load_config(args.config)
         file_values.pop("experiment", None)  # the subcommand on argv wins
         file_values.pop("out", None)
         values.update(file_values)
-    for key in _KEY_TYPES:
-        flag = getattr(args, key, None)
-        if flag is not None and key != "experiment":
+    for key in exp.keys:
+        flag = getattr(args, key)
+        if flag is not None:
             values[key] = flag
-    if "seed" not in values:
+    if "seed" in exp.keys and "seed" not in values:
         env = os.environ.get("SECGRAPH_SEED")
         if env is not None:
             try:
                 values["seed"] = int(env)
             except ValueError:
                 raise _UsageError(f"SECGRAPH_SEED must be an integer, got {env!r}") from None
-    if "trials" not in values:
-        values["trials"] = _EXPERIMENTS[args.experiment].trials
+    if "trials" in exp.keys and "trials" not in values:
+        values["trials"] = exp.trials
     if "threads" not in values:
         values["threads"] = min(os.cpu_count() or 1, 8)
     return RunConfig(**values)

@@ -528,6 +528,8 @@ def _neighbor_msr(cfg: NetworkConfig, run, neighbor_index: int = 1) -> Sample:
     i = neighbor_index
     if not (isinstance(i, int) and i >= 1):
         raise ValueError(f"neighbor index must be an integer >= 1, got {i}")
+    if cfg.gain.kind != "unbounded":
+        raise ValueError("neighbor-MSR estimation requires the unbounded gain model")
     if cfg.lambda_e <= 0:
         raise ValueError("neighbor-MSR estimation needs lambda_e > 0")
     b = cfg.gain.b

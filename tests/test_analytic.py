@@ -120,6 +120,19 @@ def test_sectored_pmf_no_overflow_at_large_arguments():
     assert 0.0 <= v < 1.0 and math.isfinite(v)
 
 
+def test_pmf_laws_take_arrays_of_degrees():
+    # one call per table: an array of degrees gives the scalar values elementwise
+    n = np.arange(60)
+    for law in (lambda k: pmf_out_degree(k, 1.0, 0.4), lambda k: pmf_out_degree_sectored(k, 4, 1.0, 0.4)):
+        table = law(n)
+        assert table.shape == n.shape
+        assert isinstance(law(3), float)
+        np.testing.assert_allclose(table, [law(int(k)) for k in n], rtol=1e-15, atol=0)
+        for bad in (np.array([0, -1]), np.array([0.0, 2.5]), np.array([1.0, np.nan])):
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                law(bad)
+
+
 def test_isolation_probabilities():
     assert p_out_isolation(1.0, 0.4) == pytest.approx(0.4 / 1.4, rel=1e-15)
     assert p_out_isolation(1.0, 0.4) == pytest.approx(pmf_out_degree(0, 1.0, 0.4), rel=1e-15)
@@ -361,14 +374,27 @@ def test_c_alpha_values():
         c_alpha(0.0)
 
 
+def _colluding(lambda_e=0.1, b=2.0, **kw):
+    return NetworkConfig(lambda_l=1.0, lambda_e=lambda_e, gain=GainModel("unbounded", b), **kw)
+
+
 def test_mean_degree_colluding_values():
-    # (lambda_l/lambda_e) sinc(1/b); b = 2 gives 10 * 2/pi
-    assert mean_degree_colluding(1.0, 0.1, 2.0) == pytest.approx(20.0 / math.pi, rel=1e-14)
-    assert mean_degree_colluding(1.0, 0.1, 2.0) == pytest.approx(10.0 * np.sinc(0.5), rel=1e-14)
-    assert mean_degree_colluding(1.0, 0.1, 1.0) == 0.0
-    assert mean_degree_colluding(1.0, 0.0, 2.0) == math.inf
+    # (lambda_l/lambda_e) sinc(1/b) (sigma2_e/sigma2_l)^(1/b); b = 2 gives 10 * 2/pi
+    assert mean_degree_colluding(_colluding()) == pytest.approx(20.0 / math.pi, rel=1e-14)
+    assert mean_degree_colluding(_colluding()) == pytest.approx(10.0 * np.sinc(0.5), rel=1e-14)
+    assert mean_degree_colluding(_colluding(b=1.0)) == 0.0
+    assert mean_degree_colluding(_colluding(lambda_e=0.0)) == math.inf
     with pytest.raises(ValueError):
-        mean_degree_colluding(1.0, 0.1, 0.9)
+        mean_degree_colluding(_colluding(b=0.9))
+    with pytest.raises(ValueError, match="unbounded gain"):
+        mean_degree_colluding(NetworkConfig(gain=GainModel("bounded", 2.0)))
+    # the power cancels from the secure radius; sigma2_e / sigma2_l = 4
+    # scales it by 4^(1/b): 2 at b = 2, 4^(1/3) at b = 3
+    assert mean_degree_colluding(_colluding(sigma2_e=4.0)) == pytest.approx(40.0 / math.pi, rel=1e-14)
+    assert mean_degree_colluding(_colluding(b=3.0, sigma2_e=8.0, sigma2_l=2.0)) == pytest.approx(
+        10.0 * np.sinc(1.0 / 3.0) * 4.0 ** (1.0 / 3.0), rel=1e-14
+    )
+    assert mean_degree_colluding(_colluding(p_l=50.0)) == mean_degree_colluding(_colluding())
 
 
 def test_colluding_cdf_levy_oracle():

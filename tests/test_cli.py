@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from secgraph import analytic, cli, montecarlo as mc
+from secgraph import acceptance, analytic, cli, montecarlo as mc
 from secgraph.cli import RunConfig, _parse_sweep, load_config
 
 
@@ -110,6 +110,19 @@ def test_default_output_path(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["degree", "--trials", "200", "--seed", "1"]) == 0
     assert (tmp_path / "secgraph-degree.csv").exists()
+
+
+def test_collude_sweep_follows_unequal_noise(tmp_path, capsys):
+    # sigma2_e / sigma2_l = 4: the sinc law times 4^(1/b) is the gate
+    code, out = _run(
+        ["collude", "--sweep-b", "2:3:1", "--sigma2-e", "4", "--trials", "20000", "--seed", "3", "--format", "json"],
+        tmp_path, "noise.json", extra=("--check",),
+    )
+    assert code == 0
+    rows = json.loads(out.read_text())["rows"]
+    sinc_third = math.sin(math.pi / 3) / (math.pi / 3)
+    assert [r["sinc_analytic"] for r in rows] == pytest.approx([4.0 / math.pi, sinc_third * 4 ** (1 / 3)])
+    capsys.readouterr()
 
 
 def test_sweep_null_row_in_json(tmp_path):
@@ -289,39 +302,155 @@ def test_parse_sweep():
 
 # ------------------------------------------------------------ derived parser
 
+_RUN_FLAGS = {"--trials", "--seed", "--threads", "--out", "--format", "--config", "--check"}
+_RADIO_FLAGS = {"--b", "--power", "--sigma2-l", "--sigma2-e"}
+_DENSITY_FLAGS = {"--lambda-l", "--lambda-e"}
+# every flag of each subcommand: the run's own keys plus the model keys it reads
+_FLAGS = {
+    "degree": _RUN_FLAGS | _DENSITY_FLAGS,
+    "isolation": _RUN_FLAGS | _DENSITY_FLAGS,
+    "threshold": _RUN_FLAGS | _DENSITY_FLAGS | _RADIO_FLAGS | {"--rho"},
+    "sectors": _RUN_FLAGS | _DENSITY_FLAGS | {"--sectors"},
+    "neutralize": _RUN_FLAGS | _DENSITY_FLAGS | {"--guard-radius"},
+    "msr": _RUN_FLAGS | _DENSITY_FLAGS | _RADIO_FLAGS | {"--neighbor"},
+    "collude": _RUN_FLAGS | _DENSITY_FLAGS | _RADIO_FLAGS | {"--r-l", "--sweep-b"},
+    "voronoi": _RUN_FLAGS,
+    "selftest": {"--threads", "--out", "--format", "--criteria"},
+}
+
+
+def _subparsers():
+    parser = cli._build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return parser, subs.choices
+
+
 def test_parser_derives_one_flag_per_config_key():
+    parser, choices = _subparsers()
+    found = {
+        name: {o for a in sp._actions for o in a.option_strings if o not in ("-h", "--help")}
+        for name, sp in choices.items()
+    }
+    assert found == _FLAGS
+    assert sum(map(len, found.values())) == 92
+    # a config key's flag is its name, parsed to the key's type
     declared = {"float": float, "int": int, "str": str, "str | None": str}
     values = {float: "2.5", int: "3", str: "1:2:1"}
     texts = {"out": "x.csv", "format": "json"}
-    own = {key for exp in cli._EXPERIMENTS.values() for key in exp.keys}
-    parser = cli._build_parser()
-    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    for name, exp in cli._EXPERIMENTS.items():
-        actions = subs.choices[name]._actions
+    for name, flags in _FLAGS.items():
         argv = [name]
-        for field in dataclasses.fields(RunConfig):
-            flags = [a.option_strings for a in actions if a.dest == field.name]
-            if field.name == "experiment" or (field.name in own and field.name not in exp.keys):
-                assert flags == [], (name, field.name)
-                continue
-            assert flags == [["--" + field.name.replace("_", "-")]], (name, field.name)
-            argv += [flags[0][0], texts.get(field.name, values[declared[field.type]])]
+        for flag in sorted(flags - {"--config", "--check", "--criteria"}):
+            key = flag[2:].replace("-", "_")
+            argv += [flag, texts.get(key, values[declared[RunConfig.__dataclass_fields__[key].type]])]
         rc = cli._resolve(parser.parse_args(argv))
         for flag, text in zip(argv[1::2], argv[2::2]):
             key = flag[2:].replace("-", "_")
             kind = declared[RunConfig.__dataclass_fields__[key].type]
             assert type(getattr(rc, key)) is kind and getattr(rc, key) == kind(text), (name, key)
-        for key in own - set(exp.keys):
-            assert cli.main([name, "--" + key.replace("_", "-"), "1"]) == 1, (name, key)
+        # the echo holds the experiment and the read keys, less threads and out
+        echoed = {"--" + k.replace("_", "-") for k in cli._echo_config(rc)}
+        assert echoed == (flags - {"--config", "--check", "--criteria", "--threads", "--out"}) | {"--experiment"}
+
+
+def test_a_flag_the_run_does_not_read_exits_1(capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran with a flag its subcommand does not read")
+
+    monkeypatch.setattr(mc, "_run_blocks", no_run)
+    monkeypatch.setattr(acceptance, "run_all", no_run)
+    every = set().union(*_FLAGS.values())
+    for name, flags in _FLAGS.items():
+        for flag in sorted(every - flags):
+            assert cli.main([name, flag, "1"]) == 1, (name, flag)
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    # selftest reads no sampling key, so none of these may reach it
+    assert cli.main(["selftest", "--trials", "5", "--seed", "3", "--lambda-e", "9", "--check"]) == 1
+
+
+# one value off the default for each model key
+_OFF_DEFAULT = {
+    "lambda_l": "0.8", "lambda_e": "0.3", "b": "3", "power": "5", "sigma2_l": "2", "sigma2_e": "3",
+    "rho": "2.5", "sectors": "2", "guard_radius": "0.3", "neighbor": "2", "r_l": "0.5", "sweep_b": "1.5:2:0.5",
+}
+_READS = [
+    (name, key) for name, exp in cli._EXPERIMENTS.items() for key in exp.keys if key not in cli._RUN
+]
+
+
+@pytest.fixture(scope="module")
+def default_results(tmp_path_factory):
+    """JSON rows and summary of each sampling subcommand at its defaults."""
+    out = {}
+    for name in {name for name, _ in _READS}:
+        path = tmp_path_factory.mktemp(name) / "default.json"
+        assert cli.main([name, "--trials", "300", "--seed", "4", "--format", "json", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        out[name] = (doc["rows"], doc["summary"])
+    return out
+
+
+@pytest.mark.parametrize("name,key", _READS)
+def test_every_model_key_a_subcommand_takes_reaches_its_output(tmp_path, capsys, default_results, name, key):
+    # isolation's rows depend on lambda_e / lambda_l alone, so the summary
+    # counts as output too
+    assert set(_OFF_DEFAULT) == {key for _, key in _READS}
+    path = tmp_path / "off.json"
+    flag = "--" + key.replace("_", "-")
+    argv = [name, flag, _OFF_DEFAULT[key], "--trials", "300", "--seed", "4", "--format", "json", "--out", str(path)]
+    assert cli.main(argv) == 0
+    doc = json.loads(path.read_text())
+    assert (doc["rows"], doc["summary"]) != default_results[name]
+    assert doc["config"][key] == cli._KEY_TYPES[key](_OFF_DEFAULT[key])
+    capsys.readouterr()
+
+
+def _old_sectors_header(rho: str) -> str:
+    # a result file from before headers were trimmed echoed every key
+    return (
+        "# experiment = sectors\n# lambda_l = 1.0\n# lambda_e = 0.1\n# b = 2.0\n# power = 1.0\n"
+        "# sigma2_l = 1.0\n# sigma2_e = 1.0\n"
+        f"# rho = {rho}\n"
+        "# sectors = 4\n# guard_radius = 0.5\n# neighbor = 1\n# r_l = 1.0\n# sweep_b = null\n"
+        "# trials = 300\n# seed = 5\n# format = csv\nn,pmf_analytic,pmf_sim,se\n"
+    )
+
+
+def test_config_refuses_an_unread_key_off_its_default(tmp_path, capsys):
+    old = tmp_path / "old.csv"
+    old.write_text(_old_sectors_header("2.0"))
+    code, out = _run(["sectors", "--config", str(old)], tmp_path)
+    assert code == 1 and not out.exists()
+    assert "'rho'" in capsys.readouterr().err
+    old.write_text(_old_sectors_header("0.0"))
+    code, out = _run(["sectors", "--config", str(old)], tmp_path)
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert [l for l in lines if l.startswith("#")] == [
+        "# experiment = sectors", "# lambda_l = 1.0", "# lambda_e = 0.1", "# sectors = 4",
+        "# trials = 300", "# seed = 5", "# format = csv",
+    ]
+    # direct construction passes through the same check
+    with pytest.raises(cli._UsageError, match="voronoi does not read 'lambda_e'"):
+        RunConfig(experiment="voronoi", lambda_e=0.5)
+    assert RunConfig(experiment="voronoi", lambda_e=0.1).lambda_e == 0.1
+
+
+def test_seed_env_applies_only_where_a_seed_is_read(monkeypatch):
+    monkeypatch.setenv("SECGRAPH_SEED", "xyz")
+    parser = cli._build_parser()
+    assert cli._resolve(parser.parse_args(["selftest"])).seed == cli._DEFAULT_SEED
+    with pytest.raises(cli._UsageError, match="SECGRAPH_SEED"):
+        cli._resolve(parser.parse_args(["voronoi"]))
 
 
 def test_default_trials_per_experiment():
     parser = cli._build_parser()
     expected = {
         "degree": 100_000, "isolation": 100_000, "threshold": 100_000, "sectors": 100_000, "msr": 100_000,
-        "neutralize": 2_000, "collude": 50_000, "voronoi": 20_000, "selftest": 0,
+        "neutralize": 2_000, "collude": 50_000, "voronoi": 20_000,
     }
-    assert {name: cli._resolve(parser.parse_args([name])).trials for name in cli._EXPERIMENTS} == expected
+    assert {name: cli._resolve(parser.parse_args([name])).trials for name in expected} == expected
+    assert cli._EXPERIMENTS["selftest"].trials is None  # the battery sets its own budgets
 
 
 # ------------------------------------------------------------------ defaults
@@ -333,7 +462,7 @@ def test_trial_defaults_per_experiment(tmp_path):
 
 
 def test_runconfig_network_mapping():
-    rc = RunConfig(experiment="collude", lambda_e=0.2, b=3.0, power=2.0, rho=1.0)
+    rc = RunConfig(experiment="threshold", lambda_e=0.2, b=3.0, power=2.0, rho=1.0)
     cfg = rc.network()
     assert cfg.gain.kind == "unbounded" and cfg.gain.b == 3.0
     assert cfg.lambda_e == 0.2 and cfg.p_l == 2.0 and cfg.rho == 1.0

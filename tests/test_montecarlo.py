@@ -75,6 +75,14 @@ def test_distance_domain_kinds_refuse_no_eavesdroppers(kind):
         _sample(kind, cfg=NetworkConfig(lambda_e=0.0))
 
 
+@pytest.mark.parametrize("kind", ["neighbor_msr", "colluding_power", "colluding_degree"])
+def test_unbounded_gain_kinds_refuse_the_bounded_gain(kind):
+    # their laws and secure radii are stated for r^(-2b) alone: a named
+    # refusal, not rates built from the wrong gain
+    with pytest.raises(ValueError, match="unbounded gain"):
+        _sample(kind, cfg=NetworkConfig(lambda_e=0.1, gain=GainModel("bounded", 2.0)), trials=1000)
+
+
 def test_sample_reductions():
     # ties count as <=: the two zeros (no secrecy) are in the CDF at 0
     values, ses = Sample(np.array([0.0, 0.0, 0.5, 1.0, 1.0, 2.0])).ecdf((0, 0.5, 1, 1.5))
@@ -539,7 +547,7 @@ def test_colluding_requires_converging_exponent():
 
 def test_colluding_mean_degree_tracks_sinc():
     est = _sample("colluding_degree", trials=30_000, threads=4).mean()
-    want = analytic.mean_degree_colluding(1.0, 0.5, 2.0)
+    want = analytic.mean_degree_colluding(CFG)
     assert est.value == pytest.approx(want, abs=6 * est.std_error)
 
 
