@@ -84,13 +84,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.experiment not in _EXPERIMENTS:
             raise _UsageError(f"unknown experiment {self.experiment!r}")
-        keys = _EXPERIMENTS[self.experiment].keys
+        run = self.experiment if self.sweep_b is None else f"{self.experiment} --sweep-b"
         for f in dataclasses.fields(self)[1:]:
             value = getattr(self, f.name)
-            if f.name not in keys and value != f.default:
+            if f.name not in self.keys and value != f.default:
                 raise _UsageError(
-                    f"{self.experiment} does not read {f.name!r}: got {value!r}, "
-                    f"only its default {f.default!r} is accepted"
+                    f"{run} does not read {f.name!r}: got {value!r}, only its default {f.default!r} is accepted"
                 )
         if self.format not in _FORMATS:
             raise _UsageError(f"format must be one of {_FORMATS}, got {self.format!r}")
@@ -99,7 +98,14 @@ class RunConfig:
         if not 1 <= self.threads <= _MAX_THREADS:
             raise _UsageError(f"threads must be between 1 and {_MAX_THREADS}, got {self.threads}")
 
-    def network(self, rho: float | None = None) -> NetworkConfig:
+    @property
+    def keys(self) -> tuple:
+        """The keys this run reads: its experiment's, less b and r_l in a
+        collude sweep, whose points each set b and which has no link."""
+        keys = _EXPERIMENTS[self.experiment].keys
+        return keys if self.sweep_b is None else tuple(k for k in keys if k not in ("b", "r_l"))
+
+    def network(self, rho: float | None = None, b: float | None = None) -> NetworkConfig:
         return NetworkConfig(
             lambda_l=self.lambda_l,
             lambda_e=self.lambda_e,
@@ -107,7 +113,7 @@ class RunConfig:
             sigma2_l=self.sigma2_l,
             sigma2_e=self.sigma2_e,
             rho=self.rho if rho is None else rho,
-            gain=GainModel(kind="unbounded", b=self.b),
+            gain=GainModel(kind="unbounded", b=self.b if b is None else b),
         )
 
 
@@ -201,11 +207,10 @@ _EPHEMERAL_KEYS = ("threads", "out")
 
 def _echo_config(rc: RunConfig) -> dict:
     """The experiment and the keys its run reads, in field order."""
-    keys = _EXPERIMENTS[rc.experiment].keys
     return {
         f.name: getattr(rc, f.name)
         for f in dataclasses.fields(rc)
-        if f.name == "experiment" or (f.name in keys and f.name not in _EPHEMERAL_KEYS)
+        if f.name == "experiment" or (f.name in rc.keys and f.name not in _EPHEMERAL_KEYS)
     }
 
 
@@ -413,7 +418,7 @@ def _run_collude_sweep(rc: RunConfig):
     rows = []
     summary_row = None
     for k, b in enumerate(_parse_sweep(rc.sweep_b)):
-        cfg = dataclasses.replace(rc, b=b).network()
+        cfg = rc.network(b=b)
         ana = analytic.mean_degree_colluding(cfg)
         ratio = rc.lambda_l / rc.lambda_e
         if b <= 1.0:

@@ -11,7 +11,6 @@ the stable way to query it, so that recorded timings say what they measured.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = ["BACKEND", "backend_name", "cell_area", "count_in_cell", "neutral_survivors"]
 
@@ -109,6 +108,8 @@ def neutral_survivors(ex, ey, lx, ly, radius):
     the tree only reports neighbours strictly inside its bound, hence the
     bound one ulp above the radius.
     """
+    from scipy.spatial import cKDTree
+
     m = len(ex)
     if m == 0:
         return np.zeros(0, dtype=bool)

@@ -333,10 +333,12 @@ def _run_blocks(trials: int, root: Rng, threads: int, block_fn, pooled: bool = F
 # elements per trial and in_degree loops over trials in Python; all of them
 # ran slower on two threads than on one at 256-trial blocks, so they run
 # serially, as do the smaller guard-disk and colluding blocks.  voronoi_area
-# runs serially too, though its blocks (array work on about 13k points each)
-# ran 1.6x as fast pooled on two threads at 6000 trials and 1.3x at 1e5
-# (medians of 21 and 4 rounds on a 2-vCPU VM); that is not yet confirmed
-# under load.
+# runs serially too: its blocks (array work on about 13k points each) ran
+# 1.17x, 1.43x, 1.54x and 1.54x as fast pooled on two threads at 6000 trials
+# in four runs on a 2-vCPU VM (medians of 11 interleaved rounds, 161-172 ms
+# serial), but 1.03x in another run of the same kind (111 against 108 ms),
+# and its pooled times spread from 108 to 178 ms within one run, so the gain
+# follows the host's load.
 
 
 def _out_degree(cfg: NetworkConfig, run) -> Sample:

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .pointprocess import PointSet, Rng
 from .propagation import FadingModel, GainModel, gain, sample_fading
@@ -165,6 +164,8 @@ def nearest_distances(query_xy: np.ndarray, ps: PointSet) -> np.ndarray:
 
     One k-d tree query; returns +inf entries when ps is empty.
     """
+    from scipy.spatial import cKDTree
+
     query_xy = np.asarray(query_xy, dtype=np.float64).reshape(-1, 2)
     if len(ps) == 0:
         return np.full(len(query_xy), math.inf)

@@ -120,6 +120,33 @@ def test_sectored_pmf_no_overflow_at_large_arguments():
     assert 0.0 <= v < 1.0 and math.isfinite(v)
 
 
+@pytest.mark.parametrize("lam_e", [0.1, 1.0])
+def test_sectored_pmf_matches_30_digit_reference(lam_e):
+    # against mpmath at the same p, wherever the PMF is at least 1e-300; the
+    # log-gamma route it replaced is measured on the same points, and the
+    # sum of log1p terms may be no less accurate at any sector count
+    from scipy.special import gammaln
+
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    p = 1.0 / (1.0 + lam_e)
+    k = np.arange(2001.0)
+    for L in (1, 2, 3, 4, 8, 16):
+        # P(j) = P(j-1) p (L+j-1)/j from P(0) = (1-p)^L, in 30 digits
+        term = (1 - mpmath.mpf(p)) ** L
+        ref = np.empty(k.size)
+        for j in range(k.size):
+            if j:
+                term *= mpmath.mpf(p) * (L + j - 1) / j
+            ref[j] = float(term)
+        keep = ref >= 1e-300
+        gamma_route = np.exp(gammaln(L + k) - gammaln(L) - gammaln(k + 1) + k * math.log(p) + L * math.log1p(-p))
+        err_new = np.max(np.abs(pmf_out_degree_sectored(k, L, 1.0, lam_e) - ref)[keep] / ref[keep])
+        err_old = np.max(np.abs(gamma_route - ref)[keep] / ref[keep])
+        assert err_new <= err_old, (L, err_new, err_old)
+        assert err_new < 5e-13, (L, err_new)
+
+
 def test_pmf_laws_take_arrays_of_degrees():
     # one call per table: an array of degrees gives the scalar values elementwise
     n = np.arange(60)

@@ -9,10 +9,14 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from secgraph import acceptance, analytic, cli, montecarlo as mc
+from secgraph import acceptance, cli, montecarlo as mc
 from secgraph.cli import RunConfig, _parse_sweep, load_config
 
 
@@ -125,6 +129,28 @@ def test_collude_sweep_follows_unequal_noise(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_collude_sweep_refuses_b_and_r_l(tmp_path, capsys):
+    # each sweep point sets b, and the sweep has no link, so neither key is read
+    for flag, key in (("--b", "b"), ("--r-l", "r_l")):
+        code, out = _run(["collude", "--sweep-b", "2:3:1", flag, "4", "--trials", "300"], tmp_path)
+        assert code == 1 and not out.exists()
+        assert f"collude --sweep-b does not read {key!r}" in capsys.readouterr().err
+    code, out = _run(["collude", "--sweep-b", "2:3:1", "--trials", "300", "--seed", "3"], tmp_path, "sweep.csv")
+    assert code == 0
+    header = [l for l in out.read_text().splitlines() if l.startswith("#")]
+    assert "# b = 2.0" not in header and "# r_l = 1.0" not in header
+    assert "# sweep_b = 2:3:1" in header
+    # the written header reloads as the same run
+    code, again = _run(["collude", "--config", str(out)], tmp_path, "again.csv")
+    assert code == 0 and again.read_bytes() == out.read_bytes()
+    # outside a sweep both keys are read and echoed, with sweep_b as null
+    code, out = _run(["collude", "--b", "3", "--r-l", "0.5", "--trials", "300"], tmp_path, "link.csv")
+    assert code == 0
+    header = [l for l in out.read_text().splitlines() if l.startswith("#")]
+    assert {"# b = 3.0", "# r_l = 0.5", "# sweep_b = null"} <= set(header)
+    capsys.readouterr()
+
+
 def test_sweep_null_row_in_json(tmp_path):
     code, out = _run(
         ["collude", "--sweep-b", "1:2:1", "--trials", "400", "--seed", "5", "--format", "json"],
@@ -163,14 +189,16 @@ def test_same_seed_same_bytes(tmp_path):
 
 
 def test_msr_analytic_column_is_one_quadrature_call(tmp_path, monkeypatch):
+    from scipy import integrate
+
     calls = []
-    tanhsinh = analytic.integrate.tanhsinh
+    tanhsinh = integrate.tanhsinh
 
     def counting(*args, **kwargs):
         calls.append(1)
         return tanhsinh(*args, **kwargs)
 
-    monkeypatch.setattr(analytic.integrate, "tanhsinh", counting)
+    monkeypatch.setattr(integrate, "tanhsinh", counting)
     code, _ = _run(["msr", "--trials", "500"], tmp_path)
     assert code == 0
     assert len(calls) == 1
@@ -290,6 +318,55 @@ def test_selftest_single_criterion(capsys):
     assert "PASS" in out and "out_degree_law" in out
 
 
+# ------------------------------------------------------------ fresh imports
+
+def _fresh_python(script, cwd):
+    """Run script in a new interpreter that finds this secgraph first; this
+    process already holds scipy, so only a new one can see what a run loads."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_numpy_only_subcommands_load_no_scipy(tmp_path):
+    script = """
+import sys
+from secgraph import cli
+for name in ("sectors", "degree", "isolation", "voronoi"):
+    assert cli.main([name, "--trials", "300", "--threads", "2", "--out", name + ".csv"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    assert _fresh_python(script, tmp_path) == "[]"
+
+
+_POOLED_NEUTRALIZE = ["neutralize", "--guard-radius", "1.5", "--lambda-e", "0.5", "--trials", "300", "--seed", "4"]
+
+
+def test_scipy_first_imported_in_pool_workers_gives_the_serial_bytes(tmp_path):
+    # guard radii 0.25 and 0.5 expect too few points per block to pool, so
+    # FORCE_POOL sends their two blocks to the pool too: both workers then
+    # reach the first k-d tree, and the import of scipy.spatial, at once
+    script = f"""
+import sys, threading
+from secgraph import cli, montecarlo as mc
+first = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.spatial":
+            first.append(threading.current_thread() is threading.main_thread())
+sys.meta_path.insert(0, Spy())
+mc.FORCE_POOL = True
+code = cli.main({_POOLED_NEUTRALIZE!r} + ["--threads", "2", "--out", "pooled.csv"])
+print(code, first)
+"""
+    assert _fresh_python(script, tmp_path) == "0 [False]"
+    code, serial = _run([*_POOLED_NEUTRALIZE, "--threads", "1"], tmp_path, "serial.csv")
+    assert code == 0
+    assert serial.read_bytes() == (tmp_path / "pooled.csv").read_bytes()
+
+
 # --------------------------------------------------------------- sweep parse
 
 def test_parse_sweep():
@@ -338,18 +415,23 @@ def test_parser_derives_one_flag_per_config_key():
     values = {float: "2.5", int: "3", str: "1:2:1"}
     texts = {"out": "x.csv", "format": "json"}
     for name, flags in _FLAGS.items():
-        argv = [name]
-        for flag in sorted(flags - {"--config", "--check", "--criteria"}):
-            key = flag[2:].replace("-", "_")
-            argv += [flag, texts.get(key, values[declared[RunConfig.__dataclass_fields__[key].type]])]
-        rc = cli._resolve(parser.parse_args(argv))
-        for flag, text in zip(argv[1::2], argv[2::2]):
-            key = flag[2:].replace("-", "_")
-            kind = declared[RunConfig.__dataclass_fields__[key].type]
-            assert type(getattr(rc, key)) is kind and getattr(rc, key) == kind(text), (name, key)
-        # the echo holds the experiment and the read keys, less threads and out
-        echoed = {"--" + k.replace("_", "-") for k in cli._echo_config(rc)}
-        assert echoed == (flags - {"--config", "--check", "--criteria", "--threads", "--out"}) | {"--experiment"}
+        # a collude sweep reads neither b nor r_l, so collude is parsed in both modes
+        modes = (flags - {"--sweep-b"}, flags - {"--b", "--r-l"}) if name == "collude" else (flags,)
+        for given in modes:
+            argv = [name]
+            for flag in sorted(given - {"--config", "--check", "--criteria"}):
+                key = flag[2:].replace("-", "_")
+                argv += [flag, texts.get(key, values[declared[RunConfig.__dataclass_fields__[key].type]])]
+            rc = cli._resolve(parser.parse_args(argv))
+            for flag, text in zip(argv[1::2], argv[2::2]):
+                key = flag[2:].replace("-", "_")
+                kind = declared[RunConfig.__dataclass_fields__[key].type]
+                assert type(getattr(rc, key)) is kind and getattr(rc, key) == kind(text), (name, key)
+            # the echo holds the experiment and the read keys, less threads and
+            # out; collude echoes an unset sweep_b as null
+            echoed = {"--" + k.replace("_", "-") for k in cli._echo_config(rc)}
+            ephemeral = {"--config", "--check", "--criteria", "--threads", "--out"}
+            assert echoed == (given - ephemeral) | {"--experiment"} | (flags & {"--sweep-b"})
 
 
 def test_a_flag_the_run_does_not_read_exits_1(capsys, monkeypatch):
