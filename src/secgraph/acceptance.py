@@ -151,7 +151,7 @@ def thresholded_mean(threads: int) -> tuple[bool, str]:
                 closed = cfg.ratio * (cfg.sigma2_e / cfg.sigma2_l) ** (1.0 / cfg.gain.b)
                 closed_ok = closed_ok and abs(exact - closed) < 1e-6
             seed = 10600 + 10 * jp + jr
-            est = mc.estimate_generic("thresholded_degree", cfg, 200_000, Rng(seed), threads).mean()
+            est = mc.estimate_generic("out_degree", cfg, 200_000, Rng(seed), threads).mean()
             rel = abs(est.value - exact) / exact
             worst = max(worst, rel)
             ok = ok and rel < 0.03

@@ -342,7 +342,7 @@ def _run_threshold(rc: RunConfig):
     for k, rho in enumerate(grid):
         cfg = rc.network(rho=rho)
         exact, bound = analytic.mean_out_degree_thresholded(cfg)
-        est = mc.estimate_generic("thresholded_degree", cfg, rc.trials, Rng(_sub_seed(rc.seed, k)), rc.threads).mean()
+        est = mc.estimate_generic("out_degree", cfg, rc.trials, Rng(_sub_seed(rc.seed, k)), rc.threads).mean()
         rows.append((rho, exact, bound, est.value, est.std_error))
         if rho == rc.rho:
             summary = _summary(exact, est.value, est.std_error, 0.03 * exact)
@@ -399,7 +399,10 @@ def _run_msr(rc: RunConfig):
     return ("rho", "cdf_analytic", "cdf_sim", "se"), rows, summary
 
 
-def _parse_sweep(text: str):
+def _parse_sweep(text: str, trials: int):
+    """The b values of start:stop:step.  Raises ValueError, before building
+    any, when the points would need more than the trial budget of one
+    estimate in all."""
     parts = text.split(":")
     if len(parts) != 3:
         raise _UsageError(f"--sweep-b expects start:stop:step, got {text!r}")
@@ -407,17 +410,22 @@ def _parse_sweep(text: str):
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise _UsageError(f"--sweep-b expects numbers in start:stop:step, got {text!r}") from None
-    if step <= 0 or stop < start:
-        raise _UsageError(f"--sweep-b needs step > 0 and stop >= start, got {text!r}")
-    count = int(round((stop - start) / step))
-    vals = [round(start + k * step, 12) for k in range(count + 1)]
+    if not all(math.isfinite(v) for v in (start, stop, step)) or step <= 0 or stop < start:
+        raise _UsageError(f"--sweep-b needs finite numbers, step > 0 and stop >= start, got {text!r}")
+    span = (stop - start) / step
+    if (span + 1.0) * trials > mc._TRIAL_BUDGET:
+        raise ValueError(
+            f"--sweep-b {text} asks for about {span + 1.0:.3g} points of {trials} trials each, "
+            f"over the budget of {mc._TRIAL_BUDGET:.3g} trials"
+        )
+    vals = [round(start + k * step, 12) for k in range(int(round(span)) + 1)]
     return [v for v in vals if v <= stop + 1e-9]
 
 
 def _run_collude_sweep(rc: RunConfig):
     rows = []
     summary_row = None
-    for k, b in enumerate(_parse_sweep(rc.sweep_b)):
+    for k, b in enumerate(_parse_sweep(rc.sweep_b, rc.trials)):
         cfg = rc.network(b=b)
         ana = analytic.mean_degree_colluding(cfg)
         ratio = rc.lambda_l / rc.lambda_e

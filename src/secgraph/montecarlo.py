@@ -5,9 +5,10 @@ per trial and returns them as a Sample; its mean(), pmf() and ecdf(grid) are
 the estimates.  Sampler design notes, per kind:
 
   out_degree         no fading: the one-sector sector_degree draw, exact in
-                     the distance domain.  With fading the graph predicate is
-                     simulated spatially inside a window sized by the fading
-                     tail (recorded in bias_note).
+                     the distance domain, so it reads rho, p_l and the noise
+                     powers.  With fading the graph predicate is simulated
+                     spatially inside a window sized by the fading tail
+                     (recorded in bias_note).
   in_degree          legitimate points in a disk of radius W, eavesdroppers
                      in 2W: every eavesdropper that could capture a counted
                      point lies within twice that point's radius, so the
@@ -21,13 +22,13 @@ the estimates.  Sampler design notes, per kind:
                      by a fresh annulus and go through one more call, which
                      preserves the Poisson law and keeps the estimator
                      unbiased.  Ignores cfg.
-  thresholded_degree exact: the secure range is a deterministic map of the
-                     nearest-eavesdropper distance, so count draws stay in
-                     the distance domain.
   sector_degree      sectors are independent wedges: per sector the nearest
                      eavesdropper's squared distance is Exp at rate
                      pi lambda_e / L and the secure count Poisson on the
-                     wedge.  Exact.
+                     wedge.  Exact.  With one sector, a threshold rho > 0 or
+                     unequal noise maps that distance to the secure range
+                     (secure_range_thresholded), a deterministic map, so the
+                     draw stays exact; with L > 1 both are refused.
   neutralized_degree spatial: survivors of the guard-disk filter determine
                      the effective nearest eavesdropper.  Survivors have
                      density lambda_eff = lambda_e exp(-pi lambda_l rho_n^2),
@@ -55,13 +56,20 @@ the estimates.  Sampler design notes, per kind:
                      contiguous run; their powers are computed in place and
                      each run is summed where it lies (np.add.reduceat).
 
+Each kind refuses, with a ValueError that names the field, the config fields
+its law does not model, rather than ignoring them: fading in every kind but
+out_degree (voronoi_area reads no cfg); a threshold or unequal noise powers
+in in_degree, in neutralized_degree at rho_n > 0 and in out_degree with
+fading; a threshold in colluding_degree.
+
 Reproducibility: trials are partitioned into blocks, each block seeded by
 its own substream of rng, and outcomes are concatenated in block order.  A
 block holds 256 trials, except in the samplers that name their expected
-array elements per trial (draws): the distance-domain one-sector, sector,
-thresholded and neighbour-rate draws and the colluding kinds.  Their blocks
-hold the largest of 256, 512, ..., 4096 trials that expects at most 2^17
-draws (_block_size).  The size follows from the kind and its parameters
+array elements per trial (draws): the distance-domain sector and
+neighbour-rate draws and the colluding kinds.  Their blocks hold the largest
+of 256, 512, ..., 4096 trials that expects at most 2^17 draws (_block_size),
+and a run whose first block expects more than 1e7 is refused before any
+block (_BLOCK_BUDGET).  The size follows from the kind and its parameters
 alone, so thread count changes only which worker executes a block, never
 the numbers.  threads is a ceiling: only the kinds whose blocks release the
 GIL use a pool (see _run_blocks), the rest run their blocks serially.
@@ -105,6 +113,13 @@ _BLOCK = 256
 # where its b = 1.5 colluding blocks hold 456 draws per trial.
 _MAX_BLOCK = 16 * _BLOCK
 _BLOCK_DRAWS = 2**17
+# Points or array elements one block may expect, however few trials it
+# holds: a run whose first block expects more is refused before any block
+# runs.  An in-degree point costs about 50 bytes at peak and a named draw 8
+# bytes per array that holds it, so 1e7 is a few hundred megabytes per
+# thread; an in-degree block that size also takes about 15 s, since
+# count_in_cell is quadratic within each trial.
+_BLOCK_BUDGET = 1e7
 # Trials one estimate may ask for: its outcomes alone are 400 MB of float64,
 # twice that while the blocks are concatenated.
 _TRIAL_BUDGET = 50_000_000
@@ -164,18 +179,12 @@ class Sample:
 # window sizing (first-class, auditable)
 
 
-# Legitimate points an in-degree block may expect.  Each costs about 50 bytes
-# at peak, so 1e7 points is half a gigabyte per thread; such a block also
-# takes about 15 s, since count_in_cell is quadratic within each trial.
-_IN_DEGREE_POINT_BUDGET = 1e7
-
-
 def in_degree_window(lambda_l: float, lambda_e: float, bias: float = 1e-4) -> float:
     """Smallest disk radius keeping the expected count of missed legitimate
     points, (lambda_l/lambda_e) exp(-lambda_e pi W^2), below the bias target.
 
     Raises ValueError when a block of _BLOCK trials would expect more
-    legitimate points in the window than _IN_DEGREE_POINT_BUDGET.
+    legitimate points in the window than _BLOCK_BUDGET.
     """
     if lambda_e <= 0:
         raise ValueError("in-degree window needs lambda_e > 0")
@@ -185,10 +194,10 @@ def in_degree_window(lambda_l: float, lambda_e: float, bias: float = 1e-4) -> fl
     else:
         w2 = math.log(ratio / bias) / (math.pi * lambda_e)
     expected = _BLOCK * lambda_l * math.pi * w2
-    if expected > _IN_DEGREE_POINT_BUDGET:
+    if expected > _BLOCK_BUDGET:
         raise ValueError(
             f"in-degree window at lambda_l {lambda_l}, lambda_e {lambda_e} needs about {expected:.3g} "
-            f"legitimate points per {_BLOCK}-trial block, over the budget of {_IN_DEGREE_POINT_BUDGET:.3g}"
+            f"legitimate points per {_BLOCK}-trial block, over the budget of {_BLOCK_BUDGET:.3g}"
         )
     return math.sqrt(w2)
 
@@ -285,7 +294,8 @@ def neutralization_window(cfg: NetworkConfig, rho_n: float) -> float:
 def _block_size(draws: float | None) -> int:
     """Trials per block for draws expected array elements per trial: _BLOCK
     when draws is None, else the largest _BLOCK 2^k up to _MAX_BLOCK whose
-    block expects at most _BLOCK_DRAWS (never below _BLOCK)."""
+    block expects at most _BLOCK_DRAWS (never below _BLOCK, so a block's
+    memory grows with draws until _run_blocks refuses it at _BLOCK_BUDGET)."""
     size = _BLOCK
     while draws is not None and size < _MAX_BLOCK and 2 * size * draws <= _BLOCK_DRAWS:
         size *= 2
@@ -309,9 +319,17 @@ def _run_blocks(trials: int, root: Rng, threads: int, block_fn, pooled: bool = F
     The blocks go to a pool of min(threads, blocks) workers only when pooled
     (or FORCE_POOL) is set; otherwise they run serially, whatever threads
     says.  Results come back in block order either way; block_fn must derive
-    all randomness from the Rng it is handed.
+    all randomness from the Rng it is handed.  Raises ValueError, before any
+    block runs, when the first block expects more than _BLOCK_BUDGET draws.
     """
-    plan = _blocks(trials, _block_size(draws))
+    size = _block_size(draws)
+    first = min(size, trials)
+    if draws is not None and first * draws > _BLOCK_BUDGET:
+        raise ValueError(
+            f"a block of {first} trials expects about {first * draws:.3g} array elements, "
+            f"over the budget of {_BLOCK_BUDGET:.3g}"
+        )
+    plan = _blocks(trials, size)
     workers = min(threads, len(plan))
     if workers <= 1 or not (pooled or FORCE_POOL):
         return [block_fn(root.substream(i), n) for i, n in plan]
@@ -341,9 +359,24 @@ def _run_blocks(trials: int, root: Rng, threads: int, block_fn, pooled: bool = F
 # follows the host's load.
 
 
+def _refuse(cfg: NetworkConfig, kind: str, *fields: str) -> None:
+    """Raise ValueError naming the first of fields ("fading", "rho",
+    "sigma2_e") that cfg sets off what kind's law assumes: no fading, no
+    secrecy-rate threshold, and equal noise powers."""
+    got = {
+        "fading": repr(cfg.fading.kind) if cfg.fading.kind != "none" else None,
+        "rho": cfg.rho if cfg.rho > 0 else None,
+        "sigma2_e": f"{cfg.sigma2_e} against sigma2_l {cfg.sigma2_l}" if cfg.sigma2_e != cfg.sigma2_l else None,
+    }
+    for f in fields:
+        if got[f] is not None:
+            raise ValueError(f"{kind} does not model {f}, got {got[f]}")
+
+
 def _out_degree(cfg: NetworkConfig, run) -> Sample:
     if cfg.fading.kind == "none":
-        return _sector_degree(cfg, run)  # one sector: the geometric law
+        return _sector_degree(cfg, run)  # one sector: the geometric law, or its thresholded map
+    _refuse(cfg, "out_degree with fading", "rho", "sigma2_e")
     w = fading_window(cfg.fading, cfg.lambda_e)
 
     def block(rng: Rng, n: int):
@@ -371,6 +404,7 @@ def _out_degree(cfg: NetworkConfig, run) -> Sample:
 def _in_degree(cfg: NetworkConfig, run) -> Sample:
     if cfg.lambda_e <= 0:
         raise ValueError("in-degree estimation needs lambda_e > 0")
+    _refuse(cfg, "in_degree", "fading", "rho", "sigma2_e")
     w = in_degree_window(cfg.lambda_l, cfg.lambda_e)
 
     def block(rng: Rng, n: int):
@@ -411,32 +445,26 @@ def _voronoi_area(cfg, run) -> Sample:
     return Sample(np.concatenate(run(_voronoi_block)))
 
 
-def _thresholded_degree(cfg: NetworkConfig, run) -> Sample:
-    if cfg.lambda_e <= 0:
-        raise ValueError("thresholded-degree estimation needs lambda_e > 0")
-    lam = 1.0 / (math.pi * cfg.lambda_e)
-    area_rate = cfg.lambda_l * math.pi
-
-    def block(rng: Rng, n: int):
-        g = rng.generator()
-        re = np.sqrt(g.exponential(scale=lam, size=n))
-        psi = secure_range_thresholded(re, cfg)
-        return g.poisson(lam=area_rate * psi * psi)
-
-    return Sample(np.concatenate(run(block, draws=1)), "exact distance-domain sampling")
-
-
 def _sector_degree(cfg: NetworkConfig, run, L: int = 1) -> Sample:
     if not (isinstance(L, int) and L >= 1):
         raise ValueError(f"L must be an integer >= 1, got {L}")
     if cfg.lambda_e <= 0:
         raise ValueError("sector-degree estimation needs lambda_e > 0")
+    _refuse(cfg, "sector_degree", "fading")
+    if L > 1:
+        _refuse(cfg, f"sector_degree with L={L} sectors", "rho", "sigma2_e")
+    # a threshold or unequal noise maps the nearest eavesdropper's distance
+    # to a secure range; without either the range is the distance itself
+    thresholded = cfg.rho > 0 or cfg.sigma2_l != cfg.sigma2_e
     lam = 1.0 / (math.pi * cfg.lambda_e / L)
     wedge_rate = cfg.lambda_l * math.pi / L
 
     def block(rng: Rng, n: int):
         g = rng.generator()
         dmin2 = g.exponential(scale=lam, size=(n, L))
+        if thresholded:
+            psi = secure_range_thresholded(np.sqrt(dmin2), cfg)
+            return g.poisson(lam=wedge_rate * psi * psi).sum(axis=1)
         return g.poisson(lam=wedge_rate * dmin2).sum(axis=1)
 
     return Sample(np.concatenate(run(block, draws=L)), f"exact per-sector distance-domain sampling, L={L}")
@@ -505,8 +533,10 @@ def _neutralized_degrees(g, cfg: NetworkConfig, rho_n: float, w0: float, m: int)
 
 
 def _neutralized_degree(cfg: NetworkConfig, run, rho_n: float = 0.0) -> Sample:
+    _refuse(cfg, "neutralized_degree", "fading")
     if rho_n == 0.0:
-        return _sector_degree(cfg, run)  # no guard disks: the baseline law
+        return _sector_degree(cfg, run)  # no guard disks: the one-sector draw
+    _refuse(cfg, f"neutralized_degree with guard radius {rho_n}", "rho", "sigma2_e")
     w0 = neutralization_window(cfg, rho_n)
     per_trial = cfg.lambda_l * math.pi * (w0 + rho_n) ** 2
     chunk = int(min(_BLOCK, max(1.0, _NEUTRAL_CALL_POINTS / per_trial)))
@@ -532,6 +562,7 @@ def _neighbor_msr(cfg: NetworkConfig, run, neighbor_index: int = 1) -> Sample:
         raise ValueError(f"neighbor index must be an integer >= 1, got {i}")
     if cfg.gain.kind != "unbounded":
         raise ValueError("neighbor-MSR estimation requires the unbounded gain model")
+    _refuse(cfg, "neighbor_msr", "fading")
     if cfg.lambda_e <= 0:
         raise ValueError("neighbor-MSR estimation needs lambda_e > 0")
     b = cfg.gain.b
@@ -549,7 +580,9 @@ def _neighbor_msr(cfg: NetworkConfig, run, neighbor_index: int = 1) -> Sample:
 # to the pool.  The count depends only on b and rel_std: colluding_window
 # gives 456 at b = 1.5, 333 at b = 1.55, 250 at b = 1.6 and 122 at b = 1.75.
 # Timed at 15000 trials, those ran 1.6x, 1.35x, 1.05x and 0.78x as fast on
-# two threads as on one (medians of 21 rounds).
+# two threads as on one (medians of 21 rounds).  It grows without bound as b
+# falls to 1: 1.16e5 at b = 1.05, whose 256-trial block is over _BLOCK_BUDGET
+# and refused.
 _COLLUDING_POOL_POINTS = 300.0
 
 
@@ -560,6 +593,7 @@ def _colluding_power_block(cfg: NetworkConfig, r_window: float | None):
     b = cfg.gain.b
     if cfg.gain.kind != "unbounded" or b <= 1.0:
         raise ValueError("aggregate eavesdropper power requires unbounded gain with b > 1")
+    _refuse(cfg, "aggregate eavesdropper power", "fading")
     if not (math.isfinite(w) and w > 0):
         raise ValueError(f"r_window must be positive and finite, got {w}")
     tail = 2.0 * math.pi * cfg.lambda_e * cfg.p_l * w ** (2.0 - 2.0 * b) / (2.0 * b - 2.0)
@@ -591,6 +625,7 @@ def _colluding_power(cfg: NetworkConfig, run, r_window: float | None = None) -> 
 
 
 def _colluding_degree(cfg: NetworkConfig, run, r_window: float | None = None) -> Sample:
+    _refuse(cfg, "colluding_degree", "rho")
     power_block, how, note = _colluding_power_block(cfg, r_window)
     # secure radius r with P_l r^(-2b)/sigma2_l > P_agg/sigma2_e
     c = cfg.p_l * cfg.sigma2_e / cfg.sigma2_l
@@ -607,7 +642,6 @@ _SAMPLERS = {
     "out_degree": _out_degree,
     "in_degree": _in_degree,
     "voronoi_area": _voronoi_area,
-    "thresholded_degree": _thresholded_degree,
     "sector_degree": _sector_degree,
     "neutralized_degree": _neutralized_degree,
     "neighbor_msr": _neighbor_msr,
@@ -621,7 +655,10 @@ def estimate_generic(kind: str, cfg: NetworkConfig | None, trials: int, rng: Rng
 
     params are the kind's own: L (sector_degree), rho_n (neutralized_degree),
     neighbor_index (neighbor_msr) and r_window (the colluding kinds; default
-    colluding_window(cfg)).  voronoi_area ignores cfg.
+    colluding_window(cfg)).  voronoi_area ignores cfg.  The degree under a
+    secrecy-rate threshold or unequal noise is out_degree with cfg.rho,
+    cfg.p_l and the noise powers set.  Raises ValueError for a config field
+    the kind does not model, and for a run over the trial or block budget.
     """
     if kind not in _SAMPLERS:
         raise ValueError(f"unknown experiment kind {kind!r}; expected one of {tuple(_SAMPLERS)}")

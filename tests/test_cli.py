@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -370,11 +371,41 @@ print(code, first)
 # --------------------------------------------------------------- sweep parse
 
 def test_parse_sweep():
-    assert _parse_sweep("1.5:3:0.5") == [1.5, 2.0, 2.5, 3.0]
-    assert _parse_sweep("2:2:1") == [2.0]
-    for bad in ("1:2", "a:b:c", "1:2:0", "3:1:0.5"):
+    assert _parse_sweep("1.5:3:0.5", 1000) == [1.5, 2.0, 2.5, 3.0]
+    assert _parse_sweep("2:2:1", 1000) == [2.0]
+    for bad in ("1:2", "a:b:c", "1:2:0", "3:1:0.5", "nan:2:1", "1:inf:1", "1:2:nan"):
         with pytest.raises(cli._UsageError):
-            _parse_sweep(bad)
+            _parse_sweep(bad, 1000)
+
+
+def test_sweep_over_the_trial_budget_exits_2_before_building(tmp_path, capsys, monkeypatch):
+    # 4.5e12 points are refused from their count alone: no grid, no sampling
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before refusing the sweep")
+
+    monkeypatch.setattr(mc, "estimate_generic", no_sampling)
+    start = time.perf_counter()
+    code, out = _run(["collude", "--sweep-b", "1.5:6:1e-12", "--trials", "1000"], tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out.exists()
+    assert "about 4.5e+12 points of 1000 trials each, over the budget of 5e+07 trials" in capsys.readouterr().err
+    # the budget counts points times trials: 10001 points of 4999 trials fit
+    # in 5e7, of 5000 trials they do not
+    assert len(_parse_sweep("1:2:1e-4", 4999)) == 10_001
+    with pytest.raises(ValueError, match="over the budget"):
+        _parse_sweep("1:2:1e-4", 5000)
+
+
+@pytest.mark.parametrize("args", [["collude", "--b", "1.05"], ["sectors", "--sectors", "1000000"]])
+def test_oversized_blocks_exit_2_before_any_block(tmp_path, capsys, monkeypatch, args):
+    # 1.16e5 eavesdroppers per trial, or 1e6 sectors, in a 256-trial block
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("planned blocks before refusing their size")
+
+    monkeypatch.setattr(mc, "_blocks", no_blocks)
+    code, out = _run(args, tmp_path)
+    assert code == 2 and not out.exists()
+    assert "array elements, over the budget of 1e+07" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ derived parser

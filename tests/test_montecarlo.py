@@ -6,6 +6,7 @@ percent) so the suite stays quiet; the tight cross-validation lives in
 the acceptance criteria.
 """
 
+import dataclasses
 import math
 import re
 import threading
@@ -67,12 +68,16 @@ def test_estimate_generic_validation():
     assert len(_sample("neighbor_msr", trials=300).values) == 300
 
 
-@pytest.mark.parametrize("kind", ["out_degree", "sector_degree", "thresholded_degree", "neighbor_msr"])
-def test_distance_domain_kinds_refuse_no_eavesdroppers(kind):
+@pytest.mark.parametrize(
+    "kind,rho",
+    [("out_degree", 0.0), ("sector_degree", 0.0), ("out_degree", 1.0), ("neighbor_msr", 0.0)],
+    ids=["out_degree", "sector_degree", "out_degree_thresholded", "neighbor_msr"],
+)
+def test_distance_domain_kinds_refuse_no_eavesdroppers(kind, rho):
     # the nearest eavesdropper's distance has no law at lambda_e = 0: a named
     # refusal, not a division by zero inside a block
     with pytest.raises(ValueError, match="needs lambda_e > 0"):
-        _sample(kind, cfg=NetworkConfig(lambda_e=0.0))
+        _sample(kind, cfg=NetworkConfig(lambda_e=0.0, rho=rho))
 
 
 @pytest.mark.parametrize("kind", ["neighbor_msr", "colluding_power", "colluding_degree"])
@@ -81,6 +86,43 @@ def test_unbounded_gain_kinds_refuse_the_bounded_gain(kind):
     # refusal, not rates built from the wrong gain
     with pytest.raises(ValueError, match="unbounded gain"):
         _sample(kind, cfg=NetworkConfig(lambda_e=0.1, gain=GainModel("bounded", 2.0)), trials=1000)
+
+
+_FADED = NetworkConfig(lambda_e=0.1, fading=FadingModel("nakagami", m=2.0))
+_RHO = NetworkConfig(lambda_e=0.1, rho=3.0)
+_NOISE = NetworkConfig(lambda_e=0.1, sigma2_e=4.0)
+_REFUSED = [
+    ("in_degree", {}, _FADED, "fading"),
+    ("in_degree", {}, _RHO, "rho"),
+    ("in_degree", {}, _NOISE, "sigma2_e"),
+    ("sector_degree", {"L": 2}, _FADED, "fading"),
+    ("neutralized_degree", {"rho_n": 0.0}, _FADED, "fading"),
+    ("neutralized_degree", {"rho_n": 0.5}, _FADED, "fading"),
+    ("neutralized_degree", {"rho_n": 0.5}, _RHO, "rho"),
+    ("neutralized_degree", {"rho_n": 0.5}, _NOISE, "sigma2_e"),
+    ("neighbor_msr", {}, _FADED, "fading"),
+    ("colluding_power", {}, _FADED, "fading"),
+    ("colluding_degree", {}, _FADED, "fading"),
+    ("colluding_degree", {}, _RHO, "rho"),
+    ("out_degree", {}, dataclasses.replace(_RHO, fading=_FADED.fading), "rho"),
+    ("out_degree", {}, dataclasses.replace(_NOISE, fading=_FADED.fading), "sigma2_e"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,params,cfg,field",
+    _REFUSED,
+    ids=["-".join([kind, *map(str, params.values()), field]) for kind, params, _, field in _REFUSED],
+)
+def test_kinds_refuse_the_fields_they_do_not_model(kind, params, cfg, field, monkeypatch):
+    # a field the kind's law does not model would otherwise be ignored and
+    # the result read as if it held: a named refusal before any block
+    def sampled(*args, **kwargs):
+        pytest.fail("a refused config reached the block harness")
+
+    monkeypatch.setattr(montecarlo, "_run_blocks", sampled)
+    with pytest.raises(ValueError, match=f"does not model {field}, got"):
+        _sample(kind, cfg=cfg, **params)
 
 
 def test_sample_reductions():
@@ -141,7 +183,7 @@ _INVARIANCE = [
     ("out_degree", {"cfg": NetworkConfig(lambda_e=0.5, fading=FadingModel("nakagami", m=2.0)), "trials": 600}),
     ("in_degree", {"trials": 600}),
     ("voronoi_area", {"cfg": None, "trials": 600}),
-    ("thresholded_degree", {"cfg": NetworkConfig(lambda_e=0.5, rho=1.0), "trials": _CHEAP}),
+    ("out_degree", {"cfg": NetworkConfig(lambda_e=0.5, rho=1.0), "trials": _CHEAP}),
     ("sector_degree", {"L": 3, "trials": _CHEAP}),
     ("neutralized_degree", {"rho_n": 0.4, "trials": 512}),
     ("neighbor_msr", {"neighbor_index": 2, "trials": _CHEAP}),
@@ -201,7 +243,7 @@ _SERIAL = (
         ("out_degree", {"trials": _CHEAP}),
         ("in_degree", {"trials": 600}),
         ("voronoi_area", {"cfg": None, "trials": 600}),
-        ("thresholded_degree", {"cfg": NetworkConfig(lambda_e=0.5, rho=1.0), "trials": _CHEAP}),
+        ("out_degree", {"cfg": NetworkConfig(lambda_e=0.5, rho=1.0), "trials": _CHEAP}),
         ("sector_degree", {"L": 3, "trials": _CHEAP}),
         ("neutralized_degree", {"rho_n": 0.0, "trials": _CHEAP}),
         ("neighbor_msr", {"neighbor_index": 2, "trials": _CHEAP}),
@@ -259,7 +301,7 @@ def test_block_size_follows_draws(monkeypatch):
     # one expected draw per trial: 4096-trial blocks, the last one partial
     cheap = [
         ("out_degree", {}),
-        ("thresholded_degree", {"cfg": NetworkConfig(lambda_e=0.5, rho=1.0)}),
+        ("out_degree", {"cfg": NetworkConfig(lambda_e=0.5, rho=1.0)}),
         ("sector_degree", {"L": 3}),
         ("neutralized_degree", {"rho_n": 0.0}),
         ("neighbor_msr", {"neighbor_index": 2}),
@@ -303,6 +345,29 @@ def test_absurd_trial_count_is_refused_before_sampling(monkeypatch):
         _sample("sector_degree", trials=10**12)
     with pytest.raises(ValueError, match="over the budget"):
         _sample("out_degree", trials=montecarlo._TRIAL_BUDGET + 1)
+
+
+def test_oversized_blocks_are_refused_before_any_block(monkeypatch):
+    # a sector per draw, or a window of eavesdroppers per trial, multiplies a
+    # block's memory; a first block expecting over _BLOCK_BUDGET elements is
+    # refused before anything is drawn
+    budget = montecarlo._BLOCK_BUDGET
+    assert montecarlo._run_blocks(256, Rng(1), 1, lambda rng, n: n, draws=budget / 256) == [256]
+    assert montecarlo._run_blocks(10, Rng(1), 1, lambda rng, n: n, draws=budget / 10) == [10]
+    with pytest.raises(ValueError, match="a block of 256 trials expects about 1e[+]07 array elements"):
+        montecarlo._run_blocks(300, Rng(1), 1, lambda rng, n: n, draws=budget / 256 * (1 + 1e-9))
+
+    def planned(*args, **kwargs):
+        pytest.fail("an oversized block was planned")
+
+    monkeypatch.setattr(montecarlo, "_blocks", planned)
+    with pytest.raises(ValueError, match="expects about 2.56e[+]08 array elements, over the budget of 1e[+]07"):
+        _sample("sector_degree", L=10**6, trials=1000)
+    # b = 1.05: about 1.16e5 eavesdroppers per trial in the default window
+    cfg = NetworkConfig(lambda_e=0.1, gain=GainModel("unbounded", 1.05))
+    for kind in ("colluding_power", "colluding_degree"):
+        with pytest.raises(ValueError, match="over the budget of 1e[+]07"):
+            _sample(kind, cfg=cfg, trials=1000)
 
 
 def test_same_seed_same_pmf_different_seed_differs():
@@ -393,7 +458,7 @@ def test_thresholded_degree_matches_graph():
     cfg = NetworkConfig(lambda_e=1.0, rho=1.0, p_l=5.0)
     w = math.sqrt(10.0 / math.pi)
     out_deg, _ = _origin_degrees(lambda nodes, eaves, t: build_thresholded(nodes, eaves, cfg), 3000, 1.0, w, w, 99)
-    _assert_mean_matches(_sample("thresholded_degree", cfg=cfg, trials=20_000, threads=2), out_deg, "thresholded")
+    _assert_mean_matches(_sample("out_degree", cfg=cfg, trials=20_000, threads=2), out_deg, "thresholded")
 
 
 def test_sector_degree_matches_graph():
@@ -455,10 +520,38 @@ def test_voronoi_blocks_extend_only_unsafe_trials(monkeypatch):
 
 def test_thresholded_mean_tracks_quadrature():
     cfg = NetworkConfig(lambda_e=0.5, rho=1.0, p_l=5.0)
-    est = _sample("thresholded_degree", cfg=cfg, trials=40_000, threads=4).mean()
+    est = _sample("out_degree", cfg=cfg, trials=40_000, threads=4).mean()
     exact, bound = analytic.mean_out_degree_thresholded(cfg)
     assert exact <= bound
     assert est.value == pytest.approx(exact, abs=6 * est.std_error)
+
+
+def test_one_sector_draws_follow_the_threshold_and_noise():
+    # out_degree, sector_degree at L = 1 and neutralized_degree at rho_n = 0
+    # are one draw, which maps the nearest eavesdropper's distance through
+    # the secure range: with rho = 2 and sigma2_e = 4 its mean is 2.99, not
+    # the lambda_l/lambda_e = 10 of the plain distance
+    cfg = NetworkConfig(lambda_e=0.1, p_l=5.0, rho=2.0, sigma2_e=4.0)
+    exact, _ = analytic.mean_out_degree_thresholded(cfg)
+    samples = [
+        _sample("out_degree", cfg=cfg, trials=40_000),
+        _sample("sector_degree", cfg=cfg, trials=40_000, L=1),
+        _sample("neutralized_degree", cfg=cfg, trials=40_000, rho_n=0.0),
+    ]
+    for sample in samples:
+        est = sample.mean()
+        assert abs(est.value - exact) < 3 * est.std_error
+        assert np.array_equal(sample.values, samples[0].values)
+
+
+def test_sectors_refuse_a_threshold():
+    # no law covers sectors under a threshold or unequal noise
+    for cfg, field in [
+        (NetworkConfig(lambda_e=0.5, rho=1.0), "rho"),
+        (NetworkConfig(lambda_e=0.5, sigma2_e=2.0), "sigma2_e"),
+    ]:
+        with pytest.raises(ValueError, match=f"sector_degree with L=2 sectors does not model {field}"):
+            _sample("sector_degree", cfg=cfg, L=2, trials=100)
 
 
 def test_sector_mean_scales_with_L():
