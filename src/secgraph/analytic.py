@@ -164,15 +164,32 @@ def pmf_out_degree(n, lambda_l: float, lambda_e: float):
     return float(out) if out.ndim == 0 else out
 
 
+# Terms of the log1p sum that pmf_out_degree_sectored adds at most.  Past
+# them Stirling's series is at least as accurate against a 30-digit
+# reference (3e-14 relative at L = 33, 4e-12 against the sum's 5e-11 at
+# L = 3001, lambda_e/lambda_l 0.1) and costs O(1) per degree.
+_SECTORED_SUM_TERMS = 32
+
+
+def _stirling_tail(x):
+    """log x! - (x + 1/2) log x + x - log(2 pi)/2 by four terms of its
+    asymptotic series, within 2e-17 for x > _SECTORED_SUM_TERMS."""
+    x2 = x * x
+    return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - 1.0 / (1680.0 * x2)) / x2) / x2) / x
+
+
 def pmf_out_degree_sectored(n, L: int, lambda_l: float, lambda_e: float):
     """Negative binomial out-degree law under L sectors: C(L+n-1, L-1) p^n (1-p)^L.
 
-    Evaluated in log space; overflows for large L+n otherwise.  The log of
-    the binomial is the sum over j = 1..min(n, L-1) of log1p(max(n, L-1)/j),
-    which has no cancellation: a difference of log-gammas of size L+n loses
-    their magnitude times the machine epsilon (4e-12 relative at n = 2000).
-    n may be a degree (returns a float) or an array of degrees (returns an
-    array of its shape).
+    Evaluated in log space; overflows for large L+n otherwise.  With
+    m = min(n, L-1) and M = max(n, L-1), log C is the sum over j = 1..m of
+    log1p(M/j), which has no cancellation (a difference of log-gammas of
+    size L+n loses their magnitude times the machine epsilon, 4e-12
+    relative at n = 2000).  Past _SECTORED_SUM_TERMS terms it is Stirling's
+    form m log1p(M/m) + M log1p(m/M) + log((m+M)/(2 pi m M))/2 plus the
+    series tails, whose terms do not cancel either, so a table of N degrees
+    costs O(N) at any L.  n may be a degree (returns a float) or an array of
+    degrees (returns an array of its shape).
     """
     _check_densities(lambda_l, lambda_e)
     if lambda_e <= 0:
@@ -181,11 +198,25 @@ def pmf_out_degree_sectored(n, L: int, lambda_l: float, lambda_e: float):
         raise ValueError(f"sector count must be an integer >= 1, got {L}")
     k = _degrees(n)
     p = lambda_l / (lambda_l + lambda_e)
-    terms, big = np.minimum(k, L - 1), np.maximum(k, L - 1)
-    logc = np.zeros_like(k)
-    for j in range(1, int(terms.max()) + 1):
-        logc += np.where(j <= terms, np.log1p(big / j), 0.0)
-    out = np.exp(logc + k * math.log(p) + L * math.log1p(-p))
+    terms, big = np.minimum(k, L - 1).ravel(), np.maximum(k, L - 1).ravel()
+    logc = np.empty_like(terms)
+    summed = terms <= _SECTORED_SUM_TERMS
+    m, M = terms[summed], big[summed]
+    acc = np.zeros_like(m)
+    for j in range(1, int(m.max(initial=0)) + 1):
+        acc += np.where(j <= m, np.log1p(M / j), 0.0)
+    logc[summed] = acc
+    m, M = terms[~summed], big[~summed]
+    s = m + M
+    logc[~summed] = (
+        m * np.log1p(M / m)
+        + M * np.log1p(m / M)
+        + 0.5 * np.log(s / (2.0 * math.pi * m * M))
+        + _stirling_tail(s)
+        - _stirling_tail(m)
+        - _stirling_tail(M)
+    )
+    out = np.exp(logc.reshape(k.shape) + k * math.log(p) + L * math.log1p(-p))
     return float(out) if out.ndim == 0 else out
 
 

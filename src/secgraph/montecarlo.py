@@ -13,7 +13,8 @@ the estimates.  Sampler design notes, per kind:
                      in 2W: every eavesdropper that could capture a counted
                      point lies within twice that point's radius, so the
                      only bias is legitimate points beyond W, bounded by
-                     (lambda_l/lambda_e) exp(-lambda_e pi W^2).
+                     (lambda_l/lambda_e) exp(-lambda_e pi W^2).  The counts
+                     of a block come from one count_in_cell call.
   voronoi_area       typical unit-density cell as the polar of the convex
                      hull of the points mapped by p -> 2p/|p|^2, every trial
                      of a block in one cell_area call; the trials whose cell
@@ -117,8 +118,8 @@ _BLOCK_DRAWS = 2**17
 # holds: a run whose first block expects more is refused before any block
 # runs.  An in-degree point costs about 50 bytes at peak and a named draw 8
 # bytes per array that holds it, so 1e7 is a few hundred megabytes per
-# thread; an in-degree block that size also takes about 15 s, since
-# count_in_cell is quadratic within each trial.
+# thread; an in-degree block of 9.6e6 points (lambda_e 4.5e-4) took 2-3 s
+# and peaked at 477 MB on a 2-vCPU VM.
 _BLOCK_BUDGET = 1e7
 # Trials one estimate may ask for: its outcomes alone are 400 MB of float64,
 # twice that while the blocks are concatenated.
@@ -348,15 +349,17 @@ def _run_blocks(trials: int, root: Rng, threads: int, block_fn, pooled: bool = F
 # out-degree route, guard-disk blocks of _NEUTRAL_POOL_POINTS or more expected
 # legitimate points, and colluding windows of _COLLUDING_POOL_POINTS or more
 # expected eavesdroppers.  The exact distance-domain kinds draw a few array
-# elements per trial and in_degree loops over trials in Python; all of them
-# ran slower on two threads than on one at 256-trial blocks, so they run
-# serially, as do the smaller guard-disk and colluding blocks.  voronoi_area
-# runs serially too: its blocks (array work on about 13k points each) ran
-# 1.17x, 1.43x, 1.54x and 1.54x as fast pooled on two threads at 6000 trials
-# in four runs on a 2-vCPU VM (medians of 11 interleaved rounds, 161-172 ms
-# serial), but 1.03x in another run of the same kind (111 against 108 ms),
-# and its pooled times spread from 108 to 178 ms within one run, so the gain
-# follows the host's load.
+# elements per trial, and ran slower on two threads than on one at 256-trial
+# blocks.  in_degree steps each block through its 50-60 eavesdropper ranks
+# in arrays of a few thousand points, and ran 0.90-1.14x as fast pooled on
+# two threads at 6000 trials (lambda_e 0.25, 1 and 4, medians of 9 rounds).
+# All of them run serially, as do the smaller guard-disk and colluding
+# blocks.  voronoi_area runs serially too: its blocks (array work on about
+# 13k points each) ran 1.17x, 1.43x, 1.54x and 1.54x as fast pooled on two
+# threads at 6000 trials in four runs on a 2-vCPU VM (medians of 11
+# interleaved rounds, 161-172 ms serial), but 1.03x in another run of the
+# same kind (111 against 108 ms), and its pooled times spread from 108 to
+# 178 ms within one run, so the gain follows the host's load.
 
 
 def _refuse(cfg: NetworkConfig, kind: str, *fields: str) -> None:
@@ -378,6 +381,12 @@ def _out_degree(cfg: NetworkConfig, run) -> Sample:
         return _sector_degree(cfg, run)  # one sector: the geometric law, or its thresholded map
     _refuse(cfg, "out_degree with fading", "rho", "sigma2_e")
     w = fading_window(cfg.fading, cfg.lambda_e)
+    expected = _BLOCK * (cfg.lambda_l + cfg.lambda_e) * math.pi * w * w
+    if expected > _BLOCK_BUDGET:
+        raise ValueError(
+            f"fading window of radius {w:.3g} at lambda_l {cfg.lambda_l}, lambda_e {cfg.lambda_e} needs about "
+            f"{expected:.3g} points per {_BLOCK}-trial block, over the budget of {_BLOCK_BUDGET:.3g}"
+        )
 
     def block(rng: Rng, n: int):
         g = rng.generator()

@@ -8,6 +8,7 @@ at tight absolute tolerances; quadrature-backed quantities get the looser
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,12 +21,14 @@ from secgraph import (
     TABLE_VORONOI_MOMENTS,
     DegreePmf,
     NetworkConfig,
+    Rng,
     Sample,
     VoronoiMoments,
     c_alpha,
     cdf_msr_colluding,
     cdf_msr_neighbor,
     cdf_msr_noncolluding_link,
+    estimate_generic,
     mean_degree_colluding,
     mean_out_degree_neutralization_lb,
     mean_out_degree_thresholded,
@@ -145,6 +148,51 @@ def test_sectored_pmf_matches_30_digit_reference(lam_e):
         err_old = np.max(np.abs(gamma_route - ref)[keep] / ref[keep])
         assert err_new <= err_old, (L, err_new, err_old)
         assert err_new < 5e-13, (L, err_new)
+
+
+@pytest.mark.parametrize("lam_e", [0.1, 1.0])
+def test_sectored_pmf_past_the_sum_matches_30_digit_reference(lam_e):
+    # past _SECTORED_SUM_TERMS terms the law switches to Stirling's form: on
+    # the first degrees and around the mode, against mpmath at the same p,
+    # it must beat the log-gamma route and stay within 5e-11 relative
+    from scipy.special import gammaln
+
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    p = 1.0 / (1.0 + lam_e)
+    for L in (34, 1000, 30000):
+        mean, sd = L * p / (1 - p), math.sqrt(L * p) / (1 - p)
+        k = np.unique(np.concatenate([np.arange(80.0), np.linspace(max(mean - 6 * sd, 0), mean + 6 * sd, 41).round()]))
+        lp = mpmath.log(mpmath.mpf(p))
+        l1p = mpmath.log1p(-mpmath.mpf(p))
+        ref = np.array(
+            [
+                float(mpmath.exp(mpmath.loggamma(L + j) - mpmath.loggamma(L) - mpmath.loggamma(j + 1) + j * lp + L * l1p))
+                for j in k.astype(int).tolist()
+            ]
+        )
+        keep = ref >= 1e-300
+        gamma_route = np.exp(gammaln(L + k) - gammaln(L) - gammaln(k + 1) + k * math.log(p) + L * math.log1p(-p))
+        err_new = np.max(np.abs(pmf_out_degree_sectored(k, L, 1.0, lam_e) - ref)[keep] / ref[keep])
+        err_old = np.max(np.abs(gamma_route - ref)[keep] / ref[keep])
+        assert err_new <= err_old, (L, err_new, err_old)
+        assert err_new < 5e-11, (L, err_new)
+
+
+def test_sectored_pmf_table_is_linear_in_sectors():
+    # the table of a 10-trial sample at L = 30000 has about 3e5 rows; summing
+    # min(n, L - 1) log1p terms per row took 104 s on a 2-vCPU VM
+    L, lam_e = 30000, 0.1
+    top = int(estimate_generic("sector_degree", NetworkConfig(lambda_e=lam_e), 10, Rng(5), L=L).values.max())
+    rows = np.arange(top + 1.0)
+    assert top > 2.5e5
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        table = pmf_out_degree_sectored(rows, L, 1.0, lam_e)
+        seconds.append(time.perf_counter() - start)
+    assert np.all(np.isfinite(table)) and 0.4 < table.sum() < 1.0
+    assert min(seconds) < 0.1, seconds
 
 
 def test_pmf_laws_take_arrays_of_degrees():

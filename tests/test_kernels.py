@@ -3,15 +3,22 @@
 cell_area is checked against scipy's Voronoi diagram on the trials it marks
 safe, and its safety rule against the points it claims cannot matter; count_in_cell and neutral_survivors against
 brute-force all-pairs loops, and neutral_survivors also on exact ties at
-the guard radius, which random inputs never draw.
+the guard radius, which random inputs never draw.  count_in_cell is also
+checked against the per-trial loop it replaced, on many-trial blocks whose
+coordinates come from a small grid, so that ties, duplicates and
+eavesdroppers on top of legitimate points are drawn often.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import Voronoi
 
+from secgraph import kernels
 from secgraph.kernels import cell_area, count_in_cell, neutral_survivors
 
 
@@ -109,6 +116,80 @@ def test_count_in_cell_no_eavesdroppers_counts_all():
     loff = np.array([0, 3], dtype=np.int64)
     eoff = np.array([0, 0], dtype=np.int64)
     assert count_in_cell(lx, ly, loff, np.empty(0), np.empty(0), eoff)[0] == 3
+
+
+def _count_in_cell_per_trial(lx, ly, loff, ex, ey, eoff):
+    """The per-trial loop count_in_cell replaced: one dense legitimate x
+    eavesdropper matrix per trial, the counts being r^2 < min_e d_e^2."""
+    counts = np.zeros(len(loff) - 1, dtype=np.int64)
+    for t in range(len(loff) - 1):
+        l0, l1 = loff[t], loff[t + 1]
+        e0, e1 = eoff[t], eoff[t + 1]
+        if l1 == l0:
+            continue
+        tlx = lx[l0:l1]
+        tly = ly[l0:l1]
+        r2 = tlx * tlx + tly * tly
+        if e1 == e0:
+            counts[t] = l1 - l0
+            continue
+        dx = tlx[:, None] - ex[e0:e1][None, :]
+        dy = tly[:, None] - ey[e0:e1][None, :]
+        d2min = (dx * dx + dy * dy).min(axis=1)
+        counts[t] = int(np.count_nonzero(r2 < d2min))
+    return counts
+
+
+def _grid_points(rng, n):
+    """n coordinate pairs, each coordinate on the half-integer grid in [-3, 3]
+    (so that points tie exactly and coincide often) or uniform in it."""
+    grid = rng.integers(-6, 7, size=(2, n)) / 2.0
+    return np.where(rng.random((2, n)) < 0.7, grid, rng.uniform(-3.0, 3.0, (2, n)))
+
+
+@st.composite
+def _segments(draw, rng, trials, sizes):
+    """Points of trials segments of the drawn sizes, with a few unused points
+    before the first offset and after the last, and the offsets."""
+    counts = draw(st.lists(sizes, min_size=trials, max_size=trials))
+    lead, tail = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    x, y = _grid_points(rng, lead + sum(counts) + tail)
+    return x, y, lead + np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+
+
+@st.composite
+def _blocks(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    trials = draw(st.integers(1, 64))
+    lx, ly, loff = draw(_segments(rng, trials, st.integers(0, 6)))
+    ex, ey, eoff = draw(_segments(rng, trials, st.one_of(st.just(0), st.integers(1, 3), st.integers(4, 40))))
+    return lx, ly, loff, ex, ey, eoff
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=_blocks(), chunk=st.sampled_from([1, 7, kernels._IN_CELL_CHUNK]))
+def test_count_in_cell_matches_per_trial_loop(block, chunk):
+    # small chunks split trials between chunks, as blocks past the chunk size do
+    with mock.patch.object(kernels, "_IN_CELL_CHUNK", chunk):
+        assert np.array_equal(count_in_cell(*block), _count_in_cell_per_trial(*block))
+
+
+def test_count_in_cell_edge_cases():
+    # trial 0: the tie p = (1, 0), e = (2, 0) is not in the cell, (0.5, 0) is;
+    # trial 1: no legitimate points; trial 2: no eavesdroppers, next to
+    # trial 3 with five, one on top of its legitimate point (0, 1), while
+    # (3, 0) is in the cell; trial 4: the origin itself and a duplicated
+    # eavesdropper there, which captures it (0 < 0 fails)
+    lx = np.array([9.0, 1.0, 0.5, -1.0, 2.0, 0.0, 3.0, 0.0, 9.0])
+    ly = np.array([9.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 9.0])
+    loff = np.array([1, 3, 3, 5, 7, 8], dtype=np.int64)
+    ex = np.array([-9.0, 2.0, 0.0, 0.0, 4.0, -4.0, 5.0, 0.0, 0.0, 6.0, 6.0, 6.0])
+    ey = np.array([-9.0, 0.0, 1.0, 3.0, 4.0, -4.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    eoff = np.array([1, 2, 2, 2, 7, 9], dtype=np.int64)
+    got = count_in_cell(lx, ly, loff, ex, ey, eoff)
+    assert got.tolist() == [1, 0, 2, 1, 0]
+    assert np.array_equal(got, _count_in_cell_per_trial(lx, ly, loff, ex, ey, eoff))
+    assert count_in_cell(lx, ly, loff[:1], ex, ey, eoff[:1]).tolist() == []
 
 
 def test_neutral_survivors_brute_force():

@@ -370,6 +370,18 @@ def test_oversized_blocks_are_refused_before_any_block(monkeypatch):
             _sample(kind, cfg=cfg, trials=1000)
 
 
+def test_oversized_fading_window_is_refused_before_any_block(monkeypatch):
+    # lognormal fading at lambda_e 1e-4: a window of radius 800, whose
+    # 256-trial block would expect 5.15e8 legitimate points
+    def sampled(*args, **kwargs):
+        pytest.fail("an oversized fading window reached the block harness")
+
+    monkeypatch.setattr(montecarlo, "_run_blocks", sampled)
+    cfg = NetworkConfig(lambda_e=1e-4, fading=FadingModel("lognormal", sigma_s=1.0))
+    with pytest.raises(ValueError, match="fading window of radius 800 .* needs about 5.15e[+]08 points per 256-trial"):
+        estimate_generic("out_degree", cfg, 1000, Rng(1))
+
+
 def test_same_seed_same_pmf_different_seed_differs():
     a, b, c = _sample("out_degree"), _sample("out_degree"), _sample("out_degree", seed=999)
     assert np.array_equal(a.pmf().probs, b.pmf().probs) and a.mean().value == b.mean().value
