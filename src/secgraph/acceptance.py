@@ -43,33 +43,39 @@ def _geometric(lambda_l: float, lambda_e: float):
 
 def out_degree_law(threads: int) -> tuple[bool, str]:
     """Out-degree PMF is geometric with mean lambda_l/lambda_e; TV < 0.01 at 1e5
-    trials, mean within 3 SE, under 10 seconds."""
+    trials, mean within 3 SE, under 10 seconds.  The detail states only
+    which side of the time bound the run fell on, so that a result file
+    holds no wall-clock time."""
     t0 = time.time()
     cfg = NetworkConfig(lambda_l=1.0, lambda_e=0.4)
     sample = mc.estimate_generic("out_degree", cfg, 100_000, Rng(101), threads)
     pmf, est = sample.pmf(), sample.mean()
     tv = analytic.tv_distance(pmf, _geometric(1.0, 0.4))
     dev = abs(est.value - cfg.ratio) / est.std_error
-    elapsed = time.time() - t0
-    ok = tv < 0.01 and abs(est.value - cfg.ratio) <= est.tolerance(3.0) and elapsed < 10.0
-    detail = f"TV={tv:.4f} (<0.01), mean={est.value:.4f} vs {cfg.ratio} ({dev:.2f} SE), {elapsed:.2f}s (<10s)"
+    in_time = time.time() - t0 < 10.0
+    ok = tv < 0.01 and abs(est.value - cfg.ratio) <= est.tolerance(3.0) and in_time
+    detail = (
+        f"TV={tv:.4f} (<0.01), mean={est.value:.4f} vs {cfg.ratio} ({dev:.2f} SE), "
+        f"{'within' if in_time else 'over'} 10s"
+    )
     return ok, detail
 
 
 def voronoi_moments(threads: int) -> tuple[bool, str]:
     """Typical-cell area moments match (1, 1.280, 1.993, 3.650) within
-    (1%, 5%, 5%, 8%) at 1e5 cells, under 5 minutes."""
+    (1%, 5%, 5%, 8%) at 1e5 cells, under 5 minutes (the detail states only
+    which side of that bound the run fell on)."""
     t0 = time.time()
     areas = mc.estimate_generic("voronoi_area", None, 100_000, Rng(102), threads).values
     moments = [float(np.mean(areas**k)) for k in range(1, 5)]
     tols = (0.01, 0.05, 0.05, 0.08)
     rels = [abs(s - t) / t for s, t in zip(moments, TABLE_VORONOI_MOMENTS.moments)]
-    elapsed = time.time() - t0
-    ok = all(r < tol for r, tol in zip(rels, tols)) and elapsed < 300.0
+    in_time = time.time() - t0 < 300.0
+    ok = all(r < tol for r, tol in zip(rels, tols)) and in_time
     detail = (
         "moments=" + "/".join(f"{m:.4f}" for m in moments)
         + " rel=" + "/".join(f"{r:.2%}" for r in rels)
-        + f" (tol 1/5/5/8%), {elapsed:.1f}s (<300s)"
+        + f" (tol 1/5/5/8%), {'within' if in_time else 'over'} 300s"
     )
     return ok, detail
 
@@ -89,12 +95,16 @@ def in_degree_moment(threads: int) -> tuple[bool, str]:
 def isolation_ordering(threads: int) -> tuple[bool, str]:
     """In-isolation probability is strictly below out-isolation at every
     eavesdropper/legitimate density ratio in {0.25, 0.5, 1, 2, 4}, with the
-    gap exceeding 3 combined standard errors."""
+    gap exceeding 3 combined standard errors.  Every in-isolation estimate
+    comes from one in-degree sample at the largest ratio, thinned
+    (cli._in_isolation), with its own conditional standard error."""
+    qs = (0.25, 0.5, 1.0, 2.0, 4.0)
+    cfgs = [NetworkConfig(lambda_l=1.0, lambda_e=q) for q in qs]
+    p_ins = cli._in_isolation(1.0, [c.ratio for c in cfgs], 100_000, Rng(10400).substream(1), threads)
     parts = []
     ok = True
-    for j, q in enumerate((0.25, 0.5, 1.0, 2.0, 4.0)):
-        cfg = NetworkConfig(lambda_l=1.0, lambda_e=q)
-        p_out, p_in = cli._isolation(cfg, 100_000, 10400 + j, threads)
+    for j, (q, cfg, p_in) in enumerate(zip(qs, cfgs, p_ins)):
+        p_out = cli._out_isolation(cfg, 100_000, Rng(10400 + j), threads)
         gap = p_out.value - p_in.value
         comb = math.hypot(p_out.std_error, p_in.std_error)
         ok = ok and gap > 3.0 * comb

@@ -4,10 +4,10 @@ tolerance, printing one PASS/FAIL line.
 These are the binding checks; run with `pytest -v -s tests/test_acceptance.py`
 to watch the lines as they complete, or `secgraph selftest` for the same
 battery outside pytest.  Measured on a 2-vCPU VM at 2 threads, the full set
-takes 85-130 s, most of the spread being the shared host: `neutralization`
-34-75 s, `thread_determinism` 17-31 s, `isolation_ordering` 13-19 s,
-`voronoi_moments` 8-10 s, `fading_invariance` 4-5 s, and every other
-criterion under 3 s.
+takes about 38 s: `neutralization` 25 s, `thread_determinism` 3-4 s,
+`fading_invariance` 3 s, `isolation_ordering` and `voronoi_moments` 1-2 s
+each, and every other criterion under 1 s.  The shared host can move any of
+these by 20% or more.
 """
 
 import os

@@ -10,14 +10,16 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from secgraph import acceptance, cli, montecarlo as mc
+from secgraph import NetworkConfig, Rng, acceptance, cli, montecarlo as mc
 from secgraph.cli import RunConfig, _parse_sweep, load_config
 
 
@@ -205,6 +207,63 @@ def test_msr_analytic_column_is_one_quadrature_call(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+# ------------------------------------------------------------- isolation
+
+def _zeros_share(kind, ratio, trials, rng):
+    cfg = NetworkConfig(lambda_l=1.0, lambda_e=1.0 / ratio)
+    return mc.Sample(mc.estimate_generic(kind, cfg, trials, rng).values == 0).mean()
+
+
+def test_in_isolation_at_the_largest_ratio_is_the_share_of_zeros():
+    thinned = cli._in_isolation(1.0, (0.25, 1.0, 10.0), 3000, Rng(8), 1)
+    direct = _zeros_share("in_degree", 10.0, 3000, Rng(8))
+    assert (thinned[-1].value, thinned[-1].std_error) == (direct.value, direct.std_error)
+
+
+def test_thinned_in_isolation_matches_the_direct_and_area_routes():
+    # one ratio-10 sample thinned to ratios 0.25, 1 and 4, against an
+    # independent in-degree sample at each ratio and against the typical-cell
+    # route E[exp(-rho A)] over unit-density areas A
+    ratios, trials = (0.25, 1.0, 4.0), 20_000
+    thinned = cli._in_isolation(1.0, ratios + (10.0,), trials, Rng(31), 1)
+    n_max = mc.estimate_generic("in_degree", NetworkConfig(lambda_l=1.0, lambda_e=0.1), trials, Rng(31)).values
+    areas = mc.estimate_generic("voronoi_area", None, 5000, Rng(32)).values
+    g = np.random.default_rng(33)
+    for k, (ratio, p_in) in enumerate(zip(ratios, thinned)):
+        direct = _zeros_share("in_degree", ratio, trials, Rng(40 + k))
+        via_areas = mc.Sample(np.exp(-ratio * areas)).mean()
+        for other in (direct, via_areas):
+            assert abs(p_in.value - other.value) < 6 * math.hypot(p_in.std_error, other.std_error), (ratio, other)
+        # the zeros of the same sample thinned by Binomial draws: the
+        # conditional mean estimates the same probability with less variance
+        drawn = mc.Sample(g.binomial(n_max, ratio / 10.0) == 0).mean()
+        assert abs(p_in.value - drawn.value) < 6 * drawn.std_error
+        assert p_in.std_error <= drawn.std_error
+
+
+@pytest.mark.parametrize("lambda_e", ["0.1", "0.5"])
+def test_isolation_columns_follow_their_streams(tmp_path, lambda_e):
+    # each row's p_out_* is the share of zeros of an out-degree draw on the
+    # row's own stream; every p_in_* comes from one in-degree sample on the
+    # reference row's stream at ratio max(4, lambda_l/lambda_e), thinned
+    argv = ["isolation", "--lambda-e", lambda_e, "--trials", "600", "--seed", "5", "--format", "json"]
+    code, out = _run(argv, tmp_path, "iso.json")
+    assert code == 0
+    doc = json.loads(out.read_text())
+    rho_max = max(4.0, 1.0 / float(lambda_e))
+    n_max = mc.estimate_generic(
+        "in_degree", NetworkConfig(lambda_l=1.0, lambda_e=1.0 / rho_max), 600, Rng(5).substream(1)
+    ).values
+    for k, row in enumerate(doc["rows"]):
+        ratio = 1.0 / row["ratio_e_over_l"]
+        p_out = _zeros_share("out_degree", ratio, 600, Rng(cli._sub_seed(5, k)))
+        p_in = mc.Sample((1.0 - ratio / rho_max) ** n_max).mean()
+        assert (row["p_out_sim"], row["p_out_se"]) == (p_out.value, p_out.std_error)
+        assert (row["p_in_sim"], row["p_in_se"]) == (p_in.value, p_in.std_error)
+    p_out = _zeros_share("out_degree", 1.0 / float(lambda_e), 600, Rng(5))
+    assert (doc["summary"]["simulated"], doc["summary"]["se"]) == (p_out.value, p_out.std_error)
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_usage_errors_exit_1(capsys):
@@ -317,6 +376,18 @@ def test_selftest_single_criterion(capsys):
     assert cli.main(["selftest", "--criteria", "out_degree_law"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "out_degree_law" in out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_selftest_files_hold_no_wall_clock_time(tmp_path, capsys, fmt):
+    # the seconds stay on the printed line; two runs write the same bytes
+    paths = [tmp_path / f"run{i}.{fmt}" for i in range(2)]
+    for path in paths:
+        argv = ["selftest", "--criteria", "out_degree_law", "--threads", "1", "--format", fmt, "--out", str(path)]
+        assert cli.main(argv) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert "within 10s" in paths[0].read_text()
+    assert re.search(r"\[ *\d+\.\d\ds\]", capsys.readouterr().out)
 
 
 # ------------------------------------------------------------ fresh imports
