@@ -34,6 +34,14 @@ def cell_area(x, y, seg, n, half_width):
     cell vertex between consecutive hull points a_j, a_k solves
     v.a_j = v.a_k = 1.
 
+    The sort is by trial, then angle: an argsort by angle, then a stable
+    argsort by seg cast to the smallest unsigned type that holds n (numpy
+    sorts 8- and 16-bit integers by radix).  That is the order of a lexsort
+    by (seg, angle), except that points of a trial at exactly the same angle
+    may come in either order.  Such ties, coincident points among them, can
+    peel off a true hull vertex in either order; the Poisson draws hold them
+    with probability zero.
+
     A trial is safe when its hull has at least 3 points, no angular gap
     between consecutive hull points reaches pi (the cell is bounded), and
     every cell vertex lies within half_width.  No point beyond 2 half_width
@@ -46,7 +54,8 @@ def cell_area(x, y, seg, n, half_width):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     seg = np.asarray(seg, dtype=np.int64)
-    order = np.lexsort((np.arctan2(y, x), seg))
+    order = np.argsort(np.arctan2(y, x))
+    order = order[np.argsort(seg[order].astype(np.min_scalar_type(n)), kind="stable")]
     seg = seg[order]
     r2 = x[order] ** 2 + y[order] ** 2
     ax = 2.0 * x[order] / r2

@@ -17,10 +17,11 @@ the estimates.  Sampler design notes, per kind:
                      of a block come from one count_in_cell call.
   voronoi_area       typical unit-density cell as the polar of the convex
                      hull of the points mapped by p -> 2p/|p|^2, every trial
-                     of a block in one cell_area call; the trials whose cell
-                     fails the safety condition (bounded, max vertex radius
-                     under half the window) have their realization extended
-                     by a fresh annulus and go through one more call, which
+                     of a block in one cell_area call on the points within
+                     W = 3; the trials whose cell fails the safety
+                     condition (bounded, max vertex radius under W/2), about
+                     2% of them, have their realization extended by a fresh
+                     annulus to 1.5 W and go through one more call, which
                      preserves the Poisson law and keeps the estimator
                      unbiased.  Ignores cfg.
   sector_degree      sectors are independent wedges: per sector the nearest
@@ -355,11 +356,10 @@ def _run_blocks(trials: int, root: Rng, threads: int, block_fn, pooled: bool = F
 # two threads at 6000 trials (lambda_e 0.25, 1 and 4, medians of 9 rounds).
 # All of them run serially, as do the smaller guard-disk and colluding
 # blocks.  voronoi_area runs serially too: its blocks (array work on about
-# 13k points each) ran 1.17x, 1.43x, 1.54x and 1.54x as fast pooled on two
+# 7k points each) ran 1.10x, 0.94x, 1.12x and 1.34x as fast pooled on two
 # threads at 6000 trials in four runs on a 2-vCPU VM (medians of 11
-# interleaved rounds, 161-172 ms serial), but 1.03x in another run of the
-# same kind (111 against 108 ms), and its pooled times spread from 108 to
-# 178 ms within one run, so the gain follows the host's load.
+# interleaved rounds: 60-84 ms serial, 62-64 ms pooled), so two threads do
+# not pay in every run.
 
 
 def _refuse(cfg: NetworkConfig, kind: str, *fields: str) -> None:
@@ -430,7 +430,7 @@ def _in_degree(cfg: NetworkConfig, run) -> Sample:
 
 def _voronoi_block(rng: Rng, n: int):
     g = rng.generator()
-    w = 4.0
+    w = 3.0  # 28 points per trial; about 2% of cells need the extension below
     seg, _, x, y = _annuli_draw(g, 1.0, 0.0, w, np.arange(n))
     areas = np.empty(n)
     pending = np.ones(n, dtype=bool)

@@ -1,7 +1,9 @@
 """The kernels' geometry must agree with an independent implementation.
 
 cell_area is checked against scipy's Voronoi diagram on the trials it marks
-safe, and its safety rule against the points it claims cannot matter; count_in_cell and neutral_survivors against
+safe, and its safety rule against the points it claims cannot matter; its
+two-argsort order against the lexsort it replaced, bit for bit, on blocks of
+up to 300 trials and one of 70,000.  count_in_cell and neutral_survivors against
 brute-force all-pairs loops, and neutral_survivors also on exact ties at
 the guard radius, which random inputs never draw.  count_in_cell is also
 checked against the per-trial loop it replaced, on many-trial blocks whose
@@ -90,6 +92,84 @@ def test_cell_area_unsafe_cases():
     assert areas[3] == 2.0
     areas, safe, _ = cell_area(*diamond, np.zeros(4, dtype=np.int64), 1, np.nextafter(2.0, 3.0))
     assert safe[0] and areas[0] == 8.0
+
+
+def _cell_area_lexsort(x, y, seg, n, half_width):
+    """cell_area as it was before it sorted by two argsorts: one lexsort by
+    (trial, angle), then the same hull, vertices and areas."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    seg = np.asarray(seg, dtype=np.int64)
+    order = np.lexsort((np.arctan2(y, x), seg))
+    seg = seg[order]
+    r2 = x[order] ** 2 + y[order] ** 2
+    ax = 2.0 * x[order] / r2
+    ay = 2.0 * y[order] / r2
+    while True:
+        counts = np.bincount(seg, minlength=n)
+        end = np.cumsum(counts)
+        first, last = (end - counts)[seg], end[seg] - 1
+        i = np.arange(seg.size)
+        prev = np.where(i == first, last, i - 1)
+        nxt = np.where(i == last, first, i + 1)
+        left = (ax - ax[prev]) * (ay[nxt] - ay) - (ay - ay[prev]) * (ax[nxt] - ax) > 0.0
+        if left.all():
+            break
+        seg, ax, ay = seg[left], ax[left], ay[left]
+    cross = ax * ay[nxt] - ay * ax[nxt]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vx = (ay[nxt] - ay) / cross
+        vy = (ax - ax[nxt]) / cross
+    areas = 0.5 * np.bincount(seg, vx * vy[nxt] - vx[nxt] * vy, minlength=n)
+    outside = (cross <= 0.0) | ~(vx * vx + vy * vy < half_width * half_width)
+    safe = (counts >= 3) & (np.bincount(seg, outside, minlength=n) == 0)
+    return areas, safe, int(seg.size)
+
+
+def _assert_same_cells(got, want):
+    assert np.array_equal(got[0], want[0], equal_nan=True)
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
+@st.composite
+def _cell_blocks(draw):
+    """A block as the voronoi_area sampler builds it: every trial's points
+    within w, some trials empty, then an annulus out to 1.5 w for some
+    trials, appended after the first round so that seg is unsorted."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.integers(1, 300), st.sampled_from([255, 256, 257])))
+    w = draw(st.sampled_from([0.5, 1.5, 3.0]))
+    seg, x, y = _cell_points(rng, n, 0.0, w)
+    keep = (rng.random(n) >= draw(st.sampled_from([0.0, 0.2, 0.9])))[seg]
+    aseg, ax, ay = _cell_points(rng, n, w, 1.5 * w)
+    grown = (rng.random(n) < draw(st.sampled_from([0.0, 0.05, 1.0])))[aseg]
+    seg = np.concatenate([seg[keep], aseg[grown]])
+    x = np.concatenate([x[keep], ax[grown]])
+    y = np.concatenate([y[keep], ay[grown]])
+    return x, y, seg, n, draw(st.sampled_from([0.5 * w, 0.75 * w]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(block=_cell_blocks())
+def test_cell_area_order_matches_lexsort(block):
+    # seg is cast to uint8 below 256 trials and uint16 from 256 on; both sort
+    # by radix.  Two random points of a trial share an exact angle, the one
+    # case where the two orders may differ, with probability zero.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _assert_same_cells(cell_area(*block), _cell_area_lexsort(*block))
+
+
+def test_cell_area_order_matches_lexsort_past_uint16():
+    # 70,000 trials cast seg to uint32, which numpy sorts stably without radix
+    rng = np.random.default_rng(23)
+    n = 70_000
+    seg, xs, ys = _cell_points(rng, n, 0.0, 1.5)
+    shuffle = rng.permutation(seg.size)
+    args = (xs[shuffle], ys[shuffle], seg[shuffle], n, 0.75)
+    got = cell_area(*args)
+    assert got[1].sum() > 10_000
+    _assert_same_cells(got, _cell_area_lexsort(*args))
 
 
 def test_count_in_cell_single_trial_brute_force():

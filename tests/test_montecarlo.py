@@ -512,21 +512,22 @@ def test_voronoi_moments_near_table():
 
 
 def test_voronoi_blocks_extend_only_unsafe_trials(monkeypatch):
-    # one batched cell_area call per block, plus one per extension round with
-    # the unsafe trials alone.  A safety rule that failed every trial would
-    # grow every block by 2.25x in points per round, so the check comes
-    # before the kernel runs.
+    # one batched cell_area call per block at the start window W = 3, plus one
+    # per extension round with the unsafe trials alone (about 2% of trials;
+    # 7, 5, 9 and 5 of the four blocks here).  A safety rule that failed
+    # every trial would grow every block by 2.25x in points per round, so the
+    # check comes before the kernel runs.
     calls = []
 
     def traced(x, y, seg, n, half_width):
         trials = int(np.count_nonzero(np.bincount(seg, minlength=n)))
-        assert half_width == 2.0 or trials <= 4, f"{trials} trials extended to half-width {half_width}"
+        assert half_width == 1.5 or trials <= 16, f"{trials} trials extended to half-width {half_width}"
         calls.append((half_width, trials))
         return kernels.cell_area(x, y, seg, n, half_width)
 
     monkeypatch.setattr(montecarlo, "cell_area", traced)
     assert len(estimate_generic("voronoi_area", None, 1024, Rng(5)).values) == 1024
-    assert [t for hw, t in calls if hw == 2.0] == [256] * 4
+    assert [t for hw, t in calls if hw == 1.5] == [256] * 4
     assert len(calls) <= 8
 
 
