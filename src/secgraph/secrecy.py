@@ -11,8 +11,11 @@ builder realizes one variant of that predicate on a fixed realization:
     build_neutralized   eavesdroppers inside the guard radius of any
                         legitimate node are removed first
 
-All predicates use strict inequalities; ties are probability-zero events.
-With an empty eavesdropper set the builders return the complete digraph.
+Each builder compares whole pairwise arrays at once and returns the graph
+as one (n, n) boolean matrix, so it holds a few n*(n+m) float arrays for n
+legitimate points and m eavesdroppers.  All predicates use strict
+inequalities; ties are probability-zero events.  With an empty eavesdropper
+set the builders return the complete digraph.
 """
 
 from __future__ import annotations
@@ -83,22 +86,18 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class SectorConfig:
-    """L equal angular transmission sectors with a per-source offset policy.
+    """L equal angular transmission sectors.
 
-    The offset law is not pinned down by the sector degree theorem (any joint
-    distribution gives the same out-degree PMF); `offsets` selects the
-    simulated one: "iid_uniform" draws each phi_i uniformly on [0, 2pi/L),
-    "zero" aligns every node's sector boundaries with the x-axis.
+    The sector degree theorem does not pin down the offset law (any joint
+    distribution gives the same out-degree PMF); the builder draws each
+    source's offset phi_i uniformly on [0, 2pi/L).
     """
 
     L: int = 1
-    offsets: str = "iid_uniform"
 
     def __post_init__(self) -> None:
         if not (isinstance(self.L, int) and self.L >= 1):
             raise ValueError(f"sector count L must be an integer >= 1, got {self.L}")
-        if self.offsets not in ("iid_uniform", "zero"):
-            raise ValueError(f"offsets policy must be 'iid_uniform' or 'zero', got {self.offsets!r}")
 
 
 @dataclass(frozen=True)
@@ -113,33 +112,31 @@ class NeutralizationConfig:
 
 
 class ISGraph:
-    """Directed secure-edge adjacency over the legitimate points of one realization."""
+    """Directed secure-edge graph over the legitimate points of one realization.
 
-    __slots__ = ("legit", "eaves", "out_edges")
+    adj is an (n, n) boolean matrix with adj[i, j] the edge x_i -> x_j and a
+    false diagonal: n^2 bytes, against the few n*(n+m) floats its builder
+    holds while forming it.  Out- and in-degrees are its row and column sums.
+    """
 
-    def __init__(self, legit: PointSet, eaves: PointSet, out_edges):
+    __slots__ = ("legit", "eaves", "adj")
+
+    def __init__(self, legit: PointSet, eaves: PointSet, adj: np.ndarray):
         n = len(legit)
-        edges = []
-        for i, targets in enumerate(out_edges):
-            t = np.asarray(targets, dtype=np.int64)
-            if t.size and (t.min() < 0 or t.max() >= n or np.any(t == i)):
-                raise ValueError("edges must connect distinct legitimate indices")
-            edges.append(t)
-        if len(edges) != n:
-            raise ValueError("adjacency must list every legitimate source")
+        adj = np.asarray(adj)
+        if adj.dtype != np.bool_ or adj.shape != (n, n):
+            raise ValueError(f"adjacency must be a boolean ({n}, {n}) matrix, got {adj.dtype} {adj.shape}")
+        if adj.diagonal().any():
+            raise ValueError("adjacency must have no self edges")
         self.legit = legit
         self.eaves = eaves
-        self.out_edges = tuple(edges)
+        self.adj = adj
 
     def out_degrees(self) -> np.ndarray:
-        return np.array([len(t) for t in self.out_edges], dtype=np.int64)
+        return self.adj.sum(axis=1, dtype=np.int64)
 
     def in_degrees(self) -> np.ndarray:
-        n = len(self.legit)
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        flat = np.concatenate([t for t in self.out_edges]) if n else np.zeros(0, np.int64)
-        return np.bincount(flat, minlength=n).astype(np.int64)
+        return self.adj.sum(axis=0, dtype=np.int64)
 
 
 def msr_link(prx_legit, prx_eave, sigma2_l: float, sigma2_e: float):
@@ -178,20 +175,29 @@ def _pairwise_sq(xy: np.ndarray) -> np.ndarray:
     return dx * dx + dy * dy
 
 
+def _pairwise(legit: PointSet) -> np.ndarray:
+    """|x_i - x_j| for every pair, with 1.0 on the diagonal: a placeholder
+    that keeps the unbounded gain finite.  Builders clear the self edges."""
+    d = np.sqrt(_pairwise_sq(legit.xy))
+    np.fill_diagonal(d, 1.0)
+    return d
+
+
+def _from_sources(legit: PointSet, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and y displacements, shape (n, len(xy)), from each legitimate source to each point of xy."""
+    return xy[:, 0] - legit.xy[:, 0][:, None], xy[:, 1] - legit.xy[:, 1][:, None]
+
+
 def build_baseline(legit: PointSet, eaves: PointSet) -> ISGraph:
     """Edge x_i -> x_j iff x_j is closer to x_i than every eavesdropper.
 
     This is the rho=0, path-loss-only, equal-noise secrecy graph; the caller
     is responsible for those assumptions holding in the surrounding model.
     """
-    n = len(legit)
     re1 = nearest_distances(legit.xy, eaves)
-    d2 = _pairwise_sq(legit.xy)
-    edges = []
-    for i in range(n):
-        hit = np.flatnonzero(d2[i] < re1[i] ** 2)
-        edges.append(hit[hit != i])
-    return ISGraph(legit, eaves, edges)
+    adj = _pairwise_sq(legit.xy) < (re1**2)[:, None]
+    np.fill_diagonal(adj, False)
+    return ISGraph(legit, eaves, adj)
 
 
 def secure_range_thresholded(d_e, cfg: NetworkConfig):
@@ -229,21 +235,13 @@ def build_thresholded(legit: PointSet, eaves: PointSet, cfg: NetworkConfig) -> I
     e* the eavesdropper nearest to the source.  Works for either gain model;
     fading must be none (the threshold analysis assumes Z = 1).
     """
-    n = len(legit)
     re1 = nearest_distances(legit.xy, eaves)
     const = cfg.sigma2_l / cfg.p_l * (2.0**cfg.rho - 1.0)
     scale = cfg.sigma2_l / cfg.sigma2_e * 2.0**cfg.rho
-    d2 = _pairwise_sq(legit.xy)
-    edges = []
-    for i in range(n):
-        rhs = const if math.isinf(re1[i]) else scale * gain(cfg.gain, re1[i]) + const
-        d = np.sqrt(d2[i])
-        d[i] = 1.0  # placeholder: keeps gain() total; the self edge is dropped below
-        g_ij = gain(cfg.gain, d)
-        g_ij[i] = -math.inf
-        hit = np.flatnonzero(g_ij > rhs)
-        edges.append(hit[hit != i])
-    return ISGraph(legit, eaves, edges)
+    rhs = scale * gain(cfg.gain, re1) + const if len(eaves) else np.full(len(legit), const)
+    adj = gain(cfg.gain, _pairwise(legit)) > rhs[:, None]
+    np.fill_diagonal(adj, False)
+    return ISGraph(legit, eaves, adj)
 
 
 def build_fading(legit: PointSet, eaves: PointSet, cfg: NetworkConfig, rng: Rng) -> ISGraph:
@@ -256,57 +254,35 @@ def build_fading(legit: PointSet, eaves: PointSet, cfg: NetworkConfig, rng: Rng)
     """
     n, m = len(legit), len(eaves)
     z_legit = sample_fading(cfg.fading, rng.substream(0), size=(n, n))
-    z_eave = sample_fading(cfg.fading, rng.substream(1), size=(n, m)) if m else None
-    d2 = _pairwise_sq(legit.xy)
-    edges = []
-    for i in range(n):
-        if m:
-            de = np.hypot(eaves.xy[:, 0] - legit.xy[i, 0], eaves.xy[:, 1] - legit.xy[i, 1])
-            best_eave = gain(cfg.gain, de, z_eave[i]).max()
-        else:
-            best_eave = 0.0
-        d = np.sqrt(d2[i])
-        d[i] = 1.0  # placeholder, as in build_thresholded
-        g_ij = gain(cfg.gain, d, z_legit[i])
-        g_ij[i] = -math.inf
-        hit = np.flatnonzero(g_ij > best_eave)
-        edges.append(hit[hit != i])
-    return ISGraph(legit, eaves, edges)
+    z_eave = sample_fading(cfg.fading, rng.substream(1), size=(n, m))
+    best_eave = gain(cfg.gain, np.hypot(*_from_sources(legit, eaves.xy)), z_eave).max(axis=1, initial=0.0)
+    adj = gain(cfg.gain, _pairwise(legit), z_legit) > best_eave[:, None]
+    np.fill_diagonal(adj, False)
+    return ISGraph(legit, eaves, adj)
 
 
 def build_sectorized(legit: PointSet, eaves: PointSet, sector: SectorConfig, rng: Rng) -> ISGraph:
     """Sectorized baseline graph: only eavesdroppers sharing the destination's
     sector of the source can block an edge.
 
-    Sectors are L equal wedges anchored at each source with offset phi_i drawn
-    by the configured policy; edge iff |x_i-x_j| < min over eavesdroppers in
-    the destination's wedge (absent eavesdroppers there, the edge exists).
+    Sectors are L equal wedges anchored at each source with an offset phi_i
+    drawn uniformly on [0, 2pi/L); edge iff |x_i-x_j| < min over eavesdroppers
+    in the destination's wedge (absent eavesdroppers there, the edge exists).
     """
-    n, m = len(legit), len(eaves)
-    L = sector.L
+    n, L = len(legit), sector.L
     width = 2.0 * math.pi / L
-    if sector.offsets == "iid_uniform":
-        phis = rng.generator().uniform(0.0, width, n)
-    else:
-        phis = np.zeros(n)
-    d2 = _pairwise_sq(legit.xy)
-    edges = []
-    for i in range(n):
-        sect_min = np.full(L, math.inf)
-        if m:
-            dxe = eaves.xy[:, 0] - legit.xy[i, 0]
-            dye = eaves.xy[:, 1] - legit.xy[i, 1]
-            de = np.hypot(dxe, dye)
-            ke = np.floor(((np.arctan2(dye, dxe) - phis[i]) % (2.0 * math.pi)) / width).astype(np.int64)
-            np.minimum.at(sect_min, np.clip(ke, 0, L - 1), de)
-        dxl = legit.xy[:, 0] - legit.xy[i, 0]
-        dyl = legit.xy[:, 1] - legit.xy[i, 1]
-        kl = np.floor(((np.arctan2(dyl, dxl) - phis[i]) % (2.0 * math.pi)) / width).astype(np.int64)
-        kl = np.clip(kl, 0, L - 1)
-        d = np.sqrt(d2[i])
-        hit = np.flatnonzero(d < sect_min[kl])
-        edges.append(hit[hit != i])
-    return ISGraph(legit, eaves, edges)
+    phis = rng.generator().uniform(0.0, width, n)[:, None]
+
+    def wedge(xy):  # wedge index of each point of xy as seen from each source
+        dx, dy = _from_sources(legit, xy)
+        k = np.floor(((np.arctan2(dy, dx) - phis) % (2.0 * math.pi)) / width).astype(np.int64)
+        return np.clip(k, 0, L - 1)
+
+    sect_min = np.full((n, L), math.inf)  # nearest eavesdropper in each wedge of each source
+    np.minimum.at(sect_min, (np.arange(n)[:, None], wedge(eaves.xy)), np.hypot(*_from_sources(legit, eaves.xy)))
+    adj = _pairwise(legit) < np.take_along_axis(sect_min, wedge(legit.xy), axis=1)
+    np.fill_diagonal(adj, False)
+    return ISGraph(legit, eaves, adj)
 
 
 def effective_eaves(legit: PointSet, eaves: PointSet, n: NeutralizationConfig) -> np.ndarray:
@@ -321,8 +297,7 @@ def build_neutralized(legit: PointSet, eaves: PointSet, n: NeutralizationConfig)
     """Baseline graph against the eavesdroppers surviving neutralization."""
     keep = effective_eaves(legit, eaves, n)
     surviving = PointSet(eaves.xy[keep], eaves.density, eaves.window_radius)
-    g = build_baseline(legit, surviving)
-    return ISGraph(legit, eaves, g.out_edges)
+    return ISGraph(legit, eaves, build_baseline(legit, surviving).adj)
 
 
 def colluding_msr(r_l: float, eaves: PointSet, cfg: NetworkConfig, tail_radius: float | None = None) -> float:

@@ -13,6 +13,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from secgraph import (
     Estimate,
@@ -24,9 +25,11 @@ from secgraph import (
     SectorConfig,
     analytic,
     build_baseline,
+    build_fading,
     build_neutralized,
     build_sectorized,
     build_thresholded,
+    colluding_msr,
     colluding_window,
     effective_eaves,
     estimate_generic,
@@ -34,9 +37,10 @@ from secgraph import (
     in_degree_window,
     kernels,
     montecarlo,
+    msr_link,
     sample_disk,
 )
-from secgraph.propagation import FadingModel, GainModel
+from secgraph.propagation import FadingModel, GainModel, gain
 
 CFG = NetworkConfig(lambda_l=1.0, lambda_e=0.5)
 
@@ -441,10 +445,13 @@ def _origin_degrees(build, graphs, lambda_e, w_legit, w_eaves, seed):
     return out_deg, in_deg
 
 
-def _assert_mean_matches(sample, ref, label):
+def _assert_law_matches(sample, ref, label):
+    """The sampler's mean within 4.5 combined standard errors of the
+    reference's, and a two-sample KS test of the whole laws at level 1e-4."""
     est = sample.mean()
     combined = math.hypot(est.std_error, ref.std(ddof=1) / math.sqrt(len(ref)))
     assert abs(est.value - ref.mean()) < 4.5 * combined, label
+    assert ks_2samp(sample.values, ref).pvalue > 1e-4, label
 
 
 def test_degree_estimators_match_baseline_graph():
@@ -457,8 +464,8 @@ def test_degree_estimators_match_baseline_graph():
     # W looks for its nearest one.
     w = in_degree_window(CFG.lambda_l, CFG.lambda_e)
     out_deg, in_deg = _origin_degrees(lambda nodes, eaves, t: build_baseline(nodes, eaves), 4000, 0.5, w, 2 * w, 2718)
-    _assert_mean_matches(_sample("out_degree", trials=20_000, threads=2), out_deg, "out_degree")
-    _assert_mean_matches(_sample("in_degree", trials=20_000, threads=2), in_deg, "in_degree")
+    _assert_law_matches(_sample("out_degree", trials=20_000, threads=2), out_deg, "out_degree")
+    _assert_law_matches(_sample("in_degree", trials=20_000, threads=2), in_deg, "in_degree")
 
 
 def test_thresholded_degree_matches_graph():
@@ -470,7 +477,7 @@ def test_thresholded_degree_matches_graph():
     cfg = NetworkConfig(lambda_e=1.0, rho=1.0, p_l=5.0)
     w = math.sqrt(10.0 / math.pi)
     out_deg, _ = _origin_degrees(lambda nodes, eaves, t: build_thresholded(nodes, eaves, cfg), 3000, 1.0, w, w, 99)
-    _assert_mean_matches(_sample("out_degree", cfg=cfg, trials=20_000, threads=2), out_deg, "thresholded")
+    _assert_law_matches(_sample("out_degree", cfg=cfg, trials=20_000, threads=2), out_deg, "thresholded")
 
 
 def test_sector_degree_matches_graph():
@@ -486,7 +493,28 @@ def test_sector_degree_matches_graph():
         return build_sectorized(nodes, eaves, SectorConfig(L=2), offsets.substream(t))
 
     out_deg, _ = _origin_degrees(build, 3000, 1.0, w, w, 99)
-    _assert_mean_matches(_sample("sector_degree", cfg=cfg, L=2, trials=20_000, threads=2), out_deg, "sectors")
+    _assert_law_matches(_sample("sector_degree", cfg=cfg, L=2, trials=20_000, threads=2), out_deg, "sectors")
+
+
+def test_fading_out_degree_matches_graph():
+    # The spatial route draws one effect per point seen from the origin and
+    # counts the legitimate points whose gain beats the best eavesdropper's;
+    # build_fading draws one per ordered pair and applies the edge predicate.
+    # Both fields fill the route's own window, so the two laws are equal,
+    # truncation included.  Both routes draw Z through sample_fading, so one
+    # fading kind ties them.  The gain predicate is scale-free: densities
+    # (1, 4) give the law of (0.25, 1), with about 28 legitimate points and
+    # 113 eavesdroppers per window.
+    fading = FadingModel("nakagami", m=2.0)
+    cfg = NetworkConfig(lambda_l=1.0, lambda_e=4.0, fading=fading)
+    w = fading_window(fading, cfg.lambda_e)
+    effects = Rng(200)
+
+    def build(nodes, eaves, t):
+        return build_fading(nodes, eaves, cfg, effects.substream(t))
+
+    out_deg, _ = _origin_degrees(build, 3000, cfg.lambda_e, w, w, 201)
+    _assert_law_matches(_sample("out_degree", cfg=cfg, trials=20_000, threads=2), out_deg, fading.kind)
 
 
 def test_isolation_dual_route_consistency():
@@ -581,6 +609,25 @@ def test_neighbor_cdf_tracks_quadrature():
         assert v == pytest.approx(w, abs=max(6 * se, 1e-3))
 
 
+def test_neighbor_msr_matches_realizations():
+    # The sampler draws the squared distances to the i-th nearest legitimate
+    # point and to the nearest eavesdropper as Gamma and exponential arrival
+    # times.  Here both distances are read off Poisson realizations and pass
+    # through msr_link.  At the neighbor_msr criterion's config the windows
+    # hold fewer than i legitimate points, or no eavesdropper, with
+    # probability below 1e-10.
+    cfg = NetworkConfig(lambda_l=1.0, lambda_e=0.1, p_l=10.0)
+    i = 2
+    rng = Rng(300)
+    ref = np.empty(2000)
+    for t in range(len(ref)):
+        r_l = sample_disk(cfg.lambda_l, 3.0, rng.substream(2 * t)).ordered_r[i - 1]
+        r_e = sample_disk(cfg.lambda_e, 10.0, rng.substream(2 * t + 1)).ordered_r[0]
+        ref[t] = msr_link(cfg.p_l * gain(cfg.gain, r_l), cfg.p_l * gain(cfg.gain, r_e), cfg.sigma2_l, cfg.sigma2_e)
+    sample = _sample("neighbor_msr", cfg=cfg, neighbor_index=i, trials=20_000, threads=2)
+    _assert_law_matches(sample, ref, "neighbor_msr")
+
+
 def test_colluding_power_matches_stable_median():
     cfg = NetworkConfig(lambda_e=0.5)
     w = colluding_window(cfg)
@@ -657,6 +704,44 @@ def test_colluding_mean_degree_tracks_sinc():
     assert est.value == pytest.approx(want, abs=6 * est.std_error)
 
 
+# colluding_msr sums one realization's eavesdropper powers in its disk of
+# radius W and adds the mean of the tail beyond W, as the colluding samplers
+# do at r_window = W.  At W = 1.5 the tail is a large share of the aggregate
+# (0.70 against 3.5 expected eavesdroppers in the disk), so both terms count.
+_COLLUDING_CHECK = NetworkConfig(lambda_l=1.0, lambda_e=0.5, sigma2_e=2.0)
+_COLLUDING_CHECK_W = 1.5
+
+
+def test_colluding_power_matches_colluding_msr():
+    # a link of length 0.7, secure in about half the trials, has one secrecy
+    # rate law on both routes
+    cfg, w, r_l = _COLLUDING_CHECK, _COLLUDING_CHECK_W, 0.7
+    rng = Rng(400)
+    ref = np.array([colluding_msr(r_l, sample_disk(cfg.lambda_e, w, rng.substream(t)), cfg) for t in range(4000)])
+    power = estimate_generic("colluding_power", cfg, 20_000, Rng(401), threads=2, r_window=w).values
+    rates = Sample(msr_link(cfg.p_l * gain(cfg.gain, r_l), power, cfg.sigma2_l, cfg.sigma2_e))
+    _assert_law_matches(rates, ref, "colluding_power")
+
+
+def test_colluding_degree_matches_colluding_msr():
+    # The sampler draws a Poisson count in the secure disk of one aggregate
+    # power; here each legitimate point of a realization gets its own
+    # colluding_msr link to the origin.  The aggregate is at least the mean
+    # tail, so no secure link is longer than (c / tail)^(1/2b): the legitimate
+    # disk of that radius holds every secure neighbour.
+    cfg, w = _COLLUDING_CHECK, _COLLUDING_CHECK_W
+    c = cfg.p_l * cfg.sigma2_e / cfg.sigma2_l
+    w_legit = (c / _colluding_tail(cfg, w)) ** (1.0 / (2.0 * cfg.gain.b))
+    rng = Rng(500)
+    ref = np.empty(2500)
+    for t in range(len(ref)):
+        legit = sample_disk(cfg.lambda_l, w_legit, rng.substream(2 * t))
+        eaves = sample_disk(cfg.lambda_e, w, rng.substream(2 * t + 1))
+        ref[t] = sum(colluding_msr(r, eaves, cfg) > 0.0 for r in legit.ordered_r)
+    sample = estimate_generic("colluding_degree", cfg, 20_000, Rng(501), threads=2, r_window=w)
+    _assert_law_matches(sample, ref, "colluding_degree")
+
+
 def test_neutralization_meets_lower_bound():
     est = _sample("neutralized_degree", rho_n=0.5, trials=2000, cfg=NetworkConfig(lambda_e=0.5), threads=4).mean()
     lb = analytic.mean_out_degree_neutralization_lb(0.5, 1.0, 0.5)
@@ -679,7 +764,7 @@ def _fixed_window_neutralized_degrees(cfg, rho_n, w, trials, seed):
         degrees[t] = np.count_nonzero(np.sum(legit.xy**2, axis=1) < nearest2)
         if t < 50:  # the distance rule is the origin's edge predicate
             graph = build_neutralized(nodes, eaves, NeutralizationConfig(rho_n))
-            assert len(graph.out_edges[0]) == degrees[t]
+            assert graph.out_degrees()[0] == degrees[t]
     return degrees
 
 

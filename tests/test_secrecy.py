@@ -3,14 +3,15 @@
 The reduction tests pin the relationships the analytic layer relies on:
 every specialized builder must collapse to the baseline graph when its
 extra mechanism is switched off, and the threshold builder must agree
-with the closed-form secure-range predicate edge for edge.
+with the closed-form secure-range predicate edge for edge.  The oracle
+test holds each builder to a per-source loop over the same predicate.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secgraph import (
@@ -27,9 +28,11 @@ from secgraph import (
     build_thresholded,
     colluding_msr,
     effective_eaves,
+    gain,
     msr_link,
     nearest_distances,
     sample_disk,
+    sample_fading,
     secure_range_thresholded,
 )
 from secgraph.pointprocess import PointSet
@@ -42,7 +45,7 @@ def _realization(seed, lam_l=1.0, lam_e=0.5, w=4.0):
 
 
 def _edge_sets(g):
-    return [set(t.tolist()) for t in g.out_edges]
+    return [set(np.flatnonzero(row).tolist()) for row in g.adj]
 
 
 # ---------------------------------------------------------------- msr_link
@@ -89,10 +92,9 @@ def test_fading_none_reduces_to_baseline(seed):
     assert _edge_sets(g) == _edge_sets(build_baseline(legit, eaves))
 
 
-@pytest.mark.parametrize("offsets", ["iid_uniform", "zero"])
-def test_single_sector_reduces_to_baseline(offsets):
+def test_single_sector_reduces_to_baseline():
     legit, eaves = _realization(17)
-    g = build_sectorized(legit, eaves, SectorConfig(L=1, offsets=offsets), Rng(5))
+    g = build_sectorized(legit, eaves, SectorConfig(L=1), Rng(5))
     assert _edge_sets(g) == _edge_sets(build_baseline(legit, eaves))
 
 
@@ -111,10 +113,10 @@ def test_thresholded_edges_match_secure_range(rho, p_l, s2e):
     g = build_thresholded(legit, eaves, cfg)
     re1 = nearest_distances(legit.xy, eaves)
     psi = secure_range_thresholded(re1, cfg)
-    for i, targets in enumerate(g.out_edges):
-        d = np.hypot(legit.xy[:, 0] - legit.xy[i, 0], legit.xy[:, 1] - legit.xy[i, 1])
-        want = set(np.flatnonzero(d < psi[i]).tolist()) - {i}
-        assert set(targets.tolist()) == want
+    d = np.hypot(legit.xy[:, 0] - legit.xy[:, 0][:, None], legit.xy[:, 1] - legit.xy[:, 1][:, None])
+    want = d < psi[:, None]
+    np.fill_diagonal(want, False)
+    assert np.array_equal(g.adj, want)
 
 
 def test_secure_range_limits():
@@ -156,6 +158,130 @@ def test_neutralization_only_adds_edges(seed, radius):
     base = _edge_sets(build_baseline(legit, eaves))
     neut = _edge_sets(build_neutralized(legit, eaves, NeutralizationConfig(radius=radius)))
     assert all(b <= n for b, n in zip(base, neut))
+
+
+# ------------------------------------------------ per-source loop oracles
+# The builders form each adjacency matrix in one array expression.  These
+# loops take one source at a time, as the builders once did, with the same
+# float operations on the same draws, so the matrices must be equal.
+
+def _sq_from(legit, i):
+    dx = legit.xy[i, 0] - legit.xy[:, 0]
+    dy = legit.xy[i, 1] - legit.xy[:, 1]
+    return dx * dx + dy * dy
+
+
+def _rows(n, hits):
+    adj = np.zeros((n, n), dtype=bool)
+    for i, hit in enumerate(hits):
+        adj[i, hit[hit != i]] = True
+    return adj
+
+
+def _oracle_baseline(legit, eaves):
+    re1 = nearest_distances(legit.xy, eaves)
+    return _rows(len(legit), [np.flatnonzero(_sq_from(legit, i) < re1[i] ** 2) for i in range(len(legit))])
+
+
+def _oracle_thresholded(legit, eaves, cfg):
+    re1 = nearest_distances(legit.xy, eaves)
+    const = cfg.sigma2_l / cfg.p_l * (2.0**cfg.rho - 1.0)
+    scale = cfg.sigma2_l / cfg.sigma2_e * 2.0**cfg.rho
+    hits = []
+    for i in range(len(legit)):
+        rhs = const if math.isinf(re1[i]) else scale * gain(cfg.gain, re1[i]) + const
+        d = np.sqrt(_sq_from(legit, i))
+        d[i] = 1.0
+        hits.append(np.flatnonzero(gain(cfg.gain, d) > rhs))
+    return _rows(len(legit), hits)
+
+
+def _oracle_fading(legit, eaves, cfg, rng):
+    n, m = len(legit), len(eaves)
+    z_legit = sample_fading(cfg.fading, rng.substream(0), size=(n, n))
+    z_eave = sample_fading(cfg.fading, rng.substream(1), size=(n, m)) if m else None
+    hits = []
+    for i in range(n):
+        best_eave = 0.0
+        if m:
+            de = np.hypot(eaves.xy[:, 0] - legit.xy[i, 0], eaves.xy[:, 1] - legit.xy[i, 1])
+            best_eave = gain(cfg.gain, de, z_eave[i]).max()
+        d = np.sqrt(_sq_from(legit, i))
+        d[i] = 1.0
+        hits.append(np.flatnonzero(gain(cfg.gain, d, z_legit[i]) > best_eave))
+    return _rows(n, hits)
+
+
+def _oracle_sectorized(legit, eaves, L, rng):
+    width = 2.0 * math.pi / L
+    phis = rng.generator().uniform(0.0, width, len(legit))
+
+    def wedge(i, xy):  # distance and wedge index of each point of xy from source i
+        dx, dy = xy[:, 0] - legit.xy[i, 0], xy[:, 1] - legit.xy[i, 1]
+        k = np.floor(((np.arctan2(dy, dx) - phis[i]) % (2.0 * math.pi)) / width).astype(np.int64)
+        return np.hypot(dx, dy), np.clip(k, 0, L - 1)
+
+    hits = []
+    for i in range(len(legit)):
+        sect_min = np.full(L, math.inf)
+        de, ke = wedge(i, eaves.xy)
+        np.minimum.at(sect_min, ke, de)
+        hits.append(np.flatnonzero(np.sqrt(_sq_from(legit, i)) < sect_min[wedge(i, legit.xy)[1]]))
+    return _rows(len(legit), hits)
+
+
+def _oracle_neutralized(legit, eaves, radius):
+    keep = effective_eaves(legit, eaves, NeutralizationConfig(radius=radius))
+    return _oracle_baseline(legit, PointSet(eaves.xy[keep], eaves.density, eaves.window_radius))
+
+
+_DENSITY = st.just(0.0) | st.floats(0.2, 2.0)  # 0 gives an empty field
+_FADING = st.builds(
+    FadingModel,
+    st.sampled_from(["none", "nakagami", "lognormal", "nakagami_lognormal"]),
+    m=st.floats(0.5, 4.0),
+    sigma_s=st.floats(0.0, 2.0),
+)
+_CONFIG = st.builds(
+    NetworkConfig,
+    p_l=st.floats(0.5, 10.0),
+    sigma2_e=st.floats(0.25, 4.0),
+    rho=st.just(0.0) | st.floats(0.0, 3.0),
+    gain=st.builds(GainModel, st.sampled_from(["unbounded", "bounded"]), st.floats(1.0, 3.0)),
+    fading=_FADING,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**20),
+    lam_l=_DENSITY,
+    lam_e=_DENSITY,
+    w=st.floats(0.5, 3.5),
+    cfg=_CONFIG,
+    L=st.integers(1, 8),
+    radius=st.floats(0.0, 0.8),
+)
+@example(seed=3, lam_l=0.0, lam_e=1.0, w=2.0, cfg=NetworkConfig(rho=1.0), L=3, radius=0.5)
+@example(seed=4, lam_l=1.0, lam_e=0.0, w=2.0, cfg=NetworkConfig(fading=FadingModel("lognormal")), L=3, radius=0.5)
+def test_builders_match_loop_oracles(seed, lam_l, lam_e, w, cfg, L, radius):
+    legit, eaves = _realization(seed, lam_l, lam_e, w)
+    rng = Rng(seed, 5)
+    pairs = {
+        "baseline": (build_baseline(legit, eaves), _oracle_baseline(legit, eaves)),
+        "thresholded": (build_thresholded(legit, eaves, cfg), _oracle_thresholded(legit, eaves, cfg)),
+        "fading": (build_fading(legit, eaves, cfg, rng), _oracle_fading(legit, eaves, cfg, rng)),
+        "sectorized": (
+            build_sectorized(legit, eaves, SectorConfig(L=L), rng),
+            _oracle_sectorized(legit, eaves, L, rng),
+        ),
+        "neutralized": (
+            build_neutralized(legit, eaves, NeutralizationConfig(radius=radius)),
+            _oracle_neutralized(legit, eaves, radius),
+        ),
+    }
+    for name, (g, want) in pairs.items():
+        assert g.adj.dtype == np.bool_ and np.array_equal(g.adj, want), name
 
 
 # ----------------------------------------------------------- neutralization
@@ -254,7 +380,7 @@ def test_sector_config_validation():
     with pytest.raises(ValueError):
         SectorConfig(L=0)
     with pytest.raises(ValueError):
-        SectorConfig(L=2, offsets="random")
+        SectorConfig(L=2.0)
     with pytest.raises(ValueError):
         NeutralizationConfig(radius=-1.0)
 
@@ -262,19 +388,20 @@ def test_sector_config_validation():
 def test_isgraph_edge_validation():
     legit = PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0, 2.0)
     eaves = PointSet(np.empty((0, 2)), 0.0, 2.0)
-    g = ISGraph(legit, eaves, [[1], [0]])
-    assert g.out_degrees().tolist() == [1, 1]
-    assert g.in_degrees().tolist() == [1, 1]
-    with pytest.raises(ValueError):
-        ISGraph(legit, eaves, [[0], [0]])  # self loop
-    with pytest.raises(ValueError):
-        ISGraph(legit, eaves, [[2], []])  # out of range
-    with pytest.raises(ValueError):
-        ISGraph(legit, eaves, [[1]])  # missing a source row
+    g = ISGraph(legit, eaves, np.array([[False, True], [False, False]]))
+    assert g.out_degrees().tolist() == [1, 0]
+    assert g.in_degrees().tolist() == [0, 1]
+    with pytest.raises(ValueError, match="self edges"):
+        ISGraph(legit, eaves, np.eye(2, dtype=bool))
+    with pytest.raises(ValueError, match="boolean"):
+        ISGraph(legit, eaves, np.array([[0, 1], [1, 0]]))  # integers, not booleans
+    with pytest.raises(ValueError, match="boolean"):
+        ISGraph(legit, eaves, np.array([[False, True]]))  # missing a source row
 
 
 def test_degree_bookkeeping_consistent():
     legit, eaves = _realization(51)
     g = build_baseline(legit, eaves)
-    assert g.out_degrees().sum() == g.in_degrees().sum()
-    assert g.out_degrees().sum() == sum(len(t) for t in g.out_edges)
+    assert g.out_degrees().dtype == g.in_degrees().dtype == np.int64
+    assert g.out_degrees().sum() == g.in_degrees().sum() == np.count_nonzero(g.adj)
+    assert g.out_degrees().tolist() == [len(e) for e in _edge_sets(g)]
