@@ -298,11 +298,10 @@ def _pmf_rows(law, trials: int, pmf, *others):
 
 def _run_degree(rc: RunConfig):
     cfg = rc.network()
-    # the in-degree window refuses an over-budget density before any sampling
-    mc.in_degree_window(cfg.lambda_l, cfg.lambda_e)
+    # the in-degree sample has the larger blocks, so an oversized one is refused before anything samples
+    pmf_in = mc.estimate_generic("in_degree", cfg, rc.trials, Rng(_sub_seed(rc.seed, 1)), rc.threads).pmf()
     out = mc.estimate_generic("out_degree", cfg, rc.trials, Rng(rc.seed), rc.threads)
     est = out.mean()
-    pmf_in = mc.estimate_generic("in_degree", cfg, rc.trials, Rng(_sub_seed(rc.seed, 1)), rc.threads).pmf()
     rows = _pmf_rows(lambda n: analytic.pmf_out_degree(n, rc.lambda_l, rc.lambda_e), rc.trials, out.pmf(), pmf_in)
     summary = _summary(cfg.ratio, est.value, est.std_error, est.tolerance(3.0))
     return ("n", "pmf_analytic_out", "pmf_sim_out", "pmf_sim_in", "se"), rows, summary
@@ -333,12 +332,9 @@ def _in_isolation(lambda_l: float, ratios, trials: int, rng: Rng, threads: int) 
 
 
 def _run_isolation(rc: RunConfig):
-    # the reference row's in-degree window, refused before anything samples;
-    # the in-degree sample's ratio is the larger of the reference's and 4,
-    # and a ratio of 4 is never refused
-    mc.in_degree_window(rc.lambda_l, rc.lambda_e)
     qs = (0.25, 0.5, 1.0, 2.0, 4.0)
     cfgs = [NetworkConfig(lambda_l=rc.lambda_l, lambda_e=q * rc.lambda_l) for q in qs] + [rc.network()]
+    # the in-degree sample has the largest blocks, so an oversized one is refused before anything samples
     p_ins = _in_isolation(rc.lambda_l, [c.ratio for c in cfgs], rc.trials, Rng(rc.seed).substream(1), rc.threads)
     rows = []
     for k, (q, cfg, p_in) in enumerate(zip(qs, cfgs, p_ins)):
@@ -388,10 +384,9 @@ def _run_neutralize(rc: RunConfig):
     summary = None
     grid = sorted({0.0, 0.25, 0.5, 0.75, 1.0} | {rc.guard_radius})
     cfg = rc.network()
-    for rho_n in grid:
-        if rho_n != 0.0:
-            mc.neutralization_window(cfg, rho_n)  # refuse an oversized window before sampling any radius
-    for k, rho_n in enumerate(grid):
+    # a trial's window grows with the guard radius: the radii run from the
+    # largest down, after a negative or NaN one, so a refused run samples none
+    for k, rho_n in sorted(enumerate(grid), key=lambda kr: (kr[1] >= 0, -kr[1])):
         seed = _sub_seed(rc.seed, k)
         est = mc.estimate_generic("neutralized_degree", cfg, rc.trials, Rng(seed), rc.threads, rho_n=rho_n).mean()
         lb = analytic.mean_out_degree_neutralization_lb(rho_n, cfg.lambda_l, cfg.lambda_e)
@@ -399,7 +394,7 @@ def _run_neutralize(rc: RunConfig):
         if rho_n == rc.guard_radius:
             tol = est.tolerance(3.0)
             summary = _summary(lb, est.value, est.std_error, tol, est.value >= lb - tol)
-    return ("rho_n", "bound", "mean_sim", "se"), rows, summary
+    return ("rho_n", "bound", "mean_sim", "se"), rows[::-1], summary
 
 
 def _run_msr(rc: RunConfig):
@@ -421,8 +416,8 @@ def _run_msr(rc: RunConfig):
 
 def _parse_sweep(text: str, trials: int):
     """The b values of start:stop:step.  Raises ValueError, before building
-    any, when the points would need more than the trial budget of one
-    estimate in all."""
+    any, when the points need more than one estimate's trial budget, each
+    point an estimate of its own, counted at no fewer trials than a block."""
     parts = text.split(":")
     if len(parts) != 3:
         raise _UsageError(f"--sweep-b expects start:stop:step, got {text!r}")
@@ -433,10 +428,10 @@ def _parse_sweep(text: str, trials: int):
     if not all(math.isfinite(v) for v in (start, stop, step)) or step <= 0 or stop < start:
         raise _UsageError(f"--sweep-b needs finite numbers, step > 0 and stop >= start, got {text!r}")
     span = (stop - start) / step
-    if (span + 1.0) * trials > mc._TRIAL_BUDGET:
+    if (span + 1.0) * max(trials, mc._MAX_BLOCK) > mc._TRIAL_BUDGET:
         raise ValueError(
             f"--sweep-b {text} asks for about {span + 1.0:.3g} points of {trials} trials each, "
-            f"over the budget of {mc._TRIAL_BUDGET:.3g} trials"
+            f"over the budget of {mc._TRIAL_BUDGET:.3g} trials, a point counting at least {mc._MAX_BLOCK}"
         )
     vals = [round(start + k * step, 12) for k in range(int(round(span)) + 1)]
     return [v for v in vals if v <= stop + 1e-9]

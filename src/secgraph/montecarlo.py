@@ -69,9 +69,11 @@ its own substream of rng, and outcomes are concatenated in block order.  A
 block holds 256 trials, except in the samplers that name their expected
 array elements per trial (draws): the distance-domain sector and
 neighbour-rate draws and the colluding kinds.  Their blocks hold the largest
-of 256, 512, ..., 4096 trials that expects at most 2^17 draws (_block_size),
-and a run whose first block expects more than 1e7 is refused before any
-block (_BLOCK_BUDGET).  The size follows from the kind and its parameters
+of 256, 512, ..., 4096 trials that expects at most 2^17 draws (_block_size).
+_run_blocks alone checks blocks: a run whose first block expects more than
+1e7 draws, or points of a spatial window, is refused before any block
+(_BLOCK_BUDGET).  A guard-disk trial, which no filtering call splits, is
+budgeted on its own.  The size follows from the kind and its parameters
 alone, so thread count changes only which worker executes a block, never
 the numbers.  threads is a ceiling: only the kinds whose blocks release the
 GIL use a pool (see _run_blocks), the rest run their blocks serially.
@@ -125,6 +127,9 @@ _BLOCK_BUDGET = 1e7
 # Trials one estimate may ask for: its outcomes alone are 400 MB of float64,
 # twice that while the blocks are concatenated.
 _TRIAL_BUDGET = 50_000_000
+# Rows a PMF may hold: a row written out costs about 300 bytes of Python
+# objects, and 1e6 rows took 6.1 s and 311 MB as CSV on a 2-vCPU VM.
+_TABLE_ROWS = 2**21
 
 
 @dataclass(frozen=True)
@@ -166,7 +171,10 @@ class Sample:
         return Estimate(value=s / n, std_error=math.sqrt(var / n), trials=n, bias_note=self.bias_note)
 
     def pmf(self) -> DegreePmf:
-        """Empirical PMF of nonnegative integer outcomes."""
+        """Empirical PMF of nonnegative integer outcomes, of at most _TABLE_ROWS rows."""
+        rows = int(np.max(self.values)) + 1
+        if rows > _TABLE_ROWS:
+            raise ValueError(f"a PMF table of {rows} rows is longer than the {_TABLE_ROWS} rows allowed")
         return DegreePmf(np.bincount(self.values) / float(len(self.values)))
 
     def ecdf(self, grid) -> tuple[np.ndarray, np.ndarray]:
@@ -184,9 +192,6 @@ class Sample:
 def in_degree_window(lambda_l: float, lambda_e: float, bias: float = 1e-4) -> float:
     """Smallest disk radius keeping the expected count of missed legitimate
     points, (lambda_l/lambda_e) exp(-lambda_e pi W^2), below the bias target.
-
-    Raises ValueError when a block of _BLOCK trials would expect more
-    legitimate points in the window than _BLOCK_BUDGET.
     """
     if lambda_e <= 0:
         raise ValueError("in-degree window needs lambda_e > 0")
@@ -195,12 +200,6 @@ def in_degree_window(lambda_l: float, lambda_e: float, bias: float = 1e-4) -> fl
         w2 = 1.0 / (math.pi * lambda_e)
     else:
         w2 = math.log(ratio / bias) / (math.pi * lambda_e)
-    expected = _BLOCK * lambda_l * math.pi * w2
-    if expected > _BLOCK_BUDGET:
-        raise ValueError(
-            f"in-degree window at lambda_l {lambda_l}, lambda_e {lambda_e} needs about {expected:.3g} "
-            f"legitimate points per {_BLOCK}-trial block, over the budget of {_BLOCK_BUDGET:.3g}"
-        )
     return math.sqrt(w2)
 
 
@@ -247,16 +246,17 @@ def fading_window(fading: FadingModel, lambda_e: float) -> float:
 # more, and starts below 0.35 add filtering rounds without saving points.
 _NEUTRAL_START_SURVIVORS = 0.5
 _NEUTRAL_GROWTH = 1.5
-# Legitimate points a start window may expect.  Each costs about 200 bytes
-# at peak, and a grown window holds 2.25x as many, so 1e6 points is about
-# half a gigabyte per thread and seconds per trial.
+# Points a guard-disk start window may expect, in the larger of its two
+# fields (the legitimate one, on which these constants were timed, when
+# lambda_e <= lambda_l).  Each costs about 200 bytes at peak, a grown window
+# holds 2.25x as many: 1e6 is half a gigabyte per thread, seconds per trial.
 _NEUTRAL_POINT_BUDGET = 1e6
-# Expected legitimate points per neutral_survivors call: trials are filtered
-# together up to this many, which spreads the call's fixed cost over many
-# cheap trials while a costly trial still gets a call of its own.
+# Expected points per neutral_survivors call: trials are filtered together up
+# to this many, which spreads the call's fixed cost over many cheap trials
+# while a costly trial still gets a call of its own.
 _NEUTRAL_CALL_POINTS = 2e4
-# Expected legitimate points per block, _BLOCK lambda_l pi (w0 + rho_n)^2,
-# from which guard-disk blocks go to the pool.  Timed at 2048 trials, blocks
+# Expected points per block, _BLOCK times a trial's count, from which
+# guard-disk blocks go to the pool.  Timed at 2048 trials, blocks
 # of 1.8k points (lambda_e 0.5, rho_n 0.5) ran 0.8x as fast on two threads as
 # on one, 3.2k (lambda_e 0.5, rho_n 0.67) 0.92x, 4.1k (lambda_e 0.5 and 1,
 # rho_n 0.75) 1.19x, 4.5k (lambda_e 0.1, rho_n 0.5) 1.0x and 11k (lambda_e
@@ -270,8 +270,6 @@ def neutralization_window(cfg: NetworkConfig, rho_n: float) -> float:
     Its area holds _NEUTRAL_START_SURVIVORS expected survivors at the
     survivor density lambda_e exp(-pi lambda_l rho_n^2), and the radius is at
     least 2 rho_n, so the origin's guard disk never reaches a grown annulus.
-    Raises ValueError when the start window (plus rho_n) would hold more
-    expected legitimate points than _NEUTRAL_POINT_BUDGET.
     """
     if not (math.isfinite(rho_n) and rho_n > 0):
         raise ValueError(f"guard radius must be finite and > 0, got {rho_n}")
@@ -279,14 +277,7 @@ def neutralization_window(cfg: NetworkConfig, rho_n: float) -> float:
         raise ValueError("neutralization window needs lambda_e > 0")
     lam_eff = cfg.lambda_e * math.exp(-cfg.lambda_l * math.pi * rho_n * rho_n)
     w0 = math.sqrt(_NEUTRAL_START_SURVIVORS / (math.pi * lam_eff)) if lam_eff > 0 else math.inf
-    w0 = max(2.0 * rho_n, w0)
-    expected = cfg.lambda_l * math.pi * (w0 + rho_n) ** 2
-    if expected > _NEUTRAL_POINT_BUDGET:
-        raise ValueError(
-            f"guard radius {rho_n} at lambda_l {cfg.lambda_l}, lambda_e {cfg.lambda_e} needs about "
-            f"{expected:.3g} legitimate points per trial, over the budget of {_NEUTRAL_POINT_BUDGET:.3g}"
-        )
-    return w0
+    return max(2.0 * rho_n, w0)
 
 
 # ---------------------------------------------------------------------------
@@ -314,21 +305,25 @@ def _blocks(trials: int, size: int) -> list[tuple[int, int]]:
 FORCE_POOL = False
 
 
-def _run_blocks(trials: int, root: Rng, threads: int, block_fn, pooled: bool = False, draws: float | None = None):
+def _run_blocks(
+    trials: int, root: Rng, threads: int, block_fn, pooled: bool = False, draws: float | None = None, points=None
+):
     """Run block_fn(block_rng, block_size) over trial blocks of
     _block_size(draws) trials.
 
     The blocks go to a pool of min(threads, blocks) workers only when pooled
     (or FORCE_POOL) is set; otherwise they run serially, whatever threads
     says.  Results come back in block order either way; block_fn must derive
-    all randomness from the Rng it is handed.  Raises ValueError, before any
-    block runs, when the first block expects more than _BLOCK_BUDGET draws.
+    all randomness from the Rng it is handed.  points is the array elements
+    a trial expects, draws unless given; a first block whose trials expect
+    more than _BLOCK_BUDGET of them raises ValueError before any block runs.
     """
     size = _block_size(draws)
     first = min(size, trials)
-    if draws is not None and first * draws > _BLOCK_BUDGET:
+    points = draws if points is None else points
+    if points is not None and first * points > _BLOCK_BUDGET:
         raise ValueError(
-            f"a block of {first} trials expects about {first * draws:.3g} array elements, "
+            f"a block of {first} trials expects about {first * points:.3g} array elements, "
             f"over the budget of {_BLOCK_BUDGET:.3g}"
         )
     plan = _blocks(trials, size)
@@ -342,13 +337,14 @@ def _run_blocks(trials: int, root: Rng, threads: int, block_fn, pooled: bool = F
 
 # ---------------------------------------------------------------------------
 # samplers: sampler(cfg, run, **params) -> Sample, where run(block_fn, pooled,
-# draws) runs block_fn over the trial blocks and returns the block results in
-# order.  A sampler whose blocks hold a few array elements per trial passes
-# their expected count as draws, so that its blocks grow past 256 trials.
+# draws, points) runs block_fn over the trial blocks and returns the block
+# results in order.  A sampler whose blocks hold a few array elements per
+# trial passes their expected count as draws, so that its blocks grow past
+# 256 trials; a spatial window's expected points per trial are its points.
 # A sampler passes pooled=True only where its blocks do their work in large
 # numpy/scipy calls that release the GIL, which made threads pay: the fading
 # out-degree route, guard-disk blocks of _NEUTRAL_POOL_POINTS or more expected
-# legitimate points, and colluding windows of _COLLUDING_POOL_POINTS or more
+# points, and colluding windows of _COLLUDING_POOL_POINTS or more
 # expected eavesdroppers.  The exact distance-domain kinds draw a few array
 # elements per trial, and ran slower on two threads than on one at 256-trial
 # blocks.  in_degree steps each block through its 50-60 eavesdropper ranks
@@ -381,12 +377,6 @@ def _out_degree(cfg: NetworkConfig, run) -> Sample:
         return _sector_degree(cfg, run)  # one sector: the geometric law, or its thresholded map
     _refuse(cfg, "out_degree with fading", "rho", "sigma2_e")
     w = fading_window(cfg.fading, cfg.lambda_e)
-    expected = _BLOCK * (cfg.lambda_l + cfg.lambda_e) * math.pi * w * w
-    if expected > _BLOCK_BUDGET:
-        raise ValueError(
-            f"fading window of radius {w:.3g} at lambda_l {cfg.lambda_l}, lambda_e {cfg.lambda_e} needs about "
-            f"{expected:.3g} points per {_BLOCK}-trial block, over the budget of {_BLOCK_BUDGET:.3g}"
-        )
 
     def block(rng: Rng, n: int):
         g = rng.generator()
@@ -407,12 +397,11 @@ def _out_degree(cfg: NetworkConfig, run) -> Sample:
         return np.bincount(seg_l[hits], minlength=n)
 
     note = f"spatial window radius {w:.3g} sized for {cfg.fading.kind} tails"
-    return Sample(np.concatenate(run(block, pooled=True)), note)
+    points = (cfg.lambda_l + cfg.lambda_e) * math.pi * w * w
+    return Sample(np.concatenate(run(block, pooled=True, points=points)), note)
 
 
 def _in_degree(cfg: NetworkConfig, run) -> Sample:
-    if cfg.lambda_e <= 0:
-        raise ValueError("in-degree estimation needs lambda_e > 0")
     _refuse(cfg, "in_degree", "fading", "rho", "sigma2_e")
     w = in_degree_window(cfg.lambda_l, cfg.lambda_e)
 
@@ -425,7 +414,9 @@ def _in_degree(cfg: NetworkConfig, run) -> Sample:
         return count_in_cell(lx, ly, np.searchsorted(lseg, bounds), ex, ey, np.searchsorted(eseg, bounds))
 
     bias = cfg.lambda_l / cfg.lambda_e * math.exp(-cfg.lambda_e * math.pi * w * w)
-    return Sample(np.concatenate(run(block)), f"window radius {w:.3g}, truncation bias bound {bias:.2e}")
+    points = (cfg.lambda_l + 4.0 * cfg.lambda_e) * math.pi * w * w
+    note = f"window radius {w:.3g}, truncation bias bound {bias:.2e}"
+    return Sample(np.concatenate(run(block, points=points)), note)
 
 
 def _voronoi_block(rng: Rng, n: int):
@@ -547,15 +538,19 @@ def _neutralized_degree(cfg: NetworkConfig, run, rho_n: float = 0.0) -> Sample:
         return _sector_degree(cfg, run)  # no guard disks: the one-sector draw
     _refuse(cfg, f"neutralized_degree with guard radius {rho_n}", "rho", "sigma2_e")
     w0 = neutralization_window(cfg, rho_n)
-    per_trial = cfg.lambda_l * math.pi * (w0 + rho_n) ** 2
-    chunk = int(min(_BLOCK, max(1.0, _NEUTRAL_CALL_POINTS / per_trial)))
+    points = max(cfg.lambda_l * math.pi * (w0 + rho_n) ** 2, cfg.lambda_e * math.pi * w0 * w0)
+    if points > _NEUTRAL_POINT_BUDGET:
+        raise ValueError(
+            f"guard radius {rho_n}: about {points:.3g} points per trial, over the budget of {_NEUTRAL_POINT_BUDGET:.3g}"
+        )
+    chunk = int(min(_BLOCK, max(1.0, _NEUTRAL_CALL_POINTS / points)))
 
     def block(rng: Rng, n: int):
         g = rng.generator()
         parts = [_neutralized_degrees(g, cfg, rho_n, w0, min(chunk, n - start)) for start in range(0, n, chunk)]
         return np.concatenate([deg for deg, _ in parts]), sum(grown for _, grown in parts)
 
-    parts = run(block, pooled=_BLOCK * per_trial >= _NEUTRAL_POOL_POINTS)
+    parts = run(block, pooled=_BLOCK * points >= _NEUTRAL_POOL_POINTS)
     degrees = np.concatenate([deg for deg, _ in parts])
     growths = sum(grown for _, grown in parts)
     note = (

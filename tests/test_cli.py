@@ -5,12 +5,15 @@ checked once at the frozen seed, so the assertions are deterministic.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -18,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secgraph import NetworkConfig, Rng, acceptance, cli, montecarlo as mc
 from secgraph.cli import RunConfig, _parse_sweep, load_config
@@ -310,7 +315,7 @@ def test_absurd_guard_radius_exits_2_before_sampling(tmp_path, capsys, monkeypat
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before refusing the guard radius")
 
-    monkeypatch.setattr(mc, "estimate_generic", no_sampling)
+    monkeypatch.setattr(mc, "_run_blocks", no_sampling)
     code, out = _run(["neutralize", "--guard-radius", "3"], tmp_path)
     assert code == 2 and not out.exists()
     # default lambda_l 1, lambda_e 0.1: survivors have density 0.1 exp(-9 pi)
@@ -318,7 +323,40 @@ def test_absurd_guard_radius_exits_2_before_sampling(tmp_path, capsys, monkeypat
     w0 = math.sqrt(mc._NEUTRAL_START_SURVIVORS / (math.pi * lam_eff))
     expected = math.pi * (w0 + 3.0) ** 2
     assert expected > 1e12
-    assert f"about {expected:.3g} legitimate points" in capsys.readouterr().err
+    assert f"about {expected:.3g} points per trial, over the budget of 1e+06" in capsys.readouterr().err
+
+
+def test_dense_eavesdroppers_in_guard_disks_exit_2_before_any_block(tmp_path, capsys, monkeypatch):
+    # lambda_e 1e5: the start window of radius 2 rho_n holds 1.26e6
+    # eavesdroppers per trial against 28 legitimate points, and the count
+    # that is budgeted is the larger of the two
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("planned blocks before refusing the guard disks")
+
+    monkeypatch.setattr(mc, "_blocks", no_blocks)
+    code, out = _run(["neutralize", "--lambda-e", "1e5", "--guard-radius", "1"], tmp_path)
+    assert code == 2 and not out.exists()
+    assert "guard radius 1.0: about 1.26e+06 points per trial, over the budget of 1e+06" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius", ["-1", "nan"])
+def test_invalid_guard_radius_exits_2_before_any_block(tmp_path, capsys, monkeypatch, radius):
+    # the radii sample from the largest down, but an invalid one goes first
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("planned blocks before refusing the guard radius")
+
+    monkeypatch.setattr(mc, "_blocks", no_blocks)
+    code, out = _run(["neutralize", "--guard-radius", radius], tmp_path)
+    assert code == 2 and not out.exists()
+    assert "guard radius must be finite and > 0" in capsys.readouterr().err
+
+
+def test_sparse_sectored_pmf_table_exits_2(tmp_path, capsys):
+    # at lambda_e 1e-7 a ten-trial sample reaches degrees of millions, whose
+    # table of Python rows would take gigabytes; refused before its bincount
+    code, out = _run(["sectors", "--lambda-e", "1e-7", "--trials", "10"], tmp_path)
+    assert code == 2 and not out.exists()
+    assert re.search(r"a PMF table of \d+ rows is longer than the 2097152 rows allowed", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("experiment", ["degree", "isolation"])
@@ -326,13 +364,14 @@ def test_sparse_eavesdroppers_exit_2_before_sampling(tmp_path, capsys, monkeypat
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before refusing the in-degree window")
 
-    monkeypatch.setattr(mc, "estimate_generic", no_sampling)
+    monkeypatch.setattr(mc, "_blocks", no_sampling)
     code, out = _run([experiment, "--lambda-e", "1e-6"], tmp_path)
     assert code == 2 and not out.exists()
-    # default lambda_l 1: the window holds ln(1e6 / 1e-4) / 1e-6 points per trial
-    expected = mc._BLOCK * math.log(1e10) / 1e-6
+    # default lambda_l 1: the window holds ln(1e6 / 1e-4) / 1e-6 legitimate
+    # points per trial, and 4 of its areas of eavesdroppers at 1e-6
+    expected = mc._BLOCK * (1.0 + 4e-6) * math.log(1e10) / 1e-6
     assert expected > 5e9
-    assert f"about {expected:.3g} legitimate points per 256-trial block" in capsys.readouterr().err
+    assert f"a block of 256 trials expects about {expected:.3g} array elements" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -465,6 +504,14 @@ def test_sweep_over_the_trial_budget_exits_2_before_building(tmp_path, capsys, m
     assert len(_parse_sweep("1:2:1e-4", 4999)) == 10_001
     with pytest.raises(ValueError, match="over the budget"):
         _parse_sweep("1:2:1e-4", 5000)
+
+
+def test_sweep_points_count_at_least_a_full_block():
+    # each point is an estimate with a fixed cost of its own: 1e5 points of
+    # one trial took about 17 s, so a point counts at least 4096 trials
+    assert len(_parse_sweep("1:12207:1", 1)) == 12_207  # 5e7 / 4096 = 12207.03
+    with pytest.raises(ValueError, match="1.22e[+]04 points of 1 trials each, .*, a point counting at least 4096"):
+        _parse_sweep("1:12208:1", 1)
 
 
 @pytest.mark.parametrize("args", [["collude", "--b", "1.05"], ["sectors", "--sectors", "1000000"]])
@@ -651,3 +698,82 @@ def test_runconfig_network_mapping():
     assert cfg.gain.kind == "unbounded" and cfg.gain.b == 3.0
     assert cfg.lambda_e == 0.2 and cfg.p_l == 2.0 and cfg.rho == 1.0
     assert rc.network(rho=0.25).rho == 0.25
+
+
+# ------------------------------------------------- any input fails cleanly
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
+
+
+def _log_int(lo, hi):
+    return _log_uniform(lo, hi).map(lambda x: max(lo, min(hi, round(x))))
+
+
+# every model key over many decades; a key absent here (seed, threads, out,
+# format) holds a value that no refusal reads
+_KEY_VALUES = {
+    "lambda_l": _log_uniform(1e-6, 1e6),
+    "lambda_e": _log_uniform(1e-6, 1e6),
+    "b": _log_uniform(0.5, 50.0),
+    "power": _log_uniform(1e-12, 1e12),
+    "sigma2_l": _log_uniform(1e-12, 1e12),
+    "sigma2_e": _log_uniform(1e-12, 1e12),
+    "rho": st.one_of(st.just(0.0), _log_uniform(1e-6, 1e3)),
+    "sectors": _log_int(1, 10**7),
+    "guard_radius": _log_uniform(1e-6, 1e3),
+    "neighbor": _log_int(1, 10**6),
+    "r_l": _log_uniform(1e-6, 1e6),
+    "trials": _log_int(1, 10**8),
+}
+_SWEEPS = st.tuples(_log_uniform(0.5, 50.0), _log_uniform(1e-6, 50.0), _log_uniform(1e-6, 10.0)).map(
+    lambda t: f"{t[0]!r}:{t[0] + t[1]!r}:{t[2]!r}"
+)
+# (subcommand, keys drawn): collude in both of its modes; selftest sets its
+# own budgets and takes no sampling key
+_MODES = [(name, exp.keys) for name, exp in cli._EXPERIMENTS.items() if name != "selftest"] + [
+    ("collude", tuple(k for k in cli._EXPERIMENTS["collude"].keys if k not in ("b", "r_l")))
+]
+
+
+class _Hung(BaseException):
+    pass
+
+
+def _hung(signum, frame):
+    raise _Hung("an example ran over 30 s")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the SE of a one-trial sample
+@pytest.mark.parametrize("name,keys", _MODES, ids=[name for name, _ in _MODES[:-1]] + ["collude-sweep"])
+def test_every_input_exits_0_1_or_2_and_budget_refusals_run_no_block(name, keys, tmp_path_factory):
+    # every key the run reads is drawn over many decades, and every block is
+    # cut to one trial; whatever the input, main returns an exit code, and a
+    # run refused over a budget is refused before its first block
+    out = tmp_path_factory.mktemp(name) / "out.csv"
+
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(st.fixed_dictionaries({k: v for k, v in _KEY_VALUES.items() if k in keys}), _SWEEPS)
+    def check(values, sweep):
+        argv = [name, "--out", str(out)]
+        for key, value in values.items():
+            argv += ["--" + key.replace("_", "-"), repr(value)]
+        if "sweep_b" in keys and "b" not in keys:
+            argv += ["--sweep-b", sweep]
+        ran = []
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc, "_blocks", lambda trials, size: ran.append(trials) or [(0, 1)])
+            previous = signal.signal(signal.SIGALRM, _hung)
+            signal.alarm(30)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+            finally:
+                signal.alarm(0)
+                signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        if "over the budget" in err.getvalue():
+            assert not ran, (argv, err.getvalue())
+
+    check()

@@ -201,12 +201,12 @@ def _record_blocks(monkeypatch, record):
     """Have every block call record(n), n its trial count, in the thread that runs it."""
     run_blocks = montecarlo._run_blocks
 
-    def recorded(trials, root, threads, block_fn, pooled=False, draws=None):
+    def recorded(trials, root, threads, block_fn, pooled=False, draws=None, points=None):
         def block(rng, n):
             record(n)
             return block_fn(rng, n)
 
-        return run_blocks(trials, root, threads, block, pooled, draws)
+        return run_blocks(trials, root, threads, block, pooled, draws, points)
 
     monkeypatch.setattr(montecarlo, "_run_blocks", recorded)
 
@@ -377,13 +377,40 @@ def test_oversized_blocks_are_refused_before_any_block(monkeypatch):
 def test_oversized_fading_window_is_refused_before_any_block(monkeypatch):
     # lognormal fading at lambda_e 1e-4: a window of radius 800, whose
     # 256-trial block would expect 5.15e8 legitimate points
-    def sampled(*args, **kwargs):
-        pytest.fail("an oversized fading window reached the block harness")
+    def planned(*args, **kwargs):
+        pytest.fail("an oversized fading window was planned")
 
-    monkeypatch.setattr(montecarlo, "_run_blocks", sampled)
+    monkeypatch.setattr(montecarlo, "_blocks", planned)
     cfg = NetworkConfig(lambda_e=1e-4, fading=FadingModel("lognormal", sigma_s=1.0))
-    with pytest.raises(ValueError, match="fading window of radius 800 .* needs about 5.15e[+]08 points per 256-trial"):
+    with pytest.raises(ValueError, match="a block of 256 trials expects about 5.15e[+]08 array elements, over the"):
         estimate_generic("out_degree", cfg, 1000, Rng(1))
+
+
+def test_guard_disk_calls_are_chunked_by_their_eavesdroppers(monkeypatch):
+    # lambda_e 1e3, rho_n 1: a start window of radius 2 holds 1.26e4
+    # eavesdroppers against 28 legitimate points per trial.  Chunked by the
+    # legitimate count alone, one call held all 256 trials, 3.2e6
+    # eavesdroppers; chunked by the larger field, each trial has its own.
+    sizes = []
+
+    def every_eavesdropper_survives(ex, ey, fx, fy, rho_n):
+        sizes.append(len(ex))
+        return np.ones(len(ex), dtype=bool)
+
+    monkeypatch.setattr(montecarlo, "neutral_survivors", every_eavesdropper_survives)
+    _sample("neutralized_degree", cfg=NetworkConfig(lambda_e=1e3), rho_n=1.0, trials=256)
+    assert len(sizes) == 256
+    assert max(sizes) <= 4 * montecarlo._NEUTRAL_CALL_POINTS
+
+
+def test_pmf_table_is_bounded_before_it_is_allocated():
+    rows = montecarlo._TABLE_ROWS
+    assert len(Sample(np.array([0, rows - 1])).pmf().probs) == rows
+    # an outcome of 1e12 would need an 8 TB bincount: refused from its value
+    with pytest.raises(ValueError, match=f"a PMF table of {rows + 1} rows is longer than the {rows} rows allowed"):
+        Sample(np.array([0, rows])).pmf()
+    with pytest.raises(ValueError, match="a PMF table of 1000000000001 rows"):
+        Sample(np.array([0, 10**12])).pmf()
 
 
 def test_same_seed_same_pmf_different_seed_differs():
