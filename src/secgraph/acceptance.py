@@ -355,6 +355,8 @@ def thread_determinism(threads: int) -> tuple[bool, str]:
         ["collude", "--lambda-e", "0.1", "--power", "10", "--trials", "10000"],
         ["collude", "--sweep-b", "1.5:3:0.5", "--lambda-e", "0.1", "--trials", "5000"],
         ["voronoi", "--trials", "5000"],
+        # four guard-disk blocks of one filtering call each, which pool by default
+        ["neutralize", "--lambda-e", "0.5", "--guard-radius", "1.5", "--trials", "48"],
     ]
     ok = True
     parts = []

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -189,16 +190,6 @@ def _plain(v):
     raise TypeError(f"cannot serialize {type(v)}")
 
 
-def _fmt_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 # threads never changes results (estimates are bitwise thread-invariant) and
 # out is where the file already sits, so neither belongs in the file itself:
 # two runs differing only in those knobs must emit identical bytes.
@@ -215,13 +206,15 @@ def _echo_config(rc: RunConfig) -> dict:
 
 
 def _write_csv(path: str, rc: RunConfig, columns, rows) -> None:
+    """rows hold only None, str, int and float cells, which csv writes as an
+    empty cell, the text, str and repr; runners convert numpy scalars to
+    Python ones and spell a bool as JSON does."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for key, value in _echo_config(rc).items():
             fh.write(f"# {key} = {'null' if value is None else value}\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt_cell(_plain(v)) for v in row])
+        writer.writerows(rows)
 
 
 def _json_safe(v):
@@ -402,7 +395,7 @@ def _run_msr(rc: RunConfig):
     i = rc.neighbor
     if i < 1:
         raise _UsageError(f"neighbor must be >= 1, got {i}")
-    grid = (0.0,) + tuple(np.linspace(0.08, 8.0, 100))
+    grid = (0.0, *np.linspace(0.08, 8.0, 100).tolist())
     sample = mc.estimate_generic("neighbor_msr", cfg, rc.trials, Rng(rc.seed), rc.threads, neighbor_index=i)
     values, ses = sample.ecdf(grid)
     cdf = analytic.cdf_msr_neighbor(grid, i, cfg)
@@ -474,7 +467,7 @@ def _run_collude(rc: RunConfig):
     nearest = analytic.cdf_msr_noncolluding_link(grid, rc.r_l, cfg)
     rows = [
         (rho, float(Fc), float(v), float(Fn), float(se))
-        for rho, Fc, v, Fn, se in zip(grid, colluding, values, nearest, ses)
+        for rho, Fc, v, Fn, se in zip(grid.tolist(), colluding, values, nearest, ses)
     ]
     est = mc.estimate_generic("colluding_degree", cfg, rc.trials, Rng(_sub_seed(rc.seed, 99)), rc.threads).mean()
     ratio = cfg.ratio
@@ -509,7 +502,7 @@ def _run_selftest(rc: RunConfig, criteria: str | None) -> int:
         # wall-clock seconds stay on the printed line: the file is the same
         # for every run that passes the same way
         columns = ("criterion", "passed", "detail")
-        rows = [(r.name, r.passed, r.detail) for r in results]
+        rows = [(r.name, r.passed if rc.format == "json" else str(r.passed).lower(), r.detail) for r in results]
         summary = _summary(float(len(results)), float(n_pass), 0.0, 0.0, n_pass == len(results))
         _emit(rc, columns, rows, summary)
     return 0 if n_pass == len(results) else 3
@@ -571,6 +564,7 @@ def _add_key(parser: _Parser, key: str) -> None:
     parser.add_argument("--" + key.replace("_", "-"), dest=key, type=_KEY_TYPES[key], help=_KEY_HELP.get(key))
 
 
+@functools.cache  # about 100 add_argument calls; parse_args leaves the parser as it was
 def _build_parser() -> _Parser:
     parser = _Parser(prog="secgraph", description="secrecy graph experiments over Poisson fields")
     subs = parser.add_subparsers(dest="experiment", metavar="experiment")

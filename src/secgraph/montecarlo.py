@@ -42,8 +42,8 @@ the estimates.  Sampler design notes, per kind:
                      only the annulus's eavesdroppers are filtered, against
                      the legitimate points within rho_n of it, because a
                      neutralized eavesdropper stays neutralized.  No
-                     truncation; bias_note counts the growths.  Cheap trials
-                     share one filtering call per round, each shifted to its
+                     truncation; bias_note counts the growths.  A block is
+                     one filtering call per round, each trial shifted to its
                      own lattice cell.  At rho_n = 0 it is the exact
                      one-sector draw.
   neighbor_msr       exact: secrecy rate to the i-th nearest legitimate
@@ -70,6 +70,8 @@ block holds 256 trials, except in the samplers that name their expected
 array elements per trial (draws): the distance-domain sector and
 neighbour-rate draws and the colluding kinds.  Their blocks hold the largest
 of 256, 512, ..., 4096 trials that expects at most 2^17 draws (_block_size).
+A guard-disk block holds the trials, up to 256, that one filtering call takes
+(_NEUTRAL_CALL_POINTS), so even a short run is several blocks.
 _run_blocks alone checks blocks: a run whose first block expects more than
 1e7 draws, or points of a spatial window, is refused before any block
 (_BLOCK_BUDGET).  A guard-disk trial, which no filtering call splits, is
@@ -251,16 +253,16 @@ _NEUTRAL_GROWTH = 1.5
 # lambda_e <= lambda_l).  Each costs about 200 bytes at peak, a grown window
 # holds 2.25x as many: 1e6 is half a gigabyte per thread, seconds per trial.
 _NEUTRAL_POINT_BUDGET = 1e6
-# Expected points per neutral_survivors call: trials are filtered together up
-# to this many, which spreads the call's fixed cost over many cheap trials
-# while a costly trial still gets a call of its own.
+# Expected points per guard-disk block, which one neutral_survivors call per
+# round filters: it spreads the call's fixed cost over many cheap trials,
+# while a costly trial is a block of its own.
 _NEUTRAL_CALL_POINTS = 2e4
-# Expected points per block, _BLOCK times a trial's count, from which
-# guard-disk blocks go to the pool.  Timed at 2048 trials, blocks
-# of 1.8k points (lambda_e 0.5, rho_n 0.5) ran 0.8x as fast on two threads as
-# on one, 3.2k (lambda_e 0.5, rho_n 0.67) 0.92x, 4.1k (lambda_e 0.5 and 1,
-# rho_n 0.75) 1.19x, 4.5k (lambda_e 0.1, rho_n 0.5) 1.0x and 11k (lambda_e
-# 0.5, rho_n 1) 1.75x (medians of 15-21 rounds).
+# Expected points of a _BLOCK-trial block from which guard-disk blocks go to
+# the pool; a block of fewer trials expects over 1e4.  Timed at 2048 trials,
+# blocks of 1.8k points (lambda_e 0.5, rho_n 0.5) ran 0.8x as fast on two
+# threads as on one, 3.2k (lambda_e 0.5, rho_n 0.67) 0.92x, 4.1k (lambda_e
+# 0.5 and 1, rho_n 0.75) 1.19x, 4.5k (lambda_e 0.1, rho_n 0.5) 1.0x and 11k
+# (lambda_e 0.5, rho_n 1) 1.75x (medians of 15-21 rounds).
 _NEUTRAL_POOL_POINTS = 4e3
 
 
@@ -306,19 +308,21 @@ FORCE_POOL = False
 
 
 def _run_blocks(
-    trials: int, root: Rng, threads: int, block_fn, pooled: bool = False, draws: float | None = None, points=None
+    trials: int, root: Rng, threads: int, block_fn, pooled: bool = False, draws: float | None = None, points=None, size=None
 ):
-    """Run block_fn(block_rng, block_size) over trial blocks of
-    _block_size(draws) trials.
+    """Run block_fn(block_rng, block_size) over trial blocks of size trials,
+    _block_size(draws) unless given.
 
     The blocks go to a pool of min(threads, blocks) workers only when pooled
     (or FORCE_POOL) is set; otherwise they run serially, whatever threads
-    says.  Results come back in block order either way; block_fn must derive
-    all randomness from the Rng it is handed.  points is the array elements
-    a trial expects, draws unless given; a first block whose trials expect
+    says.  The pool holds at most two blocks per worker submitted ahead of
+    the one being collected, so a run of many small blocks queues few.
+    Results come back in block order either way; block_fn must derive all
+    randomness from the Rng it is handed.  points is the array elements a
+    trial expects, draws unless given; a first block whose trials expect
     more than _BLOCK_BUDGET of them raises ValueError before any block runs.
     """
-    size = _block_size(draws)
+    size = _block_size(draws) if size is None else size
     first = min(size, trials)
     points = draws if points is None else points
     if points is not None and first * points > _BLOCK_BUDGET:
@@ -330,22 +334,28 @@ def _run_blocks(
     workers = min(threads, len(plan))
     if workers <= 1 or not (pooled or FORCE_POOL):
         return [block_fn(root.substream(i), n) for i, n in plan]
+    results, ahead = [], []
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(block_fn, root.substream(i), n) for i, n in plan]
-        return [f.result() for f in futures]
+        for i, n in plan:
+            if len(ahead) == 2 * workers:
+                results.append(ahead.pop(0).result())
+            ahead.append(pool.submit(block_fn, root.substream(i), n))
+        return results + [f.result() for f in ahead]
 
 
 # ---------------------------------------------------------------------------
 # samplers: sampler(cfg, run, **params) -> Sample, where run(block_fn, pooled,
-# draws, points) runs block_fn over the trial blocks and returns the block
-# results in order.  A sampler whose blocks hold a few array elements per
-# trial passes their expected count as draws, so that its blocks grow past
+# draws, points, size) runs block_fn over the trial blocks and returns the
+# block results in order.  A sampler whose blocks hold a few array elements
+# per trial passes their expected count as draws, so that its blocks grow past
 # 256 trials; a spatial window's expected points per trial are its points.
 # A sampler passes pooled=True only where its blocks do their work in large
 # numpy/scipy calls that release the GIL, which made threads pay: the fading
-# out-degree route, guard-disk blocks of _NEUTRAL_POOL_POINTS or more expected
-# points, and colluding windows of _COLLUDING_POOL_POINTS or more
-# expected eavesdroppers.  The exact distance-domain kinds draw a few array
+# out-degree route, guard-disk runs whose 256-trial block would expect
+# _NEUTRAL_POOL_POINTS or more points (so every run of smaller blocks, where
+# two threads took the benchmark's 24-trial runs at rho_n = 1.5 from 127 to
+# 76 ms and 83 to 69 ms), and colluding windows of _COLLUDING_POOL_POINTS or
+# more expected eavesdroppers.  The exact distance-domain kinds draw a few array
 # elements per trial, and ran slower on two threads than on one at 256-trial
 # blocks.  in_degree steps each block through its 50-60 eavesdropper ranks
 # in arrays of a few thousand points, and ran 0.90-1.14x as fast pooled on
@@ -543,14 +553,13 @@ def _neutralized_degree(cfg: NetworkConfig, run, rho_n: float = 0.0) -> Sample:
         raise ValueError(
             f"guard radius {rho_n}: about {points:.3g} points per trial, over the budget of {_NEUTRAL_POINT_BUDGET:.3g}"
         )
-    chunk = int(min(_BLOCK, max(1.0, _NEUTRAL_CALL_POINTS / points)))
+    # a block is one filtering call, with its own substream
+    size = int(min(_BLOCK, max(1.0, _NEUTRAL_CALL_POINTS / points)))
 
     def block(rng: Rng, n: int):
-        g = rng.generator()
-        parts = [_neutralized_degrees(g, cfg, rho_n, w0, min(chunk, n - start)) for start in range(0, n, chunk)]
-        return np.concatenate([deg for deg, _ in parts]), sum(grown for _, grown in parts)
+        return _neutralized_degrees(rng.generator(), cfg, rho_n, w0, n)
 
-    parts = run(block, pooled=_BLOCK * points >= _NEUTRAL_POOL_POINTS)
+    parts = run(block, pooled=_BLOCK * points >= _NEUTRAL_POOL_POINTS, size=size)
     degrees = np.concatenate([deg for deg, _ in parts])
     growths = sum(grown for _, grown in parts)
     note = (

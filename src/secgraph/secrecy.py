@@ -273,14 +273,27 @@ def build_sectorized(legit: PointSet, eaves: PointSet, sector: SectorConfig, rng
     width = 2.0 * math.pi / L
     phis = rng.generator().uniform(0.0, width, n)[:, None]
 
-    def wedge(xy):  # wedge index of each point of xy as seen from each source
-        dx, dy = _from_sources(legit, xy)
-        k = np.floor(((np.arctan2(dy, dx) - phis) % (2.0 * math.pi)) / width).astype(np.int64)
-        return np.clip(k, 0, L - 1)
+    def wedge(dx, dy):  # wedge index of each displacement from its source, computed in place
+        k = np.arctan2(dy, dx)
+        k -= phis
+        k %= 2.0 * math.pi
+        k /= width
+        np.floor(k, out=k)
+        return np.clip(k, 0, L - 1, out=k).astype(np.min_scalar_type(L - 1))
 
     sect_min = np.full((n, L), math.inf)  # nearest eavesdropper in each wedge of each source
-    np.minimum.at(sect_min, (np.arange(n)[:, None], wedge(eaves.xy)), np.hypot(*_from_sources(legit, eaves.xy)))
-    adj = _pairwise(legit) < np.take_along_axis(sect_min, wedge(legit.xy), axis=1)
+    dx, dy = _from_sources(legit, eaves.xy)
+    np.minimum.at(sect_min, (np.arange(n)[:, None], wedge(dx, dy)), np.hypot(dx, dy))
+    # At most three (n, n) float arrays are alive at once, one fewer than
+    # _pairwise_sq holds: the displacements and the wedge angle, then the
+    # distances built in place of dx and each target's wedge threshold.
+    dx, dy = _from_sources(legit, legit.xy)
+    k = wedge(dx, dy)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    del dy
+    adj = np.sqrt(dx, out=dx) < np.take_along_axis(sect_min, k, axis=1)
     np.fill_diagonal(adj, False)
     return ISGraph(legit, eaves, adj)
 

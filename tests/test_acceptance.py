@@ -41,7 +41,7 @@ def test_thread_determinism_forces_the_pool(monkeypatch):
 
     monkeypatch.setattr(acceptance.cli, "main", fake_main)
     passed, _ = acceptance.thread_determinism(1)
-    assert passed and len(seen) == 36 and all(seen)
+    assert passed and len(seen) == 40 and all(seen)
     assert montecarlo.FORCE_POOL is False
 
     def failing_main(argv):

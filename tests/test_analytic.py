@@ -248,6 +248,27 @@ def test_thresholded_mean_jensen_ordering(rho, p_l):
     assert 0.0 < exact <= bound * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("rho,b", [(1.0, 2.0), (20.0, 1.05)])
+def test_thresholded_mean_is_accurate_for_sparse_eavesdroppers(rho, b):
+    # at lambda_e = 1e-6 the integral is 1e-6 to 1e-12, below any absolute
+    # tolerance, and its knee lies decades below u = 1; against mpmath at 30
+    # digits, split at the knee
+    mpmath = pytest.importorskip("mpmath")
+    cfg = NetworkConfig(lambda_e=1e-6, rho=rho, sigma2_e=0.01, gain=GainModel("unbounded", b))
+    with mpmath.workdps(30):
+        a = mpmath.mpf(cfg.sigma2_l) / mpmath.mpf(cfg.sigma2_e) * mpmath.mpf(2) ** rho
+        c = mpmath.mpf(cfg.sigma2_l) / mpmath.mpf(cfg.p_l) * (mpmath.mpf(2) ** rho - 1)
+        pe = mpmath.pi * mpmath.mpf(cfg.lambda_e)
+        bb = mpmath.mpf(b)
+
+        def f(u):
+            return u * mpmath.exp(-u) / (a + c * (u / pe) ** bb) ** (1 / bb)
+
+        knee = pe * (a / c) ** (1 / bb)
+        want = float(mpmath.mpf(cfg.lambda_l) / mpmath.mpf(cfg.lambda_e) * mpmath.quad(f, [0, knee, 1, mpmath.inf]))
+    assert mean_out_degree_thresholded(cfg)[0] == pytest.approx(want, rel=1e-8)
+
+
 def test_thresholded_mean_no_eavesdroppers():
     assert mean_out_degree_thresholded(NetworkConfig(lambda_e=0.0)) == (math.inf, math.inf)
     with pytest.raises(ValueError):

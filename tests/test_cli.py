@@ -429,6 +429,26 @@ def test_selftest_files_hold_no_wall_clock_time(tmp_path, capsys, fmt):
     assert re.search(r"\[ *\d+\.\d\ds\]", capsys.readouterr().out)
 
 
+def test_selftest_files_spell_the_pass_flag_as_json_does(tmp_path, capsys):
+    argv = ["selftest", "--criteria", "out_degree_law", "--threads", "1", "--out"]
+    assert cli.main(argv + [str(tmp_path / "s.csv")]) == 0
+    assert cli.main(argv + [str(tmp_path / "s.json"), "--format", "json"]) == 0
+    lines = [line for line in (tmp_path / "s.csv").read_text().splitlines() if not line.startswith("#")]
+    header, row = csv.reader(lines)
+    assert header == ["criterion", "passed", "detail"] and row[:2] == ["out_degree_law", "true"]
+    assert json.loads((tmp_path / "s.json").read_text())["rows"][0]["passed"] is True
+    capsys.readouterr()
+
+
+def test_runners_build_rows_of_plain_cells():
+    # the CSV writer hands cells to csv.writer as they are, which would
+    # spell a bool True and a numpy scalar by its own str
+    runs = [RunConfig(experiment=name, trials=300, seed=4) for name in cli._EXPERIMENTS if name != "selftest"]
+    for rc in runs + [RunConfig(experiment="collude", sweep_b="1:2:0.5", trials=300, seed=4)]:
+        _, rows, _ = cli._EXPERIMENTS[rc.experiment].run(rc)
+        assert {type(v) for row in rows for v in row} <= {int, float, str, type(None)}, rc
+
+
 # ------------------------------------------------------------ fresh imports
 
 def _fresh_python(script, cwd):
@@ -549,6 +569,20 @@ def _subparsers():
     parser = cli._build_parser()
     (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return parser, subs.choices
+
+
+def test_a_usage_error_leaves_the_next_run_unchanged(tmp_path, capsys):
+    # the parser is built once per process, so an argv it refuses must leave
+    # nothing in it that a later call sees
+    assert cli._build_parser() is cli._build_parser()
+    argv = ["sectors", "--trials", "300", "--seed", "3"]
+    code, out = _run(argv, tmp_path)
+    first = (code, capsys.readouterr().out, out.read_bytes())
+    for bad in (["sectors", "--sectors", "x"], ["sectors", "--guard-radius", "1"], ["sectors", "--seed"], ["nope"], []):
+        assert cli.main(bad) == 1
+    assert capsys.readouterr().err.count("usage error") == 5
+    code, out = _run(argv, tmp_path)
+    assert (code, capsys.readouterr().out, out.read_bytes()) == first
 
 
 def test_parser_derives_one_flag_per_config_key():

@@ -201,12 +201,12 @@ def _record_blocks(monkeypatch, record):
     """Have every block call record(n), n its trial count, in the thread that runs it."""
     run_blocks = montecarlo._run_blocks
 
-    def recorded(trials, root, threads, block_fn, pooled=False, draws=None, points=None):
+    def recorded(trials, root, threads, block_fn, pooled=False, draws=None, points=None, size=None):
         def block(rng, n):
             record(n)
             return block_fn(rng, n)
 
-        return run_blocks(trials, root, threads, block, pooled, draws, points)
+        return run_blocks(trials, root, threads, block, pooled, draws, points, size)
 
     monkeypatch.setattr(montecarlo, "_run_blocks", recorded)
 
@@ -258,7 +258,9 @@ _SERIAL = (
             {"cfg": NetworkConfig(lambda_e=0.1, gain=GainModel("unbounded", 2.0)), "trials": _COLLUDING_B2},
         ),
     ]
-    + [(kind, {**kw, "trials": 24}) for kind, kw in _POOLED]
+    + [(kind, {**kw, "trials": 24}) for kind, kw in _POOLED[:2]]
+    # a guard-disk run of one filtering call (14 trials at rho_n = 1.5)
+    + [("neutralized_degree", {"rho_n": 1.5, "trials": 14})]
     + [
         ("colluding_degree", {"cfg": NetworkConfig(lambda_e=0.1, gain=GainModel("unbounded", 1.75)), "trials": 2048}),
         ("neutralized_degree", {"rho_n": 0.25, "trials": 2 * montecarlo._BLOCK}),
@@ -286,11 +288,76 @@ def test_every_kind_has_thread_cases():
 
 @pytest.mark.parametrize("kind,kw", _POOLED)
 def test_pooled_runs_reach_the_pool(kind, kw, monkeypatch):
-    # the pool gets min(threads, blocks) workers: 2 for two blocks at threads=4
+    # the pool gets min(threads, blocks) workers at threads=4: 2 for two
+    # 256-trial blocks, 4 for the 37 guard-disk blocks of one filtering call
+    # (14 trials) each
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _no_pool)
     with pytest.raises(_PoolStarted) as started:
         _sample(kind, trials=2 * montecarlo._BLOCK, threads=4, **kw)
-    assert started.value.args == (2,)
+    assert started.value.args == (4 if kind == "neutralized_degree" else 2,)
+
+
+@pytest.mark.parametrize("lambda_e,sizes", [(0.1, [3] * 8), (0.5, [14, 10])])
+def test_short_guard_disk_runs_reach_the_pool(lambda_e, sizes, monkeypatch):
+    # 24 trials at rho_n = 1.5: each block is one filtering call with its
+    # own substream, so two threads split even a run this short, and give
+    # the one-thread values and growth counts
+    cfg = NetworkConfig(lambda_e=lambda_e)
+    a = _sample("neutralized_degree", trials=24, cfg=cfg, rho_n=1.5)
+    workers, blocks = [], []
+    pool = montecarlo.ThreadPoolExecutor
+
+    def recorded_pool(max_workers):
+        workers.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", recorded_pool)
+    _record_blocks(monkeypatch, lambda n: blocks.append((n, threading.get_ident())))
+    b = _sample("neutralized_degree", trials=24, threads=2, cfg=cfg, rho_n=1.5)
+    assert workers == [2]
+    assert sorted((n for n, _ in blocks), reverse=True) == sizes
+    assert threading.get_ident() not in {ident for _, ident in blocks}
+    assert np.array_equal(a.values, b.values)
+    assert a.bias_note == b.bias_note
+
+
+def test_pool_keeps_at_most_two_blocks_per_worker_ahead(monkeypatch):
+    # 200 one-trial blocks: the pool never holds more than 2 x workers
+    # futures that are submitted and not yet collected
+    outstanding, counts = set(), []
+
+    class Future:
+        def __init__(self, value):
+            self.value = value
+
+        def result(self):
+            outstanding.discard(self)
+            return self.value
+
+    class Pool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future(fn(*args))
+            outstanding.add(future)
+            counts.append(len(outstanding))
+            return future
+
+    def draw(rng, n):
+        return rng.generator().random(n)
+
+    serial = montecarlo._run_blocks(200, Rng(1), 1, draw, size=1)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
+    pooled = montecarlo._run_blocks(200, Rng(1), 3, draw, pooled=True, size=1)
+    assert len(counts) == 200 and max(counts) == 2 * 3 and not outstanding
+    assert np.array_equal(np.concatenate(serial), np.concatenate(pooled))
 
 
 def test_block_size_follows_draws(monkeypatch):

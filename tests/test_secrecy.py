@@ -8,6 +8,7 @@ test holds each builder to a per-source loop over the same predicate.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,26 @@ def test_builders_match_loop_oracles(seed, lam_l, lam_e, w, cfg, L, radius):
     }
     for name, (g, want) in pairs.items():
         assert g.adj.dtype == np.bool_ and np.array_equal(g.adj, want), name
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sectorized_builder_peaks_no_higher_than_the_baseline():
+    # about 1,000 legitimate points, where the (n, n) arrays dominate: the
+    # baseline's pairwise distances hold four of them at once, and the
+    # sectorized builder, which also finds every wedge, may hold no more
+    legit, eaves = _realization(11, lam_e=0.42, w=18.0)
+    build_baseline(legit, eaves)  # scipy's k-d tree is imported outside the trace
+    baseline = _traced_peak(lambda: build_baseline(legit, eaves))
+    sectorized = _traced_peak(lambda: build_sectorized(legit, eaves, SectorConfig(L=4), Rng(3)))
+    assert sectorized <= baseline
 
 
 # ----------------------------------------------------------- neutralization
