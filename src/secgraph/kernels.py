@@ -23,24 +23,49 @@ def backend_name() -> str:
     return BACKEND
 
 
+def _dual_by_angle(x, y, seg, n):
+    """Trial index and dual point a = 2p/|p|^2 of every point, sorted by
+    trial, then angle.
+
+    An argsort by angle, then a stable argsort by seg cast to the smallest
+    unsigned type that holds n (numpy sorts 8- and 16-bit integers by radix),
+    gives the order of a lexsort by (seg, angle), except that points of a
+    trial at exactly the same angle may come in either order.  Such a tie
+    could peel off a true hull vertex, which a same-angle neighbour on each
+    side leaves with no strict turn, and two coincident points cancel each
+    other's turn.  So when one compare of sorted neighbours finds a tie,
+    which Poisson draws hold with probability zero, one lexsort orders each
+    trial's same-angle points by decreasing radius, so that the farthest dual
+    point comes last, where the peel keeps it if it is a hull vertex, and all
+    but one of any points at the same angle and radius are dropped.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    seg = np.asarray(seg, dtype=np.int64)
+    angle = np.arctan2(y, x)
+    order = np.argsort(angle)
+    order = order[np.argsort(seg[order].astype(np.min_scalar_type(n)), kind="stable")]
+    seg, angle, x, y = seg[order], angle[order], x[order], y[order]
+    r2 = x**2 + y**2
+    if ((angle[1:] == angle[:-1]) & (seg[1:] == seg[:-1])).any():
+        order = np.lexsort((-r2, angle, seg))
+        seg, angle, r2, x, y = seg[order], angle[order], r2[order], x[order], y[order]
+        first = np.ones(seg.size, dtype=bool)
+        first[1:] = (seg[1:] != seg[:-1]) | (angle[1:] != angle[:-1]) | (r2[1:] != r2[:-1])
+        seg, r2, x, y = seg[first], r2[first], x[first], y[first]
+    return seg, 2.0 * x / r2, 2.0 * y / r2
+
+
 def cell_area(x, y, seg, n, half_width):
     """Areas of the origin's Voronoi cells in n trials at once, by polar duality.
 
     x, y are the candidate points of every trial and seg their trial index,
     0 <= seg < n.  The cell {v : v.a <= 1 for every a = 2p/|p|^2} is the polar
-    of the convex hull of the dual points a.  Sorted by angle, a trial's
-    points lose, all at once, every point that makes no strict left turn with
-    its cyclic neighbours, until none does; what is left is the hull.  The
-    cell vertex between consecutive hull points a_j, a_k solves
-    v.a_j = v.a_k = 1.
-
-    The sort is by trial, then angle: an argsort by angle, then a stable
-    argsort by seg cast to the smallest unsigned type that holds n (numpy
-    sorts 8- and 16-bit integers by radix).  That is the order of a lexsort
-    by (seg, angle), except that points of a trial at exactly the same angle
-    may come in either order.  Such ties, coincident points among them, can
-    peel off a true hull vertex in either order; the Poisson draws hold them
-    with probability zero.
+    of the convex hull of the dual points a.  Sorted by angle
+    (_dual_by_angle), a trial's points lose, all at once, every point that
+    makes no strict left turn with its cyclic neighbours, until none does;
+    what is left is the hull.  The cell vertex between consecutive hull
+    points a_j, a_k solves v.a_j = v.a_k = 1.
 
     A trial is safe when its hull has at least 3 points, no angular gap
     between consecutive hull points reaches pi (the cell is bounded), and
@@ -51,15 +76,7 @@ def cell_area(x, y, seg, n, half_width):
     Returns (areas, safe, used): the per-trial areas (meaningful only where
     safe), the per-trial safe mask, and the number of hull points in all.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    seg = np.asarray(seg, dtype=np.int64)
-    order = np.argsort(np.arctan2(y, x))
-    order = order[np.argsort(seg[order].astype(np.min_scalar_type(n)), kind="stable")]
-    seg = seg[order]
-    r2 = x[order] ** 2 + y[order] ** 2
-    ax = 2.0 * x[order] / r2
-    ay = 2.0 * y[order] / r2
+    seg, ax, ay = _dual_by_angle(x, y, seg, n)
     while True:
         counts = np.bincount(seg, minlength=n)
         end = np.cumsum(counts)

@@ -17,13 +17,13 @@ the estimates.  Sampler design notes, per kind:
                      of a block come from one count_in_cell call.
   voronoi_area       typical unit-density cell as the polar of the convex
                      hull of the points mapped by p -> 2p/|p|^2, every trial
-                     of a block in one cell_area call on the points within
-                     W = 3; the trials whose cell fails the safety
-                     condition (bounded, max vertex radius under W/2), about
-                     2% of them, have their realization extended by a fresh
-                     annulus to 1.5 W and go through one more call, which
-                     preserves the Poisson law and keeps the estimator
-                     unbiased.  Ignores cfg.
+                     of a 1024-trial block in one cell_area call on the
+                     points within W = 3; the trials whose cell fails the
+                     safety condition (bounded, max vertex radius under
+                     W/2), about 2% of them, have their realization extended
+                     by a fresh annulus to 1.5 W and go through one more
+                     call, which preserves the Poisson law and keeps the
+                     estimator unbiased.  Ignores cfg.
   sector_degree      sectors are independent wedges: per sector the nearest
                      eavesdropper's squared distance is Exp at rate
                      pi lambda_e / L and the secure count Poisson on the
@@ -70,11 +70,13 @@ block holds 256 trials, except in the samplers that name their expected
 array elements per trial (draws): the distance-domain sector and
 neighbour-rate draws and the colluding kinds.  Their blocks hold the largest
 of 256, 512, ..., 4096 trials that expects at most 2^17 draws (_block_size).
-A guard-disk block holds the trials, up to 256, that one filtering call takes
+A typical-cell block holds 1024 trials (_VORONOI_BLOCK).  A guard-disk block
+holds the trials, up to 256, that one filtering call takes
 (_NEUTRAL_CALL_POINTS), so even a short run is several blocks.
-_run_blocks alone checks blocks: a run whose first block expects more than
-1e7 draws, or points of a spatial window, is refused before any block
-(_BLOCK_BUDGET).  A guard-disk trial, which no filtering call splits, is
+_run_blocks alone checks runs, before any block: it refuses a first block
+that expects more than 1e7 draws, or points of a spatial window
+(_BLOCK_BUDGET), and a run whose trials expect more than 2e10 such points in
+all (_WORK_BUDGET).  A guard-disk trial, which no filtering call splits, is
 budgeted on its own.  The size follows from the kind and its parameters
 alone, so thread count changes only which worker executes a block, never
 the numbers.  threads is a ceiling: only the kinds whose blocks release the
@@ -129,6 +131,14 @@ _BLOCK_BUDGET = 1e7
 # Trials one estimate may ask for: its outcomes alone are 400 MB of float64,
 # twice that while the blocks are concatenated.
 _TRIAL_BUDGET = 50_000_000
+# Points of spatial windows one estimate may expect in all: trials times the
+# points a sampler names per trial.  On one thread of a 2-vCPU VM a
+# guard-disk point costs about 1.4 us (a trial at lambda_e 0.1 and rho_n 1.5
+# expects 6.3k points and takes about 9 ms), an in-degree point 0.24 us and a
+# fading out-degree point 0.06 us, so a run at the budget would take about
+# 8 h, 80 min and 20 min.  It also bounds the bookkeeping of guard-disk runs
+# whose blocks are one trial (over 2e4 points each) to 1e6 blocks.
+_WORK_BUDGET = 2e10
 # Rows a PMF may hold: a row written out costs about 300 bytes of Python
 # objects, and 1e6 rows took 6.1 s and 311 MB as CSV on a 2-vCPU VM.
 _TABLE_ROWS = 2**21
@@ -264,6 +274,21 @@ _NEUTRAL_CALL_POINTS = 2e4
 # 0.5 and 1, rho_n 0.75) 1.19x, 4.5k (lambda_e 0.1, rho_n 0.5) 1.0x and 11k
 # (lambda_e 0.5, rho_n 1) 1.75x (medians of 15-21 rounds).
 _NEUTRAL_POOL_POINTS = 4e3
+# Expected points of a _BLOCK-trial in-degree block from which its blocks go
+# to the pool.  count_in_cell steps a block through its eavesdropper ranks in
+# arrays of its legitimate points, and two threads pay once those arrays are
+# long enough for the released GIL to outweigh the hand-offs.  Pooled on two
+# threads against serial on a 2-vCPU VM (medians of 15 interleaved rounds),
+# blocks of 41k points (lambda_e 0.1, 2500 trials) ran 1.46-1.56x as fast;
+# 22k to 12k points (lambda_e 0.25 to 1, 6000 trials) 0.90-1.27x, depending
+# on the host's load; 9.8k and 8.5k (lambda_e 2 and 4) 0.81x and 0.93x.
+_IN_DEGREE_POOL_POINTS = 3e4
+# Trials per typical-cell block, about 29k points and 4 MB at peak.  Its
+# blocks always pool: a 6000-trial run took 22-24% off on two threads at
+# 512-trial blocks, 24-35% at 1024 and 16-30% at 2048, against the serial
+# run at 256 trials (7k points), which gained nothing pooled (medians of 15
+# interleaved rounds, two sets).
+_VORONOI_BLOCK = 4 * _BLOCK
 
 
 def neutralization_window(cfg: NetworkConfig, rho_n: float) -> float:
@@ -318,17 +343,24 @@ def _run_blocks(
     says.  The pool holds at most two blocks per worker submitted ahead of
     the one being collected, so a run of many small blocks queues few.
     Results come back in block order either way; block_fn must derive all
-    randomness from the Rng it is handed.  points is the array elements a
-    trial expects, draws unless given; a first block whose trials expect
-    more than _BLOCK_BUDGET of them raises ValueError before any block runs.
+    randomness from the Rng it is handed.  points is the points of a spatial
+    window a trial expects.  Before any block runs, ValueError is raised when
+    a first block expects more than _BLOCK_BUDGET array elements (points, or
+    draws if points is None), or when the whole run expects more than
+    _WORK_BUDGET points.
     """
     size = _block_size(draws) if size is None else size
     first = min(size, trials)
-    points = draws if points is None else points
-    if points is not None and first * points > _BLOCK_BUDGET:
+    elements = draws if points is None else points
+    if elements is not None and first * elements > _BLOCK_BUDGET:
         raise ValueError(
-            f"a block of {first} trials expects about {first * points:.3g} array elements, "
+            f"a block of {first} trials expects about {first * elements:.3g} array elements, "
             f"over the budget of {_BLOCK_BUDGET:.3g}"
+        )
+    if points is not None and trials * points > _WORK_BUDGET:
+        raise ValueError(
+            f"{trials} trials expect about {trials * points:.3g} points in all, "
+            f"over the budget of {_WORK_BUDGET:.3g} points per estimate"
         )
     plan = _blocks(trials, size)
     workers = min(threads, len(plan))
@@ -351,21 +383,16 @@ def _run_blocks(
 # 256 trials; a spatial window's expected points per trial are its points.
 # A sampler passes pooled=True only where its blocks do their work in large
 # numpy/scipy calls that release the GIL, which made threads pay: the fading
-# out-degree route, guard-disk runs whose 256-trial block would expect
-# _NEUTRAL_POOL_POINTS or more points (so every run of smaller blocks, where
-# two threads took the benchmark's 24-trial runs at rho_n = 1.5 from 127 to
-# 76 ms and 83 to 69 ms), and colluding windows of _COLLUDING_POOL_POINTS or
-# more expected eavesdroppers.  The exact distance-domain kinds draw a few array
-# elements per trial, and ran slower on two threads than on one at 256-trial
-# blocks.  in_degree steps each block through its 50-60 eavesdropper ranks
-# in arrays of a few thousand points, and ran 0.90-1.14x as fast pooled on
-# two threads at 6000 trials (lambda_e 0.25, 1 and 4, medians of 9 rounds).
-# All of them run serially, as do the smaller guard-disk and colluding
-# blocks.  voronoi_area runs serially too: its blocks (array work on about
-# 7k points each) ran 1.10x, 0.94x, 1.12x and 1.34x as fast pooled on two
-# threads at 6000 trials in four runs on a 2-vCPU VM (medians of 11
-# interleaved rounds: 60-84 ms serial, 62-64 ms pooled), so two threads do
-# not pay in every run.
+# out-degree route, the typical cell's _VORONOI_BLOCK-trial blocks,
+# in-degree blocks of _IN_DEGREE_POOL_POINTS or more expected points,
+# guard-disk runs whose 256-trial block would expect _NEUTRAL_POOL_POINTS or
+# more points (so every run of smaller blocks, where two threads took the
+# benchmark's 24-trial runs at rho_n = 1.5 from 127 to 76 ms and 83 to
+# 69 ms), and colluding windows of _COLLUDING_POOL_POINTS or more expected
+# eavesdroppers.  The exact distance-domain kinds draw a few array elements
+# per trial, and ran slower on two threads than on one at 256-trial blocks;
+# they run serially, as do the smaller in-degree, guard-disk and colluding
+# blocks.  Timings are on a 2-vCPU VM.
 
 
 def _refuse(cfg: NetworkConfig, kind: str, *fields: str) -> None:
@@ -426,7 +453,7 @@ def _in_degree(cfg: NetworkConfig, run) -> Sample:
     bias = cfg.lambda_l / cfg.lambda_e * math.exp(-cfg.lambda_e * math.pi * w * w)
     points = (cfg.lambda_l + 4.0 * cfg.lambda_e) * math.pi * w * w
     note = f"window radius {w:.3g}, truncation bias bound {bias:.2e}"
-    return Sample(np.concatenate(run(block, points=points)), note)
+    return Sample(np.concatenate(run(block, pooled=_BLOCK * points >= _IN_DEGREE_POOL_POINTS, points=points)), note)
 
 
 def _voronoi_block(rng: Rng, n: int):
@@ -452,7 +479,7 @@ def _voronoi_block(rng: Rng, n: int):
 
 
 def _voronoi_area(cfg, run) -> Sample:
-    return Sample(np.concatenate(run(_voronoi_block)))
+    return Sample(np.concatenate(run(_voronoi_block, pooled=True, size=_VORONOI_BLOCK)))
 
 
 def _sector_degree(cfg: NetworkConfig, run, L: int = 1) -> Sample:
@@ -559,7 +586,7 @@ def _neutralized_degree(cfg: NetworkConfig, run, rho_n: float = 0.0) -> Sample:
     def block(rng: Rng, n: int):
         return _neutralized_degrees(rng.generator(), cfg, rho_n, w0, n)
 
-    parts = run(block, pooled=_BLOCK * points >= _NEUTRAL_POOL_POINTS, size=size)
+    parts = run(block, pooled=_BLOCK * points >= _NEUTRAL_POOL_POINTS, points=points, size=size)
     degrees = np.concatenate([deg for deg, _ in parts])
     growths = sum(grown for _, grown in parts)
     note = (

@@ -380,6 +380,55 @@ def test_neighbor_cdf_matches_direct_quadrature(cfg, i):
     assert np.all(np.abs(got - want) <= np.maximum(1e-9, 1e-7 * (1.0 - np.array(want))))
 
 
+def _cdf_msr_neighbor_30_digits(rho, i, lam_e, p_l, b, sigma2_e):
+    """The neighbor MSR CDF at lambda_l = sigma2_l = 1 by 30-digit mpmath
+    quadrature over x = pi r_l^2: one minus the integral of the Gamma(i, 1)
+    density times the eavesdropper survival, split at the density's bulk and
+    at the scales where the survival falls."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        rho, lam_e, p_l, b, sigma2_e = (mpmath.mpf(v) for v in (rho, lam_e, p_l, b, sigma2_e))
+
+        def integrand(x):
+            g_e = (1 + p_l * (mpmath.pi / x) ** b) * mpmath.power(2, -rho) - 1
+            if g_e <= 0:
+                return mpmath.mpf(0)
+            survival = mpmath.pi * lam_e * (p_l / (sigma2_e * g_e)) ** (1 / b)
+            return mpmath.exp((i - 1) * mpmath.log(x) - x - mpmath.loggamma(i) - survival)
+
+        x_max = mpmath.pi * (p_l / mpmath.expm1(rho * mpmath.log(2))) ** (1 / b) if rho > 0 else mpmath.inf
+        # the survival is about exp(-c x)
+        c = lam_e * sigma2_e ** (-1 / b) * mpmath.power(2, rho / b)
+        spread = 8 * mpmath.sqrt(i)
+        cuts = {v for v in (i - 1 - spread, i - 1, i - 1 + spread, 1 / c, 10 / c, 50 / c) if 0 < v < x_max}
+        return float(1 - mpmath.quad(integrand, sorted(cuts | {mpmath.mpf(0), x_max})))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda v: 10.0**v)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    lam_e=_log_uniform(1e-4, 10.0),
+    p_l=_log_uniform(1e-6, 1e6),
+    b=st.floats(1.2, 6.0),
+    sigma2_e=_log_uniform(0.01, 100.0),
+    i=st.integers(1, 40),
+    log_share=st.floats(-3.5, 0.0),
+)
+def test_neighbor_cdf_matches_30_digit_reference(lam_e, p_l, b, sigma2_e, i, log_share):
+    # rho is 0 or a share from 1e-3 to 1 of the link's log2(1 + SNR) at
+    # x = i, so that rates from 0 to well past the median come up at every
+    # SNR; 1e-8 absolute, where 972 grid points over the same ranges
+    # measured at most 1.04e-9
+    share = 0.0 if log_share < -3.0 else 10.0**log_share
+    rho = share * math.log2(1.0 + p_l * (math.pi / i) ** b)
+    cfg = NetworkConfig(lambda_e=lam_e, p_l=p_l, sigma2_e=sigma2_e, gain=GainModel(kind="unbounded", b=b))
+    want = _cdf_msr_neighbor_30_digits(rho, i, lam_e, p_l, b, sigma2_e)
+    assert abs(cdf_msr_neighbor(rho, i, cfg) - want) <= 1e-8
+
+
 # the grids of `secgraph msr` and of the neighbor_msr criterion, with their configurations
 _MSR_GRIDS = {
     "cli": ((0.0,) + tuple(np.linspace(0.08, 8.0, 100)), NetworkConfig(p_l=10.0)),

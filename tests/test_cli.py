@@ -374,6 +374,21 @@ def test_sparse_eavesdroppers_exit_2_before_sampling(tmp_path, capsys, monkeypat
     assert f"a block of 256 trials expects about {expected:.3g} array elements" in capsys.readouterr().err
 
 
+def test_guard_disk_run_over_the_work_budget_exits_2_before_any_block(tmp_path, capsys, monkeypatch):
+    # 5e6 trials of 6.3k expected points each at rho_n = 1.5: about 9 hours
+    # of filtering on one thread, within the trial budget
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("planned blocks before refusing the run's work")
+
+    monkeypatch.setattr(mc, "_blocks", no_blocks)
+    start = time.perf_counter()
+    code, out = _run(["neutralize", "--guard-radius", "1.5", "--lambda-e", "0.1", "--trials", "5000000"], tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert re.search(r"5000000 trials expect about 3.1\de[+]10 points in all, over the budget of 2e[+]10 points", err)
+
+
 @pytest.mark.parametrize(
     "experiment", ["degree", "isolation", "threshold", "sectors", "neutralize", "msr", "collude", "voronoi"]
 )

@@ -1,14 +1,16 @@
 """The kernels' geometry must agree with an independent implementation.
 
 cell_area is checked against scipy's Voronoi diagram on the trials it marks
-safe, and its safety rule against the points it claims cannot matter; its
-two-argsort order against the lexsort it replaced, bit for bit, on blocks of
-up to 300 trials and one of 70,000.  count_in_cell and neutral_survivors against
-brute-force all-pairs loops, and neutral_survivors also on exact ties at
-the guard radius, which random inputs never draw.  count_in_cell is also
-checked against the per-trial loop it replaced, on many-trial blocks whose
-coordinates come from a small grid, so that ties, duplicates and
-eavesdroppers on top of legitimate points are drawn often.
+safe, random ones and 20,000 on a half-integer grid, where points of a trial
+share an angle from the origin or coincide, and its safety rule against the
+points it claims cannot matter; its two-argsort order against the lexsort it
+replaced, bit for bit, on blocks of up to 300 trials and one of 70,000.
+count_in_cell and neutral_survivors against brute-force all-pairs loops,
+and neutral_survivors also on exact ties at the guard radius, which random
+inputs never draw.  count_in_cell is also checked against the per-trial loop
+it replaced, on many-trial blocks whose coordinates come from a small grid,
+so that ties, duplicates and eavesdroppers on top of legitimate points are
+drawn often.
 """
 
 import math
@@ -92,6 +94,39 @@ def test_cell_area_unsafe_cases():
     assert areas[3] == 2.0
     areas, safe, _ = cell_area(*diamond, np.zeros(4, dtype=np.int64), 1, np.nextafter(2.0, 3.0))
     assert safe[0] and areas[0] == 8.0
+
+
+def test_cell_area_same_angle_points():
+    # the square cell |x|, |y| <= 1/2 of (+-1, 0) and (0, +-1), with its
+    # corner x + y < -1/2 cut off by (-1/2, -1/2): area 7/8.  Trial 0 puts
+    # two more points on that ray, whose dual points are (-0.4, -0.4),
+    # (-2, -2) and (-1, -1) in this order, so the hull vertex (-2, -2) sits
+    # between two same-angle points; trial 1 holds (-1/2, -1/2) twice.
+    square = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+    trials = [[(-2.5, -2.5), (-0.5, -0.5), (-1.0, -1.0)] + square, [(-0.5, -0.5), (-0.5, -0.5)] + square]
+    pts = np.array([p for t in trials for p in t])
+    seg = np.repeat(np.arange(len(trials)), [len(t) for t in trials])
+    areas, safe, used = cell_area(pts[:, 0], pts[:, 1], seg, len(trials), 1.0)
+    assert safe.all() and used == 10
+    assert areas.tolist() == [0.875, 0.875]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # vertices of the unbounded cells
+def test_cell_area_matches_scipy_voronoi_on_a_grid():
+    # 20,000 trials of 3-29 distinct points on the half-integer grid in
+    # [-3, 3], where points of a trial often share an angle from the origin
+    rng = np.random.default_rng(29)
+    grid = np.array([(a, b) for a in np.arange(-6, 7) / 2.0 for b in np.arange(-6, 7) / 2.0 if a or b])
+    n = 20_000
+    sizes = rng.integers(3, 30, n)
+    picks = np.concatenate([rng.choice(len(grid), k, replace=False) for k in sizes])
+    xs, ys = grid[picks, 0], grid[picks, 1]
+    areas, safe, _ = cell_area(xs, ys, np.repeat(np.arange(n), sizes), n, 3.0)
+    assert safe.sum() > 15_000
+    ends = np.cumsum(sizes)
+    for t in np.flatnonzero(safe):
+        ref = _scipy_cell_area(xs[ends[t] - sizes[t] : ends[t]], ys[ends[t] - sizes[t] : ends[t]])
+        assert ref is not None and abs(areas[t] - ref) <= 1e-9, t
 
 
 def _cell_area_lexsort(x, y, seg, n, half_width):

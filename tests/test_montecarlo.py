@@ -186,7 +186,7 @@ _INVARIANCE = [
     ("out_degree", {"trials": _CHEAP}),
     ("out_degree", {"cfg": NetworkConfig(lambda_e=0.5, fading=FadingModel("nakagami", m=2.0)), "trials": 600}),
     ("in_degree", {"trials": 600}),
-    ("voronoi_area", {"cfg": None, "trials": 600}),
+    ("voronoi_area", {"cfg": None, "trials": 2 * montecarlo._VORONOI_BLOCK + 100}),
     ("out_degree", {"cfg": NetworkConfig(lambda_e=0.5, rho=1.0), "trials": _CHEAP}),
     ("sector_degree", {"L": 3, "trials": _CHEAP}),
     ("neutralized_degree", {"rho_n": 0.4, "trials": 512}),
@@ -239,6 +239,8 @@ _POOLED = [
     ("out_degree", {"cfg": NetworkConfig(lambda_e=0.5, fading=FadingModel("lognormal", sigma_s=1.0))}),
     ("colluding_degree", {"cfg": NetworkConfig(lambda_e=0.1, gain=GainModel("unbounded", 1.5))}),
     ("neutralized_degree", {"rho_n": 1.5}),
+    ("in_degree", {"cfg": NetworkConfig(lambda_e=0.1)}),
+    ("voronoi_area", {"cfg": None, "trials": 2 * montecarlo._VORONOI_BLOCK}),
 ]
 
 
@@ -273,8 +275,9 @@ _SERIAL = (
 def test_serial_runs_start_no_pool(kind, kw, monkeypatch):
     # kinds whose blocks hold the GIL, blocks too small to gain from threads
     # (122 eavesdroppers per trial at b = 1.75; 612 and 1810 legitimate points
-    # per block at rho_n = 0.25 and 0.5), and any single-block run never start
-    # a pool
+    # per block at rho_n = 0.25 and 0.5; 15k in-degree points per block at
+    # lambda_e = 0.5), and any single-block run, such as 600 typical cells,
+    # never start a pool
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _no_pool)
     assert len(_sample(kind, threads=4, **kw).values) == kw.get("trials", 4096)
 
@@ -289,11 +292,12 @@ def test_every_kind_has_thread_cases():
 @pytest.mark.parametrize("kind,kw", _POOLED)
 def test_pooled_runs_reach_the_pool(kind, kw, monkeypatch):
     # the pool gets min(threads, blocks) workers at threads=4: 2 for two
-    # 256-trial blocks, 4 for the 37 guard-disk blocks of one filtering call
-    # (14 trials) each
+    # 256-trial blocks (41k in-degree points each at lambda_e = 0.1) or two
+    # 1024-trial typical-cell blocks, 4 for the 37 guard-disk blocks of one
+    # filtering call (14 trials) each
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _no_pool)
     with pytest.raises(_PoolStarted) as started:
-        _sample(kind, trials=2 * montecarlo._BLOCK, threads=4, **kw)
+        _sample(kind, threads=4, **{"trials": 2 * montecarlo._BLOCK, **kw})
     assert started.value.args == (4 if kind == "neutralized_degree" else 2,)
 
 
@@ -379,16 +383,16 @@ def test_block_size_follows_draws(monkeypatch):
     ]
     for kind, kw in cheap:
         assert block_trials(kind, _CHEAP, **kw) == [4096, 4096, 100], kind
-    # the spatial kinds keep 256-trial blocks, on which their point budgets
-    # and pool thresholds are stated
+    # the other spatial kinds keep 256-trial blocks, on which their point
+    # budgets and pool thresholds are stated; typical cells come 1024 a block
     spatial = [
         ("in_degree", {}),
-        ("voronoi_area", {"cfg": None}),
         ("out_degree", {"cfg": NetworkConfig(lambda_e=0.5, fading=FadingModel("nakagami", m=2.0))}),
         ("neutralized_degree", {"rho_n": 0.5}),
     ]
     for kind, kw in spatial:
         assert block_trials(kind, 600, **kw) == [256, 256, 88], kind
+    assert block_trials("voronoi_area", 2148, cfg=None) == [1024, 1024, 100]
     # colluding windows at the default size expect 456, 250, 122, 51 and 9.5
     # eavesdroppers per trial; the pooled b = 1.5 blocks keep 256 trials, and
     # still reach the pool with 2 workers (test_pooled_runs_reach_the_pool)
@@ -439,6 +443,38 @@ def test_oversized_blocks_are_refused_before_any_block(monkeypatch):
     for kind in ("colluding_power", "colluding_degree"):
         with pytest.raises(ValueError, match="over the budget of 1e[+]07"):
             _sample(kind, cfg=cfg, trials=1000)
+
+
+def test_runs_over_the_work_budget_are_refused_before_any_block(monkeypatch):
+    # trials times the points a sampler names: a run at the budget, whatever
+    # its blocks, is hours of work; draws are not points and do not count
+    budget = montecarlo._WORK_BUDGET
+    monkeypatch.setattr(montecarlo, "_blocks", lambda trials, size: [(0, 1)])
+
+    def block(rng, n):
+        return n
+
+    assert montecarlo._run_blocks(10**6, Rng(1), 1, block, points=budget / 10**6, size=1) == [1]
+    refused = "1000000 trials expect about 2e[+]10 points in all, over the budget of 2e[+]10 points per estimate"
+    with pytest.raises(ValueError, match=refused):
+        montecarlo._run_blocks(10**6, Rng(1), 1, block, points=budget / 10**6 * (1 + 1e-9), size=1)
+    assert montecarlo._run_blocks(10**9, Rng(1), 1, block, draws=200.0) == [1]
+    # every spatial sampler names its points: 2e6 trials of in-degree windows
+    # at lambda_e 1e-3 (1.6e4 points each), of lognormal fading windows at
+    # lambda_e 0.01 (2.0e4), or of guard disks at lambda_e 0.1 and rho_n 1.6
+    # (1.6e4, one trial a block)
+    def planned(*args, **kwargs):
+        pytest.fail("a run over the work budget was planned")
+
+    monkeypatch.setattr(montecarlo, "_blocks", planned)
+    cases = [
+        ("in_degree", {"cfg": NetworkConfig(lambda_e=1e-3)}),
+        ("out_degree", {"cfg": NetworkConfig(lambda_e=0.01, fading=FadingModel("lognormal", sigma_s=1.0))}),
+        ("neutralized_degree", {"cfg": NetworkConfig(lambda_e=0.1), "rho_n": 1.6}),
+    ]
+    for kind, kw in cases:
+        with pytest.raises(ValueError, match=r"2000000 trials expect about [34]\.\d+e[+]10 points in all, over the"):
+            _sample(kind, trials=2_000_000, **kw)
 
 
 def test_oversized_fading_window_is_refused_before_any_block(monkeypatch):
@@ -636,21 +672,21 @@ def test_voronoi_moments_near_table():
 def test_voronoi_blocks_extend_only_unsafe_trials(monkeypatch):
     # one batched cell_area call per block at the start window W = 3, plus one
     # per extension round with the unsafe trials alone (about 2% of trials;
-    # 7, 5, 9 and 5 of the four blocks here).  A safety rule that failed
-    # every trial would grow every block by 2.25x in points per round, so the
-    # check comes before the kernel runs.
+    # 21 and 28 of the two 1024-trial blocks here).  A safety rule that
+    # failed every trial would grow every block by 2.25x in points per round,
+    # so the check comes before the kernel runs.
     calls = []
 
     def traced(x, y, seg, n, half_width):
         trials = int(np.count_nonzero(np.bincount(seg, minlength=n)))
-        assert half_width == 1.5 or trials <= 16, f"{trials} trials extended to half-width {half_width}"
+        assert half_width == 1.5 or trials <= 64, f"{trials} trials extended to half-width {half_width}"
         calls.append((half_width, trials))
         return kernels.cell_area(x, y, seg, n, half_width)
 
     monkeypatch.setattr(montecarlo, "cell_area", traced)
-    assert len(estimate_generic("voronoi_area", None, 1024, Rng(5)).values) == 1024
-    assert [t for hw, t in calls if hw == 1.5] == [256] * 4
-    assert len(calls) <= 8
+    assert len(estimate_generic("voronoi_area", None, 2048, Rng(5)).values) == 2048
+    assert [t for hw, t in calls if hw == 1.5] == [1024] * 2
+    assert len(calls) <= 6
 
 
 def test_thresholded_mean_tracks_quadrature():
