@@ -13,17 +13,20 @@ the estimates.  Sampler design notes, per kind:
                      in 2W: every eavesdropper that could capture a counted
                      point lies within twice that point's radius, so the
                      only bias is legitimate points beyond W, bounded by
-                     (lambda_l/lambda_e) exp(-lambda_e pi W^2).  The counts
-                     of a block come from one count_in_cell call.
+                     (lambda_l/lambda_e) exp(-lambda_e pi W^2).  Both fields
+                     are polar draws (_annuli_draw, no trigonometry); the
+                     counts of a block come from one count_in_cell call,
+                     which stops testing a point once no farther
+                     eavesdropper can reach it.
   voronoi_area       typical unit-density cell as the polar of the convex
                      hull of the points mapped by p -> 2p/|p|^2, every trial
                      of a 1024-trial block in one cell_area call on the
-                     points within W = 3; the trials whose cell fails the
-                     safety condition (bounded, max vertex radius under
-                     W/2), about 2% of them, have their realization extended
-                     by a fresh annulus to 1.5 W and go through one more
-                     call, which preserves the Poisson law and keeps the
-                     estimator unbiased.  Ignores cfg.
+                     points within W = 3 (a polar draw); the trials whose
+                     cell fails the safety condition (bounded, max vertex
+                     radius under W/2), about 2% of them, have their
+                     realization extended by a fresh annulus to 1.5 W and go
+                     through one more call, which preserves the Poisson law
+                     and keeps the estimator unbiased.  Ignores cfg.
   sector_degree      sectors are independent wedges: per sector the nearest
                      eavesdropper's squared distance is Exp at rate
                      pi lambda_e / L and the secure count Poisson on the
@@ -42,10 +45,10 @@ the estimates.  Sampler design notes, per kind:
                      only the annulus's eavesdroppers are filtered, against
                      the legitimate points within rho_n of it, because a
                      neutralized eavesdropper stays neutralized.  No
-                     truncation; bias_note counts the growths.  A block is
-                     one filtering call per round, each trial shifted to its
-                     own lattice cell.  At rho_n = 0 it is the exact
-                     one-sector draw.
+                     truncation; bias_note counts the growths.  Windows and
+                     annuli are polar draws.  A block is one filtering call
+                     per round, each trial shifted to its own lattice cell.
+                     At rho_n = 0 it is the exact one-sector draw.
   neighbor_msr       exact: secrecy rate to the i-th nearest legitimate
                      node against the nearest eavesdropper.
   colluding_*        aggregate power summed inside a window plus the
@@ -123,21 +126,22 @@ _MAX_BLOCK = 16 * _BLOCK
 _BLOCK_DRAWS = 2**17
 # Points or array elements one block may expect, however few trials it
 # holds: a run whose first block expects more is refused before any block
-# runs.  An in-degree point costs about 50 bytes at peak and a named draw 8
+# runs.  An in-degree point costs about 35 bytes at peak and a named draw 8
 # bytes per array that holds it, so 1e7 is a few hundred megabytes per
-# thread; an in-degree block of 9.6e6 points (lambda_e 4.5e-4) took 2-3 s
-# and peaked at 477 MB on a 2-vCPU VM.
+# thread; an in-degree block of 9.6e6 points (lambda_e 4.5e-4) took 1.9 s
+# and peaked at 335 MB on a 2-vCPU VM.
 _BLOCK_BUDGET = 1e7
 # Trials one estimate may ask for: its outcomes alone are 400 MB of float64,
 # twice that while the blocks are concatenated.
 _TRIAL_BUDGET = 50_000_000
 # Points of spatial windows one estimate may expect in all: trials times the
 # points a sampler names per trial.  On one thread of a 2-vCPU VM a
-# guard-disk point costs about 1.4 us (a trial at lambda_e 0.1 and rho_n 1.5
-# expects 6.3k points and takes about 9 ms), an in-degree point 0.24 us and a
-# fading out-degree point 0.06 us, so a run at the budget would take about
-# 8 h, 80 min and 20 min.  It also bounds the bookkeeping of guard-disk runs
-# whose blocks are one trial (over 2e4 points each) to 1e6 blocks.
+# guard-disk point costs 0.7-1.7 us (a trial at lambda_e 0.1 and rho_n 1.5
+# expects 6.3k points and takes about 6 ms), an in-degree point 0.1-0.2 us
+# and a fading out-degree point 0.05-0.08 us, so a run at the budget would
+# take about 5 h, 40 min and 20 min.  It also bounds the bookkeeping of
+# guard-disk runs whose blocks are one trial (over 2e4 points each) to 1e6
+# blocks.
 _WORK_BUDGET = 2e10
 # Rows a PMF may hold: a row written out costs about 300 bytes of Python
 # objects, and 1e6 rows took 6.1 s and 311 MB as CSV on a 2-vCPU VM.
@@ -278,11 +282,12 @@ _NEUTRAL_POOL_POINTS = 4e3
 # to the pool.  count_in_cell steps a block through its eavesdropper ranks in
 # arrays of its legitimate points, and two threads pay once those arrays are
 # long enough for the released GIL to outweigh the hand-offs.  Pooled on two
-# threads against serial on a 2-vCPU VM (medians of 15 interleaved rounds),
-# blocks of 41k points (lambda_e 0.1, 2500 trials) ran 1.46-1.56x as fast;
-# 22k to 12k points (lambda_e 0.25 to 1, 6000 trials) 0.90-1.27x, depending
-# on the host's load; 9.8k and 8.5k (lambda_e 2 and 4) 0.81x and 0.93x.
-_IN_DEGREE_POOL_POINTS = 3e4
+# threads against serial on a 2-vCPU VM (medians of 15 interleaved rounds,
+# two sets), blocks of 41k points (lambda_e 0.1, 2500 trials) ran 1.09x as
+# fast; 22k, 15k and 12k points (lambda_e 0.25, 0.5 and 1, 6000 trials)
+# 1.28-1.57x, 1.40-1.43x and 1.13x; 9.8k and 8.5k (lambda_e 2 and 4)
+# 0.92-1.03x and 0.96-1.08x.
+_IN_DEGREE_POOL_POINTS = 1.1e4
 # Trials per typical-cell block, about 29k points and 4 MB at peak.  Its
 # blocks always pool: a 6000-trial run took 22-24% off on two threads at
 # 512-trial blocks, 24-35% at 1024 and 16-30% at 2048, against the serial
@@ -507,15 +512,49 @@ def _sector_degree(cfg: NetworkConfig, run, L: int = 1) -> Sample:
     return Sample(np.concatenate(run(block, draws=L)), f"exact per-sector distance-domain sampling, L={L}")
 
 
+# Candidate pairs _annuli_draw draws at a time, so that its temporaries stay
+# a few megabytes however many points it returns.  At 1e6 points it peaked
+# at 35 bytes per point (tracemalloc), 32 of them its outputs; drawing every
+# pair at once peaked at 79, and the trigonometric draw before it at 48.
+_DRAW_CHUNK = 1 << 16
+
+
 def _annuli_draw(g, lam: float, r0: float, r1: float, trials: np.ndarray):
     """One Poisson field of density lam in r0 <= r < r1 per listed trial:
-    trial index, squared radius and coordinates of every point."""
+    trial index, squared radius and coordinates of every point.
+
+    No trigonometry (the polar method of Marsaglia and Bray, 1964): a pair u
+    uniform in [-1, 1)^2 and kept when 0 < s = |u|^2 < 1 is uniform in the
+    unit disk, so its direction u/|u| is uniform and s is Uniform(0, 1),
+    independent of it.  Then r2 = s (r1^2 - r0^2) + r0^2 is the squared
+    radius of a uniform point of the annulus, and (x, y) = u sqrt(r2 / s).
+    The pairs are drawn _DRAW_CHUNK at a time, each time enough for the m
+    points still missing plus 3 sqrt(m) + 16 to spare, so that one chunk
+    nearly always suffices below its size, and written into the outputs.
+    """
     area = r1 * r1 - r0 * r0
     seg = np.repeat(trials, g.poisson(lam * math.pi * area, size=trials.size))
-    r2 = g.random(seg.size) * area + r0 * r0
-    r = np.sqrt(r2)
-    theta = g.uniform(0.0, 2.0 * math.pi, seg.size)
-    return seg, r2, r * np.cos(theta), r * np.sin(theta)
+    n = seg.size
+    r2, x, y = np.empty(n), np.empty(n), np.empty(n)
+    done = 0
+    while done < n:
+        need = n - done
+        u = g.random((2, min(_DRAW_CHUNK, int(need * 4.0 / math.pi + 3.0 * math.sqrt(need)) + 16)))
+        u *= 2.0
+        u -= 1.0
+        s = u[0] * u[0]
+        s += u[1] * u[1]
+        kept = np.flatnonzero((s < 1.0) & (s > 0.0))[:need]
+        out = slice(done, done + kept.size)
+        s = s[kept]
+        np.multiply(s, area, out=r2[out])
+        r2[out] += r0 * r0
+        scale = np.divide(r2[out], s, out=s)
+        np.sqrt(scale, out=scale)
+        np.multiply(u[0][kept], scale, out=x[out])
+        np.multiply(u[1][kept], scale, out=y[out])
+        done += kept.size
+    return seg, r2, x, y
 
 
 def _neutralized_degrees(g, cfg: NetworkConfig, rho_n: float, w0: float, m: int):

@@ -11,6 +11,7 @@ these by 20% or more.
 """
 
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,75 @@ import pytest
 from secgraph import acceptance, montecarlo
 
 THREADS = min(os.cpu_count() or 1, 4)
+
+# Every criterion's detail line at its seed, so that a stream that changes
+# fails here instead of passing unnoticed.  Numbers are compared to within
+# one unit of their last printed digit, since numpy's SIMD transcendentals
+# may differ in the last ulp from one CPU to another; a * stands for a
+# rounding error, which no stream sets.  A change that moves a stream
+# re-pins these lines and says why.
+PINNED = {
+    "out_degree_law": "TV=0.0036 (<0.01), mean=2.4907 vs 2.5 (0.99 SE), within 10s",
+    "in_degree_moment": "E{N^2}=2.2786 vs 2.280, rel=0.06% (<5%)",
+    "isolation_ordering": (
+        "q=0.25: gap=0.1293 (86.1 SE); q=0.5: gap=0.1254 (73.1 SE); q=1.0: gap=0.0825 (46.1 SE); "
+        "q=2.0: gap=0.0400 (24.6 SE); q=4.0: gap=0.0160 (12.1 SE)"
+    ),
+    "sectorization": (
+        "L=1: TV=0.0040, mean dev 0.74 SE; L=2: TV=0.0052, mean dev 0.61 SE; L=4: TV=0.0051, mean dev 0.89 SE; "
+        "L=8: TV=0.0080, mean dev 0.35 SE (TV<0.015, dev<=3)"
+    ),
+    "thresholded_mean": (
+        "worst |sim-exact|/exact=0.30% (<3%) over 10 (rho, power) points; Jensen bound respected: True; "
+        "rho=0 closed form to 1e-6: True"
+    ),
+    "colluding_outage_ordering": (
+        "pointwise dominance on (0, 3.4594): True; legitimate capacity=3.4594 = log2(11) ~ 3.459"
+    ),
+    "colluding_degree": (
+        "b=1.5: 0.4123 vs 0.4135 (0.29%); b=2.0: 0.6404 vs 0.6366 (0.60%); b=3.0: 0.8234 vs 0.8270 (0.43%); "
+        "b=4.0: 0.8952 vs 0.9003 (0.57%); b=6.0: 0.9489 vs 0.9549 (0.63%) (<3%); b=2 target 2/pi"
+    ),
+    "colluding_power_law": "KS=0.00281 (<0.01), window=27.5",
+    "neighbor_msr": (
+        "i=1: p_exist dev 0.66 SE; i=2: p_exist dev 0.62 SE; i=4: p_exist dev 0.24 SE; "
+        "i=6: p_exist dev 0.33 SE; i=1 CDF KS=0.0039 (<0.02)"
+    ),
+    "fading_invariance": (
+        "none: TV=0.0049; nakagami1: TV=0.0029; nakagami3: TV=0.0038; lognormal1: TV=0.0042; "
+        "pairwise max TV=0.0087 (<0.015) (each <0.01)"
+    ),
+    "stable_numerics": (
+        "|kanter-closed|=* (<1e-6); alpha=0.5: KS=0.00100; alpha=0.333: KS=0.00064 (<0.002); Mellin err=* (<1e-9)"
+    ),
+    "voronoi_moments": (
+        "moments=1.0014/1.2877/2.0189/3.7292 rel=0.14%/0.60%/1.30%/2.17% (tol 1/5/5/8%), within 300s"
+    ),
+    "thread_determinism": (
+        "byte-identical across thread counts: degree, isolation, threshold, sectors, neutralize, msr, collude, "
+        "collude, voronoi, neutralize"
+    ),
+    "neutralization": (
+        "le=0.1 rho=0: dev 1.47 SE; le=0.1 rho=0.5: margin +5.3 SE; le=0.1 rho=1.0: margin +4.5 SE; "
+        "le=0.1 rho=1.5: margin +2.2 SE; le=0.2 rho=0: dev 0.19 SE; le=0.2 rho=0.5: margin +8.1 SE; "
+        "le=0.2 rho=1.0: margin +12.3 SE; le=0.2 rho=1.5: margin +2.3 SE; le=0.5 rho=0: dev 0.08 SE; "
+        "le=0.5 rho=0.5: margin +13.2 SE; le=0.5 rho=1.0: margin +27.2 SE; le=0.5 rho=1.5: margin +11.2 SE"
+    ),
+}
+
+_NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+_PINNED = re.compile(rf"\*|{_NUMBER.pattern}")
+
+
+def _assert_matches_pin(detail, pinned):
+    """detail reads as pinned, each number within one unit of the pinned
+    number's last printed digit, any number where pinned has a *."""
+    assert _NUMBER.sub("#", detail) == _PINNED.sub("#", pinned), f"{detail!r} does not read as {pinned!r}"
+    for got, want in zip(_NUMBER.findall(detail), _PINNED.findall(pinned)):
+        if want != "*":
+            mantissa, _, exponent = want.partition("e")
+            unit = 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
+            assert abs(float(got) - float(want)) <= 1.5 * unit, f"{got} against the pinned {want} in {detail!r}"
 
 
 @pytest.mark.parametrize("name", list(acceptance.CRITERIA))
@@ -27,6 +97,7 @@ def test_criterion(name, capsys):
     with capsys.disabled():
         print(line)
     assert result.passed, result.detail
+    _assert_matches_pin(result.detail, PINNED[name])
 
 
 def test_thread_determinism_forces_the_pool(monkeypatch):

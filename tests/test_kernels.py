@@ -10,10 +10,13 @@ and neutral_survivors also on exact ties at the guard radius, which random
 inputs never draw.  count_in_cell is also checked against the per-trial loop
 it replaced, on many-trial blocks whose coordinates come from a small grid,
 so that ties, duplicates and eavesdroppers on top of legitimate points are
-drawn often.
+drawn often, and at an eavesdropper exactly and just beyond twice a point's
+radius, where it stops testing points.  The spatial draw that feeds the
+kernels is held to the peak memory per point of the draw it replaced.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Voronoi
 
-from secgraph import kernels
+from secgraph import kernels, montecarlo
 from secgraph.kernels import cell_area, count_in_cell, neutral_survivors
 
 
@@ -305,6 +308,39 @@ def test_count_in_cell_edge_cases():
     assert got.tolist() == [1, 0, 2, 1, 0]
     assert np.array_equal(got, _count_in_cell_per_trial(lx, ly, loff, ex, ey, eoff))
     assert count_in_cell(lx, ly, loff[:1], ex, ey, eoff[:1]).tolist() == []
+
+
+def test_count_in_cell_at_twice_a_points_radius():
+    # p = (1.5, 2) against an eavesdropper at exactly 2p, which is as far
+    # from p as the origin: dropped, also with a farther eavesdropper after
+    # it.  Just beyond 2p the point is kept by the rank test, since the
+    # retirement bound r^2 < d^2 / (4 (1 + 1e-6)) does not take it, and
+    # retires at the farther rank 1.  Against 2.1p it retires at rank 0,
+    # unless an eavesdropper nearer the origin and next to p comes first.
+    beyond = (np.nextafter(3.0, np.inf), np.nextafter(4.0, np.inf))
+    ex = np.array([3.0, 20.0, beyond[0], 20.0, 3.15, 1.6])
+    ey = np.array([4.0, 0.0, beyond[1], 0.0, 4.2, 2.1])
+    eoff = np.array([0, 2, 4, 6], dtype=np.int64)
+    lx, ly = np.full(3, 1.5), np.full(3, 2.0)
+    loff = np.arange(4, dtype=np.int64)
+    assert count_in_cell(lx, ly, loff, ex, ey, eoff).tolist() == [0, 1, 0]
+    assert _count_in_cell_per_trial(lx, ly, loff, ex, ey, eoff).tolist() == [0, 1, 0]
+    assert count_in_cell(lx, ly, loff, ex[:5], ey[:5], np.array([0, 2, 4, 5])).tolist() == [0, 1, 1]
+
+
+def test_spatial_draw_peak_memory_per_point():
+    # the polar draw writes its four outputs (32 bytes per point) and holds a
+    # few megabytes of candidate pairs at a time: drawing every pair at once
+    # peaked at 79 bytes per point, the trigonometric draw at 48
+    g = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        seg, _, _, _ = montecarlo._annuli_draw(g, 1.0, 0.0, math.sqrt(1000 / math.pi), np.arange(1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seg.size > 9e5
+    assert peak / seg.size <= 48
 
 
 def test_neutral_survivors_brute_force():

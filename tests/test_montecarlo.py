@@ -13,7 +13,7 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import chisquare, ks_2samp, kstest, poisson, uniform
 
 from secgraph import (
     Estimate,
@@ -241,13 +241,14 @@ _POOLED = [
     ("neutralized_degree", {"rho_n": 1.5}),
     ("in_degree", {"cfg": NetworkConfig(lambda_e=0.1)}),
     ("voronoi_area", {"cfg": None, "trials": 2 * montecarlo._VORONOI_BLOCK}),
+    ("in_degree", {"cfg": NetworkConfig(lambda_e=1.0)}),
 ]
 
 
 _SERIAL = (
     [
         ("out_degree", {"trials": _CHEAP}),
-        ("in_degree", {"trials": 600}),
+        ("in_degree", {"cfg": NetworkConfig(lambda_e=2.0), "trials": 600}),
         ("voronoi_area", {"cfg": None, "trials": 600}),
         ("out_degree", {"cfg": NetworkConfig(lambda_e=0.5, rho=1.0), "trials": _CHEAP}),
         ("sector_degree", {"L": 3, "trials": _CHEAP}),
@@ -275,8 +276,8 @@ _SERIAL = (
 def test_serial_runs_start_no_pool(kind, kw, monkeypatch):
     # kinds whose blocks hold the GIL, blocks too small to gain from threads
     # (122 eavesdroppers per trial at b = 1.75; 612 and 1810 legitimate points
-    # per block at rho_n = 0.25 and 0.5; 15k in-degree points per block at
-    # lambda_e = 0.5), and any single-block run, such as 600 typical cells,
+    # per block at rho_n = 0.25 and 0.5; 9.8k in-degree points per block at
+    # lambda_e = 2), and any single-block run, such as 600 typical cells,
     # never start a pool
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _no_pool)
     assert len(_sample(kind, threads=4, **kw).values) == kw.get("trials", 4096)
@@ -292,9 +293,9 @@ def test_every_kind_has_thread_cases():
 @pytest.mark.parametrize("kind,kw", _POOLED)
 def test_pooled_runs_reach_the_pool(kind, kw, monkeypatch):
     # the pool gets min(threads, blocks) workers at threads=4: 2 for two
-    # 256-trial blocks (41k in-degree points each at lambda_e = 0.1) or two
-    # 1024-trial typical-cell blocks, 4 for the 37 guard-disk blocks of one
-    # filtering call (14 trials) each
+    # 256-trial blocks (41k and 12k in-degree points each at lambda_e = 0.1
+    # and 1) or two 1024-trial typical-cell blocks, 4 for the 37 guard-disk
+    # blocks of one filtering call (14 trials) each
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _no_pool)
     with pytest.raises(_PoolStarted) as started:
         _sample(kind, threads=4, **{"trials": 2 * montecarlo._BLOCK, **kw})
@@ -661,6 +662,40 @@ def test_isolation_dual_route_consistency():
     assert gap < 6 * combined
 
 
+@pytest.mark.parametrize("r0, r1", [(0.0, 3.0), (3.0, 4.5)])
+def test_annuli_draw_follows_the_poisson_law(r0, r1):
+    # the polar draw: r^2 uniform on [r0^2, r1^2), the angle uniform within
+    # each half of the radii (so independent of the radius), per-trial counts
+    # Poisson, and the coordinates on the drawn radius to within 4 ulp
+    trials = 3000
+    seg, r2, x, y = montecarlo._annuli_draw(np.random.default_rng(23), 1.0, r0, r1, np.arange(trials))
+    lo, hi = r0 * r0, r1 * r1
+    assert seg.size == r2.size == x.size == y.size and (np.diff(seg) >= 0).all()
+    assert ((r2 >= lo) & (r2 < hi)).all()
+    assert kstest(r2, uniform(lo, hi - lo).cdf).pvalue > 1e-4
+    angle = np.arctan2(y, x)
+    for half in (r2 < (lo + hi) / 2, r2 >= (lo + hi) / 2):
+        assert kstest(angle[half], uniform(-math.pi, 2 * math.pi).cdf).pvalue > 1e-4
+    assert (np.abs(x * x + y * y - r2) <= 4 * np.finfo(float).eps * r2).all()
+    # counts against Poisson(pi (r1^2 - r0^2)), the tails pooled into bins
+    # that expect at least 5 trials
+    law = poisson(math.pi * (hi - lo))
+    edges = np.arange(law.ppf(5 / trials), law.isf(5 / trials))
+    counts = np.bincount(seg, minlength=trials)
+    observed = np.histogram(counts, np.concatenate([[-np.inf], edges + 0.5]))[0]
+    observed = np.append(observed, trials - observed.sum())
+    expected = trials * np.diff(np.concatenate([[0.0], law.cdf(edges), [1.0]]))
+    assert chisquare(observed, expected).pvalue > 1e-4
+
+
+def test_annuli_draw_of_empty_fields():
+    g = np.random.default_rng(1)
+    for lam, trials in ((0.0, np.arange(5)), (1.0, np.arange(0))):
+        seg, r2, x, y = montecarlo._annuli_draw(g, lam, 0.0, 2.0, trials)
+        assert seg.size == r2.size == x.size == y.size == 0
+        assert r2.dtype == x.dtype == y.dtype == np.float64
+
+
 def test_voronoi_moments_near_table():
     areas = estimate_generic("voronoi_area", None, 4000, Rng(5), threads=4).values
     assert len(areas) == 4000
@@ -672,7 +707,7 @@ def test_voronoi_moments_near_table():
 def test_voronoi_blocks_extend_only_unsafe_trials(monkeypatch):
     # one batched cell_area call per block at the start window W = 3, plus one
     # per extension round with the unsafe trials alone (about 2% of trials;
-    # 21 and 28 of the two 1024-trial blocks here).  A safety rule that
+    # 19 and 29 of the two 1024-trial blocks here).  A safety rule that
     # failed every trial would grow every block by 2.25x in points per round,
     # so the check comes before the kernel runs.
     calls = []
