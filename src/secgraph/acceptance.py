@@ -335,6 +335,22 @@ def colluding_outage_ordering(threads: int) -> tuple[bool, str]:
     return ok, detail
 
 
+# The CLI runs thread_determinism compares, each at seed 7.
+DETERMINISM_RUNS = [
+    ["degree", "--lambda-l", "1", "--lambda-e", "0.4", "--trials", "10000"],
+    ["isolation", "--trials", "10000"],
+    ["threshold", "--lambda-e", "0.1", "--power", "5", "--rho", "1", "--trials", "10000"],
+    ["sectors", "--sectors", "4", "--lambda-e", "0.4", "--trials", "10000"],
+    ["neutralize", "--lambda-e", "0.5", "--guard-radius", "0.5", "--trials", "2000"],
+    ["msr", "--lambda-e", "0.1", "--power", "10", "--trials", "10000"],
+    ["collude", "--lambda-e", "0.1", "--power", "10", "--trials", "10000"],
+    ["collude", "--sweep-b", "1.5:3:0.5", "--lambda-e", "0.1", "--trials", "5000"],
+    ["voronoi", "--trials", "5000"],
+    # four guard-disk blocks of one filtering call each, which pool by default
+    ["neutralize", "--lambda-e", "0.5", "--guard-radius", "1.5", "--trials", "48"],
+]
+
+
 def thread_determinism(threads: int) -> tuple[bool, str]:
     """Every experiment subcommand writes byte-identical output at
     --threads 1 and --threads 4 for the same seed.  montecarlo.FORCE_POOL is
@@ -345,25 +361,12 @@ def thread_determinism(threads: int) -> tuple[bool, str]:
     import tempfile
     from pathlib import Path
 
-    runs = [
-        ["degree", "--lambda-l", "1", "--lambda-e", "0.4", "--trials", "10000"],
-        ["isolation", "--trials", "10000"],
-        ["threshold", "--lambda-e", "0.1", "--power", "5", "--rho", "1", "--trials", "10000"],
-        ["sectors", "--sectors", "4", "--lambda-e", "0.4", "--trials", "10000"],
-        ["neutralize", "--lambda-e", "0.5", "--guard-radius", "0.5", "--trials", "2000"],
-        ["msr", "--lambda-e", "0.1", "--power", "10", "--trials", "10000"],
-        ["collude", "--lambda-e", "0.1", "--power", "10", "--trials", "10000"],
-        ["collude", "--sweep-b", "1.5:3:0.5", "--lambda-e", "0.1", "--trials", "5000"],
-        ["voronoi", "--trials", "5000"],
-        # four guard-disk blocks of one filtering call each, which pool by default
-        ["neutralize", "--lambda-e", "0.5", "--guard-radius", "1.5", "--trials", "48"],
-    ]
     ok = True
     parts = []
     forced, mc.FORCE_POOL = mc.FORCE_POOL, True
     try:
         with tempfile.TemporaryDirectory() as td:
-            for j, args in enumerate(runs):
+            for j, args in enumerate(DETERMINISM_RUNS):
                 match = True
                 for fmt in ("csv", "json"):
                     p1 = Path(td) / f"run{j}_t1.{fmt}"

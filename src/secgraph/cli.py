@@ -358,11 +358,42 @@ def _run_threshold(rc: RunConfig):
     return ("rho", "mean_analytic", "mean_bound", "mean_sim", "se"), rows, summary
 
 
+# A sectors run is refused before sampling when its PMF table fits with a
+# smaller chance.
+_TABLE_FIT_CHANCE = 1e-9
+
+
+def _log_sector_table_fit(L: int, m: float) -> float:
+    """Upper bound on the log of the chance that one sectored degree, negative
+    binomial with L sectors of geometric mean m, fits in a PMF table of
+    mc._TABLE_ROWS rows, that is, is at most k = rows - 1.
+
+    For k below the mean L m, Chernoff's bound P(N <= k) <= E[exp(-t N)]
+    exp(t k), at its best t, reads L log((k + L) / (L (1 + m))) + k log(q / z),
+    with q = m / (1 + m) and z = k / (k + L); otherwise it is 0."""
+    k = mc._TABLE_ROWS - 1
+    if not k < L * m:
+        return 0.0
+    log_q_over_z = math.log1p((L - k / m) / ((1.0 + 1.0 / m) * k))
+    return L * (math.log(k + L) - math.log(L) - math.log1p(m)) + k * log_q_over_z
+
+
 def _run_sectors(rc: RunConfig):
     L = rc.sectors
     if L < 1:
         raise _UsageError(f"sectors must be >= 1, got {L}")
     cfg = rc.network()
+    if cfg.lambda_e > 0:  # else the estimate refuses it
+        # an oversized block is refused as the estimate would, then a table
+        # too long for the run, both before sampling; a sector is a draw
+        mc._check_blocks(rc.trials, mc._block_size(L), L)
+        # the trials are independent: all fit with the chance of one to the power trials
+        if rc.trials * _log_sector_table_fit(L, cfg.ratio) < math.log(_TABLE_FIT_CHANCE):
+            raise ValueError(
+                f"a PMF table of {mc._TABLE_ROWS + 1} rows is longer than the {mc._TABLE_ROWS} rows allowed, and "
+                f"{rc.trials} trials of the {L}-sector degree (mean {L * cfg.ratio:.3g}) need at least that many "
+                f"with probability over 1 - {_TABLE_FIT_CHANCE:g}"
+            )
     sample = mc.estimate_generic("sector_degree", cfg, rc.trials, Rng(rc.seed), rc.threads, L=L)
     est = sample.mean()
     rows = _pmf_rows(

@@ -30,10 +30,13 @@ the estimates.  Sampler design notes, per kind:
   sector_degree      sectors are independent wedges: per sector the nearest
                      eavesdropper's squared distance is Exp at rate
                      pi lambda_e / L and the secure count Poisson on the
-                     wedge.  Exact.  With one sector, a threshold rho > 0 or
-                     unequal noise maps that distance to the secure range
-                     (secure_range_thresholded), a deterministic map, so the
-                     draw stays exact; with L > 1 both are refused.
+                     wedge; given the distances those counts are
+                     independent, so a trial draws one Poisson of their
+                     summed mean.  Exact.  With one sector, a threshold
+                     rho > 0 or unequal noise maps that distance to the
+                     secure range (secure_range_thresholded), a
+                     deterministic map, so the draw stays exact; with L > 1
+                     both are refused.
   neutralized_degree spatial: survivors of the guard-disk filter determine
                      the effective nearest eavesdropper.  Survivors have
                      density lambda_eff = lambda_e exp(-pi lambda_l rho_n^2),
@@ -58,8 +61,9 @@ the estimates.  Sampler design notes, per kind:
                      deterministic map of it, msr_link, which callers apply
                      to the colluding_power sample.)  A block draws all its
                      eavesdroppers in one array, where each trial's are one
-                     contiguous run; their powers are computed in place and
-                     each run is summed where it lies (np.add.reduceat).
+                     contiguous run; their powers are computed in place, by
+                     one log and one exp each, and each run is summed where
+                     it lies (np.add.reduceat).
 
 Each kind refuses, with a ValueError that names the field, the config fields
 its law does not model, rather than ignoring them: fading in every kind but
@@ -76,14 +80,15 @@ of 256, 512, ..., 4096 trials that expects at most 2^17 draws (_block_size).
 A typical-cell block holds 1024 trials (_VORONOI_BLOCK).  A guard-disk block
 holds the trials, up to 256, that one filtering call takes
 (_NEUTRAL_CALL_POINTS), so even a short run is several blocks.
-_run_blocks alone checks runs, before any block: it refuses a first block
-that expects more than 1e7 draws, or points of a spatial window
-(_BLOCK_BUDGET), and a run whose trials expect more than 2e10 such points in
-all (_WORK_BUDGET).  A guard-disk trial, which no filtering call splits, is
-budgeted on its own.  The size follows from the kind and its parameters
-alone, so thread count changes only which worker executes a block, never
-the numbers.  threads is a ceiling: only the kinds whose blocks release the
-GIL use a pool (see _run_blocks), the rest run their blocks serially.
+_check_blocks, which _run_blocks calls, checks runs before any block: it
+refuses a first block that expects more than 1e7 draws, or points of a
+spatial window (_BLOCK_BUDGET), and a run whose trials expect more than 2e10
+such points in all (_WORK_BUDGET).  A guard-disk trial, which no filtering
+call splits, is budgeted on its own.  The size follows from the kind and its
+parameters alone, so thread count changes only which worker executes a
+block, never the numbers.  threads is a ceiling: only the kinds whose
+blocks release the GIL use a pool (see _run_blocks), the rest run their
+blocks serially.
 """
 
 from __future__ import annotations
@@ -332,6 +337,24 @@ def _blocks(trials: int, size: int) -> list[tuple[int, int]]:
     return [(i, min(size, trials - start)) for i, start in enumerate(range(0, trials, size))]
 
 
+def _check_blocks(trials: int, size: int, draws: float | None = None, points: float | None = None) -> None:
+    """Raise ValueError when a first block of size trials expects more than
+    _BLOCK_BUDGET array elements (points, or draws if points is None), or
+    when the whole run expects more than _WORK_BUDGET points."""
+    first = min(size, trials)
+    elements = draws if points is None else points
+    if elements is not None and first * elements > _BLOCK_BUDGET:
+        raise ValueError(
+            f"a block of {first} trials expects about {first * elements:.3g} array elements, "
+            f"over the budget of {_BLOCK_BUDGET:.3g}"
+        )
+    if points is not None and trials * points > _WORK_BUDGET:
+        raise ValueError(
+            f"{trials} trials expect about {trials * points:.3g} points in all, "
+            f"over the budget of {_WORK_BUDGET:.3g} points per estimate"
+        )
+
+
 # Test hook: when set, every run of two or more blocks goes through the pool,
 # so that tests can prove the pooled path byte-identical for every kind.
 FORCE_POOL = False
@@ -349,24 +372,10 @@ def _run_blocks(
     the one being collected, so a run of many small blocks queues few.
     Results come back in block order either way; block_fn must derive all
     randomness from the Rng it is handed.  points is the points of a spatial
-    window a trial expects.  Before any block runs, ValueError is raised when
-    a first block expects more than _BLOCK_BUDGET array elements (points, or
-    draws if points is None), or when the whole run expects more than
-    _WORK_BUDGET points.
+    window a trial expects.  _check_blocks refuses the run before any block.
     """
     size = _block_size(draws) if size is None else size
-    first = min(size, trials)
-    elements = draws if points is None else points
-    if elements is not None and first * elements > _BLOCK_BUDGET:
-        raise ValueError(
-            f"a block of {first} trials expects about {first * elements:.3g} array elements, "
-            f"over the budget of {_BLOCK_BUDGET:.3g}"
-        )
-    if points is not None and trials * points > _WORK_BUDGET:
-        raise ValueError(
-            f"{trials} trials expect about {trials * points:.3g} points in all, "
-            f"over the budget of {_WORK_BUDGET:.3g} points per estimate"
-        )
+    _check_blocks(trials, size, draws, points)
     plan = _blocks(trials, size)
     workers = min(threads, len(plan))
     if workers <= 1 or not (pooled or FORCE_POOL):
@@ -395,8 +404,9 @@ def _run_blocks(
 # benchmark's 24-trial runs at rho_n = 1.5 from 127 to 76 ms and 83 to
 # 69 ms), and colluding windows of _COLLUDING_POOL_POINTS or more expected
 # eavesdroppers.  The exact distance-domain kinds draw a few array elements
-# per trial, and ran slower on two threads than on one at 256-trial blocks;
-# they run serially, as do the smaller in-degree, guard-disk and colluding
+# per trial: pooled on two threads at their 4096-trial blocks they ran
+# 0.61-0.89x as fast as serially, and narrow colluding windows 0.83-0.90x.
+# They run serially, as do the smaller in-degree, guard-disk and colluding
 # blocks.  Timings are on a 2-vCPU VM.
 
 
@@ -504,10 +514,12 @@ def _sector_degree(cfg: NetworkConfig, run, L: int = 1) -> Sample:
     def block(rng: Rng, n: int):
         g = rng.generator()
         dmin2 = g.exponential(scale=lam, size=(n, L))
-        if thresholded:
-            psi = secure_range_thresholded(np.sqrt(dmin2), cfg)
-            return g.poisson(lam=wedge_rate * psi * psi).sum(axis=1)
-        return g.poisson(lam=wedge_rate * dmin2).sum(axis=1)
+        if thresholded:  # L = 1
+            psi = secure_range_thresholded(np.sqrt(dmin2[:, 0]), cfg)
+            return g.poisson(lam=wedge_rate * psi * psi)
+        # given the distances the wedge counts are independent Poissons, so
+        # their sum is one Poisson of the summed mean
+        return g.poisson(lam=wedge_rate * dmin2.sum(axis=1))
 
     return Sample(np.concatenate(run(block, draws=L)), f"exact per-sector distance-domain sampling, L={L}")
 
@@ -657,11 +669,15 @@ def _neighbor_msr(cfg: NetworkConfig, run, neighbor_index: int = 1) -> Sample:
 
 # Expected eavesdroppers per trial from which a colluding window's blocks go
 # to the pool.  The count depends only on b and rel_std: colluding_window
-# gives 456 at b = 1.5, 333 at b = 1.55, 250 at b = 1.6 and 122 at b = 1.75.
-# Timed at 15000 trials, those ran 1.6x, 1.35x, 1.05x and 0.78x as fast on
-# two threads as on one (medians of 21 rounds).  It grows without bound as b
-# falls to 1: 1.16e5 at b = 1.05, whose 256-trial block is over _BLOCK_BUDGET
-# and refused.
+# gives 456 at b = 1.5, 333 at b = 1.55, 250 at b = 1.6, 122 at b = 1.75 and
+# 51 at b = 2.  Timed with colluding_degree at 15000 trials on the log-exp
+# powers, pooled on two threads against serial (medians of 21 interleaved
+# rounds, two sets on a 2-vCPU VM), those ran 1.44-1.51x, 1.40-1.42x,
+# 1.35-1.42x, 1.33-1.35x and 1.05-1.23x as fast.  The sets do not agree
+# where the gain ends below 122, and a collude sweep on two threads, which
+# holds b = 1.75, took as long at a threshold of 100 as at 300 (15 rounds,
+# two sets), so the threshold stays.  It grows without bound as b falls to 1:
+# 1.16e5 at b = 1.05, whose 256-trial block is over _BLOCK_BUDGET and refused.
 _COLLUDING_POOL_POINTS = 300.0
 
 
@@ -676,15 +692,20 @@ def _colluding_power_block(cfg: NetworkConfig, r_window: float | None):
     if not (math.isfinite(w) and w > 0):
         raise ValueError(f"r_window must be positive and finite, got {w}")
     tail = 2.0 * math.pi * cfg.lambda_e * cfg.p_l * w ** (2.0 - 2.0 * b) / (2.0 * b - 2.0)
+    # ln of a point's power P_l (W^2 U)^(-b) is c0 - b ln U.  Folding the
+    # constant into each point keeps its range: a per-trial factor
+    # P_l W^(-2b) underflows to 0 at b near 300, while U^(-b) overflows.
+    c0 = math.log(cfg.p_l) - 2.0 * b * math.log(w)
 
     def block(rng: Rng, n: int):
         g = rng.generator()
         ne = g.poisson(cfg.lambda_e * math.pi * w * w, size=n)
-        # each trial's powers P_l (W^2 U)^(-b) are one contiguous run of p
+        # each trial's powers are one contiguous run of p
         p = g.random(int(ne.sum()))
-        p *= w * w
-        np.power(p, -b, out=p)
-        p *= cfg.p_l
+        np.log(p, out=p)
+        p *= -b
+        p += c0
+        np.exp(p, out=p)
         # reduceat gives an empty run the element at its start, and refuses a
         # start equal to len(p), so only the non-empty runs are summed
         full = ne > 0

@@ -351,12 +351,32 @@ def test_invalid_guard_radius_exits_2_before_any_block(tmp_path, capsys, monkeyp
     assert "guard radius must be finite and > 0" in capsys.readouterr().err
 
 
-def test_sparse_sectored_pmf_table_exits_2(tmp_path, capsys):
+def test_sparse_sectored_pmf_table_exits_2(tmp_path, capsys, monkeypatch):
     # at lambda_e 1e-7 a ten-trial sample reaches degrees of millions, whose
-    # table of Python rows would take gigabytes; refused before its bincount
-    code, out = _run(["sectors", "--lambda-e", "1e-7", "--trials", "10"], tmp_path)
-    assert code == 2 and not out.exists()
-    assert re.search(r"a PMF table of \d+ rows is longer than the 2097152 rows allowed", capsys.readouterr().err)
+    # table of Python rows would take gigabytes; refused from the law before
+    # any block, also at 5e6 trials, which sampled for 1.6 s and 113 MB first
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("sampled before refusing the table")
+
+    monkeypatch.setattr(mc, "_blocks", no_blocks)
+    for trials in ("10", "5000000"):
+        code, out = _run(["sectors", "--lambda-e", "1e-7", "--trials", trials], tmp_path)
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert re.search(r"a PMF table of \d+ rows is longer than the 2097152 rows allowed", err)
+        assert f"{trials} trials of the 4-sector degree (mean 4e+07)" in err
+
+
+@pytest.mark.parametrize("L,m", [(1, 2.1e6), (1, 3e6), (1, 1e8), (4, 6e5), (4, 1e6), (8, 1e6), (30, 1e5), (1000, 3e3)])
+def test_sector_table_bound_holds_the_negative_binomial_cdf(L, m):
+    # Chernoff's bound on the chance that a degree fits the table is at
+    # least the exact CDF at rows - 1, so a refused run fits with a smaller
+    # chance than _TABLE_FIT_CHANCE; at a mean below the rows it is 0
+    from scipy.stats import nbinom
+
+    bound = cli._log_sector_table_fit(L, m)
+    assert nbinom.logcdf(mc._TABLE_ROWS - 1, L, 1.0 / (1.0 + m)) <= bound < 0.0
+    assert cli._log_sector_table_fit(L, math.nextafter((mc._TABLE_ROWS - 1) / L, 0.0)) == 0.0
 
 
 @pytest.mark.parametrize("experiment", ["degree", "isolation"])
@@ -482,6 +502,7 @@ import sys
 from secgraph import cli
 for name in ("sectors", "degree", "isolation", "voronoi"):
     assert cli.main([name, "--trials", "300", "--threads", "2", "--out", name + ".csv"]) == 0
+assert cli.main(["sectors", "--lambda-e", "1e-7", "--trials", "5000000", "--out", "long.csv"]) == 2
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     assert _fresh_python(script, tmp_path) == "[]"

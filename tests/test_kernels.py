@@ -1,8 +1,9 @@
 """The kernels' geometry must agree with an independent implementation.
 
 cell_area is checked against scipy's Voronoi diagram on the trials it marks
-safe, random ones and 20,000 on a half-integer grid, where points of a trial
-share an angle from the origin or coincide, and its safety rule against the
+safe, random ones and 1,600 on a half-integer grid, where points of a trial
+share an angle from the origin, coincide, or lie with the origin on one
+circle around a cell vertex, and its safety rule against the
 points it claims cannot matter; its two-argsort order against the lexsort it
 replaced, bit for bit, on blocks of up to 300 trials and one of 70,000.
 count_in_cell and neutral_survivors against brute-force all-pairs loops,
@@ -39,8 +40,8 @@ def _cell_points(rng, n, r0, r1):
     return seg, r * np.cos(t), r * np.sin(t)
 
 
-def _scipy_cell_area(xs, ys):
-    """Area of the origin's Voronoi cell, or None if unbounded/clipped."""
+def _scipy_cell(xs, ys):
+    """Area and vertices of the origin's Voronoi cell, or None if unbounded/clipped."""
     pts = np.vstack([np.zeros((1, 2)), np.column_stack([xs, ys])])
     vor = Voronoi(pts)
     region = vor.regions[vor.point_region[0]]
@@ -48,7 +49,7 @@ def _scipy_cell_area(xs, ys):
         return None
     poly = vor.vertices[region]
     x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)), poly
 
 
 def test_cell_area_matches_scipy_voronoi():
@@ -58,9 +59,9 @@ def test_cell_area_matches_scipy_voronoi():
     assert isinstance(used, int) and 3 * safe.sum() <= used < len(xs)
     checked = 0
     for t in np.flatnonzero(safe):
-        ref = _scipy_cell_area(xs[seg == t], ys[seg == t])
+        ref = _scipy_cell(xs[seg == t], ys[seg == t])
         assert ref is not None
-        assert areas[t] == pytest.approx(ref, abs=1e-12)
+        assert areas[t] == pytest.approx(ref[0], abs=1e-12)
         checked += 1
     assert checked >= 150
 
@@ -116,20 +117,38 @@ def test_cell_area_same_angle_points():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # vertices of the unbounded cells
 def test_cell_area_matches_scipy_voronoi_on_a_grid():
-    # 20,000 trials of 3-29 distinct points on the half-integer grid in
-    # [-3, 3], where points of a trial often share an angle from the origin
+    # 1,600 trials of 3-29 distinct points on the half-integer grid in
+    # [-3, 3], every third with one of them drawn twice: points of a trial
+    # often share an angle from the origin, coincide, or lie with the origin
+    # on one circle around a vertex of its cell, and each kind of tie is
+    # counted among the checked cells
     rng = np.random.default_rng(29)
     grid = np.array([(a, b) for a in np.arange(-6, 7) / 2.0 for b in np.arange(-6, 7) / 2.0 if a or b])
-    n = 20_000
-    sizes = rng.integers(3, 30, n)
-    picks = np.concatenate([rng.choice(len(grid), k, replace=False) for k in sizes])
-    xs, ys = grid[picks, 0], grid[picks, 1]
+    n = 1600
+    picks = [rng.choice(len(grid), k, replace=False) for k in rng.integers(3, 30, n)]
+    picks = [np.append(p, p[0]) if t % 3 == 0 else p for t, p in enumerate(picks)]
+    sizes = np.array([len(p) for p in picks])
+    xs, ys = grid[np.concatenate(picks)].T
     areas, safe, _ = cell_area(xs, ys, np.repeat(np.arange(n), sizes), n, 3.0)
-    assert safe.sum() > 15_000
+    assert safe.sum() > 1200
     ends = np.cumsum(sizes)
+    ties = {"same angle": 0, "coincident": 0, "cocircular": 0}
     for t in np.flatnonzero(safe):
-        ref = _scipy_cell_area(xs[ends[t] - sizes[t] : ends[t]], ys[ends[t] - sizes[t] : ends[t]])
-        assert ref is not None and abs(areas[t] - ref) <= 1e-9, t
+        x, y = xs[ends[t] - sizes[t] : ends[t]], ys[ends[t] - sizes[t] : ends[t]]
+        ref = _scipy_cell(x, y)
+        assert ref is not None and abs(areas[t] - ref[0]) <= 1e-9, t
+        # half-integer coordinates: the products below are exact
+        cross, dot = np.outer(x, y) - np.outer(y, x), np.outer(x, x) + np.outer(y, y)
+        apart = np.triu((x[:, None] != x) | (y[:, None] != y), 1)
+        ties["same angle"] += bool(np.any(apart & (cross == 0.0) & (dot > 0.0)))
+        ties["coincident"] += int(t % 3 == 0)
+        # a cell vertex as far from the origin as from three or more
+        # distinct points (the last point of every third trial is a copy)
+        x, y = x[: sizes[t] - (t % 3 == 0)], y[: sizes[t] - (t % 3 == 0)]
+        vx, vy = ref[1][:, :1], ref[1][:, 1:]
+        on_circle = np.abs(np.hypot(x - vx, y - vy) - np.hypot(vx, vy)) < 1e-9
+        ties["cocircular"] += bool(np.any(on_circle.sum(axis=1) >= 3))
+    assert min(ties.values()) >= 300, ties
 
 
 def _cell_area_lexsort(x, y, seg, n, half_width):

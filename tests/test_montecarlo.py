@@ -39,6 +39,7 @@ from secgraph import (
     montecarlo,
     msr_link,
     sample_disk,
+    secure_range_thresholded,
 )
 from secgraph.propagation import FadingModel, GainModel, gain
 
@@ -765,6 +766,41 @@ def test_sector_mean_scales_with_L():
     assert est.value == pytest.approx(4 * CFG.ratio, abs=6 * est.std_error)
 
 
+@pytest.mark.parametrize("L", [2, 3, 8])
+def test_sector_draw_matches_per_wedge_poisson_sum(L):
+    # given the wedges' nearest-eavesdropper distances, the sampler draws one
+    # Poisson of their summed mean; the oracle draws a Poisson per wedge, over
+    # the same distance law, and sums them
+    cfg = NetworkConfig(lambda_l=1.0, lambda_e=0.4)
+    g = np.random.default_rng(600 + L)
+    dmin2 = g.exponential(scale=L / (math.pi * cfg.lambda_e), size=(20_000, L))
+    ref = g.poisson(cfg.lambda_l * math.pi / L * dmin2).sum(axis=1)
+    _assert_law_matches(_sample("sector_degree", cfg=cfg, L=L, trials=20_000), ref, f"L={L}")
+
+
+@pytest.mark.parametrize(
+    "cfg", [NetworkConfig(lambda_e=0.3), NetworkConfig(lambda_e=0.3, p_l=5.0, rho=1.0, sigma2_e=2.0)],
+    ids=["plain", "thresholded"],
+)
+def test_one_sector_draw_keeps_its_bits(cfg):
+    # at L = 1, plain or thresholded, the draw is the (trials, 1) Poisson
+    # array summed over its one column, as before the sectors shared a draw
+    trials, seed = 10_000, 77  # two full blocks and a partial one
+    size = montecarlo._block_size(1)
+    want = []
+    for i, n in montecarlo._blocks(trials, size):
+        g = Rng(seed).substream(i).generator()
+        dmin2 = g.exponential(scale=1.0 / (math.pi * cfg.lambda_e), size=(n, 1))
+        if cfg.rho > 0:
+            psi = secure_range_thresholded(np.sqrt(dmin2), cfg)
+            lam = cfg.lambda_l * math.pi * psi * psi
+        else:
+            lam = cfg.lambda_l * math.pi * dmin2
+        want.append(g.poisson(lam=lam).sum(axis=1))
+    got = _sample("sector_degree", cfg=cfg, L=1, trials=trials, seed=seed).values
+    assert got.dtype == np.int64 and np.array_equal(got, np.concatenate(want))
+
+
 def test_neighbor_cdf_tracks_quadrature():
     cfg = NetworkConfig(lambda_l=1.0, lambda_e=0.1)
     grid = (0.0, 0.5, 1.0, 2.0, 4.0)
@@ -818,12 +854,15 @@ def _colluding_tail(cfg, w):
 
 
 def _bincount_powers(cfg, w, rng, n):
-    """Eavesdropper counts and windowed powers of one colluding block, summed
-    through a per-point trial index: the reference for the in-place run sums."""
+    """Eavesdropper counts, uniforms and windowed powers of one colluding
+    block, each point's P_l (W^2 U)^(-b) summed through a per-point trial
+    index: the reference for the in-place run sums."""
     g = rng.generator()
     ne = g.poisson(cfg.lambda_e * math.pi * w * w, size=n)
-    r2 = w * w * g.random(int(ne.sum()))
-    return ne, np.bincount(np.repeat(np.arange(n), ne), weights=cfg.p_l * r2 ** (-cfg.gain.b), minlength=n)
+    u = g.random(int(ne.sum()))
+    with np.errstate(over="ignore", divide="ignore"):
+        powers = cfg.p_l * (w * w * u) ** (-cfg.gain.b)
+    return ne, u, np.bincount(np.repeat(np.arange(n), ne), weights=powers, minlength=n)
 
 
 def test_colluding_run_sums_match_bincount():
@@ -834,7 +873,7 @@ def test_colluding_run_sums_match_bincount():
     w = math.sqrt(1.0 / (math.pi * cfg.lambda_e))
     n = 12
     for seed in range(1000):
-        ne, ref = _bincount_powers(cfg, w, Rng(seed).substream(0), n)
+        ne, _, ref = _bincount_powers(cfg, w, Rng(seed).substream(0), n)
         if ne[0] == 0 and ne[-1] == 0 and np.any(ne[1:-1] == 0) and np.any(ne > 1):
             break
     else:
@@ -853,6 +892,42 @@ def test_colluding_power_all_runs_empty():
     w = 1e-4
     samples = estimate_generic("colluding_power", cfg, 600, Rng(3), r_window=w).values
     assert len(samples) == 600 and np.all(samples == _colluding_tail(cfg, w))
+
+
+@pytest.mark.parametrize("b,lambda_e,w", [(1.5, 0.5, 0.8), (3.0, 0.1, 2.0), (6.0, 0.2, 1.5)])
+def test_colluding_power_is_the_per_point_sum_plus_tail(b, lambda_e, w):
+    # on the same uniforms, every trial of every block is the per-point sum
+    # plus the tail to 1e-12, and a trial without an eavesdropper the tail
+    cfg = NetworkConfig(lambda_e=lambda_e, p_l=3.0, gain=GainModel("unbounded", b))
+    trials, seed = 10_000, 41  # about one eavesdropper per trial: 4096-trial blocks
+    got = estimate_generic("colluding_power", cfg, trials, Rng(seed), r_window=w).values
+    size = montecarlo._block_size(cfg.lambda_e * math.pi * w * w)
+    parts = [_bincount_powers(cfg, w, Rng(seed).substream(i), n) for i, n in montecarlo._blocks(trials, size)]
+    ne = np.concatenate([p[0] for p in parts])
+    ref = np.concatenate([p[2] for p in parts]) + _colluding_tail(cfg, w)
+    assert len(parts) > 1 and np.sum(ne == 0) > 10
+    assert np.all(got[ne == 0] == _colluding_tail(cfg, w))
+    assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")  # the U^(-b) above 1e308
+def test_colluding_power_has_no_nan_at_large_b():
+    # at b = 300 and W = 10 the per-trial factor P_l W^(-2b) underflows to 0
+    # while U^(-b) overflows for U < 0.094, so factoring it out of the sum
+    # would read 0 * inf = NaN; each point's exp(c0 - b ln U) keeps the
+    # range of P_l (W^2 U)^(-b), finite for U above 9.4e-4
+    b, w = 300.0, 10.0
+    cfg = NetworkConfig(lambda_e=2.0 / (math.pi * w * w), gain=GainModel("unbounded", b))
+    assert cfg.p_l * w ** (-2.0 * b) == 0.0
+    n, seed = 2000, 43
+    got = estimate_generic("colluding_power", cfg, n, Rng(seed), r_window=w).values
+    _, u, ref = _bincount_powers(cfg, w, Rng(seed).substream(0), n)
+    with np.errstate(over="ignore"):
+        assert np.any(np.isinf(u ** -b) & (u > 9.4e-4))
+    assert not np.any(np.isnan(got))
+    finite = np.isfinite(ref)
+    assert finite.sum() > 0.9 * n and np.all(np.isinf(got[~finite]))
+    assert np.allclose(got[finite], ref[finite], rtol=1e-12, atol=0.0)
 
 
 def test_colluding_requires_converging_exponent():
