@@ -2,7 +2,9 @@
 against simulation at fixed seeds and published tolerances.
 
 Each criterion function only judges: it returns (passed, detail) and never
-raises on a tolerance miss.  run_all times each one, wraps it in a
+raises on a tolerance miss.  Four criteria judge the rows of the CLI runner
+that computes their numbers at their budget and grid, so the battery
+certifies what the CLI writes.  run_all times each one, wraps it in a
 CriterionResult, and runs the full battery in a stable order.  The CLI
 selftest subcommand and the test suite both dispatch through run_all, so a
 green selftest and a green test run certify the same thing.
@@ -64,12 +66,12 @@ def out_degree_law(threads: int) -> tuple[bool, str]:
 def voronoi_moments(threads: int) -> tuple[bool, str]:
     """Typical-cell area moments match (1, 1.280, 1.993, 3.650) within
     (1%, 5%, 5%, 8%) at 1e5 cells, under 5 minutes (the detail states only
-    which side of that bound the run fell on)."""
+    which side of that bound the run fell on): the voronoi run's rows."""
     t0 = time.time()
-    areas = mc.estimate_generic("voronoi_area", None, 100_000, Rng(102), threads).values
-    moments = [float(np.mean(areas**k)) for k in range(1, 5)]
+    _, rows, _ = cli._run_voronoi(cli.RunConfig("voronoi", trials=100_000, seed=102, threads=threads))
     tols = (0.01, 0.05, 0.05, 0.08)
-    rels = [abs(s - t) / t for s, t in zip(moments, TABLE_VORONOI_MOMENTS.moments)]
+    moments = [sim for _, _, sim, _ in rows]
+    rels = [abs(sim - table) / table for _, table, sim, _ in rows]
     in_time = time.time() - t0 < 300.0
     ok = all(r < tol for r, tol in zip(rels, tols)) and in_time
     detail = (
@@ -95,21 +97,15 @@ def in_degree_moment(threads: int) -> tuple[bool, str]:
 def isolation_ordering(threads: int) -> tuple[bool, str]:
     """In-isolation probability is strictly below out-isolation at every
     eavesdropper/legitimate density ratio in {0.25, 0.5, 1, 2, 4}, with the
-    gap exceeding 3 combined standard errors.  Every in-isolation estimate
-    comes from one in-degree sample at the largest ratio, thinned
-    (cli._in_isolation), with its own conditional standard error."""
-    qs = (0.25, 0.5, 1.0, 2.0, 4.0)
-    cfgs = [NetworkConfig(lambda_l=1.0, lambda_e=q) for q in qs]
-    p_ins = cli._in_isolation(1.0, [c.ratio for c in cfgs], 100_000, Rng(10400).substream(1), threads)
-    parts = []
-    ok = True
-    for j, (q, cfg, p_in) in enumerate(zip(qs, cfgs, p_ins)):
-        p_out = cli._out_isolation(cfg, 100_000, Rng(10400 + j), threads)
-        gap = p_out.value - p_in.value
-        comb = math.hypot(p_out.std_error, p_in.std_error)
-        ok = ok and gap > 3.0 * comb
-        parts.append(f"q={q}: gap={gap:.4f} ({gap / comb:.1f} SE)")
-    return ok, "; ".join(parts)
+    gap exceeding 3 combined standard errors: the rows of the isolation run
+    at lambda_e 0.25, whose two columns each come from one sample at the
+    largest ratio, thinned (cli._isolation), with their conditional
+    standard errors."""
+    rc = cli.RunConfig("isolation", lambda_e=0.25, trials=100_000, seed=10400, threads=threads)
+    _, rows, _ = cli._run_isolation(rc)
+    gaps = [(q, p_out - p_in, math.hypot(se_out, se_in)) for q, _, p_out, se_out, p_in, se_in in rows]
+    ok = all(gap > 3.0 * comb for _, gap, comb in gaps)
+    return ok, "; ".join(f"q={q}: gap={gap:.4f} ({gap / comb:.1f} SE)" for q, gap, comb in gaps)
 
 
 def fading_invariance(threads: int) -> tuple[bool, str]:
@@ -145,29 +141,21 @@ def fading_invariance(threads: int) -> tuple[bool, str]:
 
 def thresholded_mean(threads: int) -> tuple[bool, str]:
     """Mean degree under a secrecy-rate threshold: quadrature matches
-    simulation within 3% across rho {0, 0.5, 1, 2, 4} x power {0.5, 5};
-    the Jensen bound is never violated; the rho=0 value hits the closed
-    form (lambda_l/lambda_e)(sigma2_e/sigma2_l)^(1/b) to 1e-6."""
-    ok = True
-    worst = 0.0
-    jensen_ok = True
-    closed_ok = True
+    simulation within 3% across the threshold run's rho grid {0, 0.5, 1,
+    1.5, 2, 3, 4} at power 0.5 and 5; the Jensen bound is never violated;
+    the rho=0 value hits the closed form (lambda_l/lambda_e)
+    (sigma2_e/sigma2_l)^(1/b) to 1e-6."""
+    rows = []
     for jp, p in enumerate((0.5, 5.0)):
-        for jr, rho in enumerate((0.0, 0.5, 1.0, 2.0, 4.0)):
-            cfg = NetworkConfig(lambda_l=1.0, lambda_e=0.1, p_l=p, rho=rho)
-            exact, bound = analytic.mean_out_degree_thresholded(cfg)
-            jensen_ok = jensen_ok and exact <= bound * (1.0 + 1e-12)
-            if rho == 0.0:
-                closed = cfg.ratio * (cfg.sigma2_e / cfg.sigma2_l) ** (1.0 / cfg.gain.b)
-                closed_ok = closed_ok and abs(exact - closed) < 1e-6
-            seed = 10600 + 10 * jp + jr
-            est = mc.estimate_generic("out_degree", cfg, 200_000, Rng(seed), threads).mean()
-            rel = abs(est.value - exact) / exact
-            worst = max(worst, rel)
-            ok = ok and rel < 0.03
-    ok = ok and jensen_ok and closed_ok
+        rc = cli.RunConfig("threshold", lambda_e=0.1, power=p, trials=200_000, seed=10600 + 10 * jp, threads=threads)
+        rows += cli._run_threshold(rc)[1]
+    closed = rc.lambda_l / rc.lambda_e * (rc.sigma2_e / rc.sigma2_l) ** (1.0 / rc.b)
+    rels = [abs(sim - exact) / exact for _, exact, _, sim, _ in rows]
+    jensen_ok = all(exact <= bound * (1.0 + 1e-12) for _, exact, bound, _, _ in rows)
+    closed_ok = all(abs(exact - closed) < 1e-6 for rho, exact, *_ in rows if rho == 0.0)
+    ok = all(rel < 0.03 for rel in rels) and jensen_ok and closed_ok
     detail = (
-        f"worst |sim-exact|/exact={worst:.2%} (<3%) over 10 (rho, power) points; "
+        f"worst |sim-exact|/exact={max(rels):.2%} (<3%) over {len(rows)} (rho, power) points; "
         f"Jensen bound respected: {jensen_ok}; rho=0 closed form to 1e-6: {closed_ok}"
     )
     return ok, detail
@@ -175,16 +163,17 @@ def thresholded_mean(threads: int) -> tuple[bool, str]:
 
 def sectorization(threads: int) -> tuple[bool, str]:
     """Sectorized transmission: out-degree is negative binomial; TV < 0.015
-    and mean within 3 SE of L * lambda_l/lambda_e for L in {1, 2, 4, 8}."""
+    and mean within 3 SE of L * lambda_l/lambda_e for L in {1, 2, 4, 8}:
+    the PMF rows and summary of the sectors run at each L."""
     ok = True
     parts = []
     for j, L in enumerate((1, 2, 4, 8)):
-        cfg = NetworkConfig(lambda_l=1.0, lambda_e=0.4)
-        sample = mc.estimate_generic("sector_degree", cfg, 100_000, Rng(10700 + j), threads, L=L)
-        pmf, est = sample.pmf(), sample.mean()
-        tv = analytic.tv_distance(pmf, lambda n: analytic.pmf_out_degree_sectored(n, L, 1.0, 0.4))
-        dev = abs(est.value - L * cfg.ratio) / est.std_error
-        ok = ok and tv < 0.015 and abs(est.value - L * cfg.ratio) <= est.tolerance(3.0)
+        rc = cli.RunConfig("sectors", lambda_e=0.4, sectors=L, trials=100_000, seed=10700 + j, threads=threads)
+        _, rows, summary = cli._run_sectors(rc)
+        _, law, sim, _ = (np.array(column) for column in zip(*rows))
+        tv = analytic.tv_distance(analytic.DegreePmf(sim), law.__getitem__)
+        dev = abs(summary["simulated"] - summary["analytic"]) / summary["se"]
+        ok = ok and tv < 0.015 and summary["pass"]
         parts.append(f"L={L}: TV={tv:.4f}, mean dev {dev:.2f} SE")
     return ok, "; ".join(parts) + " (TV<0.015, dev<=3)"
 
@@ -410,9 +399,6 @@ def run_all(threads: int = 1, names=None) -> list:
     """Run the named criteria (all by default) and return their timed results in order."""
     if names is None:
         names = list(CRITERIA)
-    unknown = [n for n in names if n not in CRITERIA]
-    if unknown:
-        raise ValueError(f"unknown criteria: {unknown}")
     results = []
     for name in names:
         t0 = time.time()

@@ -96,6 +96,8 @@ class RunConfig:
             raise _UsageError(f"format must be one of {_FORMATS}, got {self.format!r}")
         if self.trials < 1:
             raise _UsageError(f"trials must be >= 1, got {self.trials}")
+        if not 0 <= self.seed < 2**64:
+            raise _UsageError(f"seed must be between 0 and 2**64 - 1, got {self.seed}")
         if not 1 <= self.threads <= _MAX_THREADS:
             raise _UsageError(f"threads must be between 1 and {_MAX_THREADS}, got {self.threads}")
 
@@ -300,45 +302,41 @@ def _run_degree(rc: RunConfig):
     return ("n", "pmf_analytic_out", "pmf_sim_out", "pmf_sim_in", "se"), rows, summary
 
 
-def _out_isolation(cfg: NetworkConfig, trials: int, rng: Rng, threads: int) -> mc.Estimate:
-    """Out-isolation Estimate: the share of zeros in an out-degree sample."""
-    out = mc.estimate_generic("out_degree", cfg, trials, rng, threads)
-    return mc.Sample(out.values == 0).mean()
-
-
-def _in_isolation(lambda_l: float, ratios, trials: int, rng: Rng, threads: int) -> list[mc.Estimate]:
-    """In-isolation Estimates at each density ratio lambda_l/lambda_e, all
-    from one in-degree sample at the largest ratio rho_max.
+def _isolation(kind: str, lambda_l: float, ratios, trials: int, rng: Rng, threads: int) -> list[mc.Estimate]:
+    """Isolation Estimates of kind "out_degree" or "in_degree" at each
+    density ratio lambda_l/lambda_e, all from one sample at the largest
+    ratio rho_max.
 
     Thinning the legitimate field with probability rho/rho_max leaves it
-    Poisson of density (rho/rho_max) lambda_l and the origin's cell, which
-    only the eavesdroppers shape, unchanged (Kingman's colouring theorem).
-    So N_rho given N_max is Binomial(N_max, rho/rho_max), and each estimate
-    is the mean of P(N_rho = 0 | N_max) = (1 - rho/rho_max)^N_max: the share
-    of zeros at rho_max, and its Rao-Blackwellized form below it.  The
-    window's truncation bias shrinks by the same factor rho/rho_max, so the
-    sample's bias note bounds every row."""
+    Poisson of density (rho/rho_max) lambda_l and the eavesdroppers, so
+    their nearest point and the origin's cell, unchanged (Kingman's
+    colouring theorem).  So N_rho given N_max is Binomial(N_max,
+    rho/rho_max), and each estimate is the mean of P(N_rho = 0 | N_max) =
+    (1 - rho/rho_max)^N_max: the share of zeros at rho_max, and its
+    Rao-Blackwellized form below it.  An in-degree window's truncation bias
+    shrinks by the same factor rho/rho_max, so the sample's bias note
+    bounds every row."""
     rho_max = max(ratios)
     cfg = NetworkConfig(lambda_l=lambda_l, lambda_e=lambda_l / rho_max)
-    into = mc.estimate_generic("in_degree", cfg, trials, rng, threads)
-    return [mc.Sample((1.0 - r / rho_max) ** into.values, into.bias_note).mean() for r in ratios]
+    degrees = mc.estimate_generic(kind, cfg, trials, rng, threads)
+    return [mc.Sample((1.0 - r / rho_max) ** degrees.values, degrees.bias_note).mean() for r in ratios]
 
 
 def _run_isolation(rc: RunConfig):
     qs = (0.25, 0.5, 1.0, 2.0, 4.0)
-    cfgs = [NetworkConfig(lambda_l=rc.lambda_l, lambda_e=q * rc.lambda_l) for q in qs] + [rc.network()]
-    # the in-degree sample has the largest blocks, so an oversized one is refused before anything samples
-    p_ins = _in_isolation(rc.lambda_l, [c.ratio for c in cfgs], rc.trials, Rng(rc.seed).substream(1), rc.threads)
+    cfg = rc.network()
+    ratios = [cfg.lambda_l / (q * cfg.lambda_l) for q in qs] + [cfg.ratio]
+    # the in-degree sample has the larger blocks, so an oversized one is refused before anything samples
+    p_ins = _isolation("in_degree", rc.lambda_l, ratios, rc.trials, Rng(rc.seed).substream(1), rc.threads)
+    p_outs = _isolation("out_degree", rc.lambda_l, ratios, rc.trials, Rng(rc.seed), rc.threads)
     rows = []
-    for k, (q, cfg, p_in) in enumerate(zip(qs, cfgs, p_ins)):
-        p_out = _out_isolation(cfg, rc.trials, Rng(_sub_seed(rc.seed, k)), rc.threads)
-        p_ana = analytic.p_out_isolation(cfg.lambda_l, cfg.lambda_e)
+    for q, p_out, p_in in zip(qs, p_outs, p_ins):
+        p_ana = analytic.p_out_isolation(cfg.lambda_l, q * cfg.lambda_l)
         rows.append((q, p_ana, p_out.value, p_out.std_error, p_in.value, p_in.std_error))
-    cfg0, p_in = cfgs[-1], p_ins[-1]
-    p_out = _out_isolation(cfg0, rc.trials, Rng(rc.seed), rc.threads)
+    p_out, p_in = p_outs[-1], p_ins[-1]
     gap = p_out.value - p_in.value
     comb = math.hypot(p_out.std_error, p_in.std_error)
-    p_ana = analytic.p_out_isolation(cfg0.lambda_l, cfg0.lambda_e)
+    p_ana = analytic.p_out_isolation(cfg.lambda_l, cfg.lambda_e)
     summary = _summary(p_ana, p_out.value, p_out.std_error, 3.0 * comb, gap > 3.0 * comb)
     columns = ("ratio_e_over_l", "p_out_analytic", "p_out_sim", "p_out_se", "p_in_sim", "p_in_se")
     return columns, rows, summary
@@ -513,7 +511,8 @@ def _run_voronoi(rc: RunConfig):
     rows = []
     for k in range(1, 5):
         powk = areas**k
-        se = float(np.std(powk, ddof=1) / math.sqrt(len(powk)))
+        # one trial has no spread to estimate: SE 0, as Sample.mean() gives
+        se = float(np.std(powk, ddof=1) / math.sqrt(len(powk))) if len(powk) > 1 else 0.0
         rows.append((k, table[k - 1], float(powk.mean()), se))
     summary = _summary(1.0, rows[0][2], rows[0][3], 0.01)
     return ("k", "moment_table", "moment_sim", "se"), rows, summary
@@ -522,7 +521,9 @@ def _run_voronoi(rc: RunConfig):
 def _run_selftest(rc: RunConfig, criteria: str | None) -> int:
     from . import acceptance
 
-    names = [n.strip() for n in criteria.split(",") if n.strip()] if criteria else None
+    names = None if criteria is None else [n.strip() for n in criteria.split(",") if n.strip()]
+    if names is not None and not (names and set(names) <= acceptance.CRITERIA.keys()):
+        raise _UsageError(f"--criteria {criteria!r} must name one or more of {', '.join(acceptance.CRITERIA)}")
     results = acceptance.run_all(threads=rc.threads, names=names)
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -34,15 +34,15 @@ PINNED = {
     "out_degree_law": "TV=0.0036 (<0.01), mean=2.4907 vs 2.5 (0.99 SE), within 10s",
     "in_degree_moment": "E{N^2}=2.2786 vs 2.280, rel=0.06% (<5%)",
     "isolation_ordering": (
-        "q=0.25: gap=0.1293 (86.1 SE); q=0.5: gap=0.1254 (73.1 SE); q=1.0: gap=0.0825 (46.1 SE); "
-        "q=2.0: gap=0.0400 (24.6 SE); q=4.0: gap=0.0160 (12.1 SE)"
+        "q=0.25: gap=0.1293 (86.1 SE); q=0.5: gap=0.1263 (86.8 SE); q=1.0: gap=0.0834 (61.6 SE); "
+        "q=2.0: gap=0.0387 (36.1 SE); q=4.0: gap=0.0136 (18.8 SE)"
     ),
     "sectorization": (
         "L=1: TV=0.0040, mean dev 0.74 SE; L=2: TV=0.0048, mean dev 0.87 SE; L=4: TV=0.0078, mean dev 0.94 SE; "
         "L=8: TV=0.0087, mean dev 1.00 SE (TV<0.015, dev<=3)"
     ),
     "thresholded_mean": (
-        "worst |sim-exact|/exact=0.30% (<3%) over 10 (rho, power) points; Jensen bound respected: True; "
+        "worst |sim-exact|/exact=0.46% (<3%) over 14 (rho, power) points; Jensen bound respected: True; "
         "rho=0 closed form to 1e-6: True"
     ),
     "colluding_outage_ordering": (
@@ -142,7 +142,7 @@ PINNED_RUNS = {
     },
     "isolation --trials 10000": {
         "summary simulated": 0.0918, "summary se": 0.0028875785376299462, "sum ratio_e_over_l": 7.75,
-        "sum p_out_analytic": 2.5, "sum p_out_sim": 2.4973, "sum p_out_se": 0.022378674381702275,
+        "sum p_out_analytic": 2.5, "sum p_out_sim": 2.4987589725418293, "sum p_out_se": 0.01367248228610578,
         "sum p_in_sim": 2.088807185992322, "sum p_in_se": 0.008544847821495762,
     },
     "threshold --lambda-e 0.1 --power 5 --rho 1 --trials 10000": {

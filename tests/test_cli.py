@@ -188,6 +188,21 @@ def test_seed_env_fallback_and_flag_precedence(tmp_path, monkeypatch):
     assert cli.main(["degree", "--trials", "200"]) == 1
 
 
+def test_out_of_range_seed_exits_1(tmp_path, capsys, monkeypatch):
+    # Rng takes a 64-bit unsigned seed; outside that range the run is
+    # refused as a usage error naming seed, before anything samples
+    monkeypatch.setattr(mc, "_run_blocks", lambda *a, **k: pytest.fail("sampled with an invalid seed"))
+    for seed in ("-1", str(2**64)):
+        code, out = _run(["degree", "--trials", "200", "--seed", seed], tmp_path)
+        assert code == 1 and not out.exists()
+        assert f"seed must be between 0 and 2**64 - 1, got {seed}" in capsys.readouterr().err
+    monkeypatch.setenv("SECGRAPH_SEED", "-5")
+    code, out = _run(["voronoi", "--trials", "200"], tmp_path)
+    assert code == 1 and not out.exists()
+    assert "seed must be between 0 and 2**64 - 1, got -5" in capsys.readouterr().err
+    assert RunConfig(experiment="degree", seed=2**64 - 1).seed == 2**64 - 1
+
+
 def test_same_seed_same_bytes(tmp_path):
     _, a = _run(["msr", "--trials", "300", "--seed", "21"], tmp_path, "a.csv")
     _, b = _run(["msr", "--trials", "300", "--seed", "21"], tmp_path, "b.csv")
@@ -220,7 +235,7 @@ def _zeros_share(kind, ratio, trials, rng):
 
 
 def test_in_isolation_at_the_largest_ratio_is_the_share_of_zeros():
-    thinned = cli._in_isolation(1.0, (0.25, 1.0, 10.0), 3000, Rng(8), 1)
+    thinned = cli._isolation("in_degree", 1.0, (0.25, 1.0, 10.0), 3000, Rng(8), 1)
     direct = _zeros_share("in_degree", 10.0, 3000, Rng(8))
     assert (thinned[-1].value, thinned[-1].std_error) == (direct.value, direct.std_error)
 
@@ -230,7 +245,7 @@ def test_thinned_in_isolation_matches_the_direct_and_area_routes():
     # independent in-degree sample at each ratio and against the typical-cell
     # route E[exp(-rho A)] over unit-density areas A
     ratios, trials = (0.25, 1.0, 4.0), 20_000
-    thinned = cli._in_isolation(1.0, ratios + (10.0,), trials, Rng(31), 1)
+    thinned = cli._isolation("in_degree", 1.0, ratios + (10.0,), trials, Rng(31), 1)
     n_max = mc.estimate_generic("in_degree", NetworkConfig(lambda_l=1.0, lambda_e=0.1), trials, Rng(31)).values
     areas = mc.estimate_generic("voronoi_area", None, 5000, Rng(32)).values
     g = np.random.default_rng(33)
@@ -246,26 +261,57 @@ def test_thinned_in_isolation_matches_the_direct_and_area_routes():
         assert p_in.std_error <= drawn.std_error
 
 
+def test_thinned_out_isolation_matches_its_law():
+    # one out-degree sample at ratio 4 thinned to q = lambda_e/lambda_l in
+    # {0.25, ..., 4}, against the out-isolation law q/(1+q) and against the
+    # zeros of the same sample thinned by Binomial draws, which estimate the
+    # same probability with more variance
+    qs, trials = (0.25, 0.5, 1.0, 2.0, 4.0), 20_000
+    thinned = cli._isolation("out_degree", 1.0, [1.0 / q for q in qs], trials, Rng(51), 1)
+    n_max = mc.estimate_generic("out_degree", NetworkConfig(lambda_l=1.0, lambda_e=0.25), trials, Rng(51)).values
+    g = np.random.default_rng(52)
+    for q, p_out in zip(qs, thinned):
+        assert abs(p_out.value - q / (1.0 + q)) < 6 * p_out.std_error, q
+        drawn = mc.Sample(g.binomial(n_max, 0.25 / q) == 0).mean()
+        assert abs(p_out.value - drawn.value) < 6 * drawn.std_error, q
+        assert p_out.std_error <= drawn.std_error, q
+
+
+def test_isolation_run_draws_one_sample_of_each_degree(tmp_path, monkeypatch):
+    kinds = []
+    estimate = mc.estimate_generic
+
+    def counting(kind, *args, **kwargs):
+        kinds.append(kind)
+        return estimate(kind, *args, **kwargs)
+
+    monkeypatch.setattr(mc, "estimate_generic", counting)
+    code, _ = _run(["isolation", "--trials", "500", "--seed", "3"], tmp_path)
+    assert code == 0
+    assert sorted(kinds) == ["in_degree", "out_degree"]
+
+
 @pytest.mark.parametrize("lambda_e", ["0.1", "0.5"])
 def test_isolation_columns_follow_their_streams(tmp_path, lambda_e):
-    # each row's p_out_* is the share of zeros of an out-degree draw on the
-    # row's own stream; every p_in_* comes from one in-degree sample on the
-    # reference row's stream at ratio max(4, lambda_l/lambda_e), thinned
+    # every p_out_* comes from one out-degree sample on the run's seed, and
+    # every p_in_* from one in-degree sample on its substream 1, each at
+    # ratio max(4, lambda_l/lambda_e) and thinned; the summary reads the
+    # reference ratio's p_out
     argv = ["isolation", "--lambda-e", lambda_e, "--trials", "600", "--seed", "5", "--format", "json"]
     code, out = _run(argv, tmp_path, "iso.json")
     assert code == 0
     doc = json.loads(out.read_text())
     rho_max = max(4.0, 1.0 / float(lambda_e))
-    n_max = mc.estimate_generic(
-        "in_degree", NetworkConfig(lambda_l=1.0, lambda_e=1.0 / rho_max), 600, Rng(5).substream(1)
-    ).values
-    for k, row in enumerate(doc["rows"]):
+    cfg_max = NetworkConfig(lambda_l=1.0, lambda_e=1.0 / rho_max)
+    n_in = mc.estimate_generic("in_degree", cfg_max, 600, Rng(5).substream(1)).values
+    n_out = mc.estimate_generic("out_degree", cfg_max, 600, Rng(5)).values
+    for row in doc["rows"]:
         ratio = 1.0 / row["ratio_e_over_l"]
-        p_out = _zeros_share("out_degree", ratio, 600, Rng(cli._sub_seed(5, k)))
-        p_in = mc.Sample((1.0 - ratio / rho_max) ** n_max).mean()
+        p_out = mc.Sample((1.0 - ratio / rho_max) ** n_out).mean()
+        p_in = mc.Sample((1.0 - ratio / rho_max) ** n_in).mean()
         assert (row["p_out_sim"], row["p_out_se"]) == (p_out.value, p_out.std_error)
         assert (row["p_in_sim"], row["p_in_se"]) == (p_in.value, p_in.std_error)
-    p_out = _zeros_share("out_degree", 1.0 / float(lambda_e), 600, Rng(5))
+    p_out = mc.Sample((1.0 - (1.0 / float(lambda_e)) / rho_max) ** n_out).mean()
     assert (doc["summary"]["simulated"], doc["summary"]["se"]) == (p_out.value, p_out.std_error)
 
 
@@ -434,6 +480,16 @@ def test_threads_over_the_ceiling_exit_1(tmp_path, capsys):
         RunConfig(experiment="sectors", threads=0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_one_trial_voronoi_run_has_se_0(tmp_path, capsys):
+    # as Sample.mean() gives every other runner's one-trial SE
+    code, out = _run(["voronoi", "--trials", "1", "--format", "json"], tmp_path, "one.json")
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert [row["se"] for row in doc["rows"]] == [0.0] * 4 and doc["summary"]["se"] == 0.0
+    capsys.readouterr()
+
+
 def test_failed_check_exits_3(tmp_path, capsys):
     # 150 Voronoi trials cannot hit the 1% gate at this seed; verified frozen
     code, _ = _run(["voronoi", "--trials", "150", "--seed", "3"], tmp_path, extra=("--check",))
@@ -441,9 +497,18 @@ def test_failed_check_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_selftest_unknown_criterion_exit_2(capsys):
-    assert cli.main(["selftest", "--criteria", "nope"]) == 2
+def test_selftest_unknown_or_no_criteria_exit_1_before_any_runs(capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran a criterion before refusing --criteria")
+
+    monkeypatch.setattr(acceptance, "run_all", no_run)
+    assert cli.main(["selftest", "--criteria", "nope"]) == 1
     assert "nope" in capsys.readouterr().err
+    assert cli.main(["selftest", "--criteria", "out_degree_law,nope"]) == 1
+    assert "out_degree_law,nope" in capsys.readouterr().err
+    for empty in (",", "", " , "):
+        assert cli.main(["selftest", "--criteria", empty]) == 1
+        assert "usage error: --criteria" in capsys.readouterr().err
 
 
 def test_selftest_single_criterion(capsys):
@@ -814,7 +879,7 @@ def _hung(signum, frame):
     raise _Hung("an example ran over 30 s")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the SE of a one-trial sample
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1/tau at tau = 0 in the nearest-eavesdropper CDF
 @pytest.mark.parametrize("name,keys", _MODES, ids=[name for name, _ in _MODES[:-1]] + ["collude-sweep"])
 def test_every_input_exits_0_1_or_2_and_budget_refusals_run_no_block(name, keys, tmp_path_factory):
     # every key the run reads is drawn over many decades, and every block is
