@@ -419,16 +419,22 @@ def _link_cdf(rho, r_l: float, cfg: NetworkConfig, eaves_cdf):
     """Secrecy-rate CDF of a link at distance r_l, for a scalar or array rho:
     0 below 0, 1 from the capacity log2(1 + snr_l) up, and in between
     1 - eaves_cdf(tau) at the eavesdropper SNR tau = (1 + snr_l) 2^(-rho) - 1
-    that leaves the link the rate rho (0 when lambda_e = 0)."""
+    that leaves the link the rate rho (0 when lambda_e = 0).
+
+    Both are formed from log1p(snr_l), and tau as expm1(log1p(snr_l) -
+    rho ln 2), so that they keep their relative accuracy at small SNR, where
+    1 + snr_l rounds away most of snr_l.  Just below the capacity tau may
+    still round to 0 or below, where eaves_cdf must return 0."""
     snr_l = _link_snr(r_l, cfg)
     rho = np.asarray(rho, dtype=np.float64)
     if np.isnan(rho).any():
         raise ValueError("rho must not be NaN")
-    cap = math.log2(1.0 + snr_l)
+    log_gain = math.log1p(snr_l)
+    cap = log_gain / math.log(2.0)
     out = np.where(rho >= cap, 1.0, 0.0)
     inside = (rho >= 0) & (rho < cap)
     if cfg.lambda_e > 0:
-        out[inside] = 1.0 - eaves_cdf((1.0 + snr_l) * 2.0 ** -rho[inside] - 1.0)
+        out[inside] = 1.0 - eaves_cdf(np.expm1(log_gain - rho[inside] * math.log(2.0)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -437,7 +443,10 @@ def _colluding_snr_cdf(tau, cfg: NetworkConfig):
     stable law, alpha = 1/b, with scale (pi lambda_e / C_alpha)^b P_l / sigma2_e."""
     b = cfg.gain.b
     scale = (math.pi * cfg.lambda_e / c_alpha(1.0 / b)) ** b * cfg.p_l / cfg.sigma2_e
-    return stable.cdf_normalized(tau / scale, 1.0 / b)
+    # a ratio past the float range is +inf, where the CDF is 1
+    with np.errstate(over="ignore"):
+        x = tau / scale
+    return stable.cdf_normalized(x, 1.0 / b)
 
 
 def cdf_msr_colluding(rho, r_l: float, cfg: NetworkConfig):
@@ -454,7 +463,11 @@ def cdf_msr_noncolluding_link(rho, r_l: float, cfg: NetworkConfig):
     (P_l / (sigma2_e tau))^(1/(2b)).  rho may be a scalar or an array."""
 
     def nearest_cdf(tau):
-        return np.exp(-math.pi * cfg.lambda_e * (cfg.p_l / cfg.sigma2_e / tau) ** (1.0 / cfg.gain.b))
+        # an SNR is positive, so it stays below tau <= 0 with probability 0
+        out = np.zeros_like(tau)
+        pos = tau > 0
+        out[pos] = np.exp(-math.pi * cfg.lambda_e * (cfg.p_l / cfg.sigma2_e / tau[pos]) ** (1.0 / cfg.gain.b))
+        return out
 
     return _link_cdf(rho, r_l, cfg, nearest_cdf)
 

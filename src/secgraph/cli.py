@@ -281,14 +281,11 @@ def _pmf_rows(law, trials: int, pmf, *others):
     PMFs' probabilities, and the binomial SE of pmf's.  law is called once,
     on the array of every degree."""
     pmfs = (pmf, *others)
-    size = max(len(p.probs) for p in pmfs)
-    table = law(np.arange(size))
-    rows = []
-    for n in range(size):
-        ps = [float(p.probs[n]) if n < len(p.probs) else 0.0 for p in pmfs]
-        se = math.sqrt(max(ps[0] * (1.0 - ps[0]), 0.0) / trials)
-        rows.append((n, float(table[n]), *ps, se))
-    return rows
+    n = np.arange(max(len(p.probs) for p in pmfs))
+    probs = [np.pad(p.probs, (0, n.size - len(p.probs))) for p in pmfs]
+    se = np.sqrt(np.maximum(probs[0] * (1.0 - probs[0]), 0.0) / trials)
+    columns = [n, np.asarray(law(n), dtype=np.float64), *probs, se]
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 def _run_degree(rc: RunConfig):
@@ -486,7 +483,7 @@ def _run_collude(rc: RunConfig):
     if rc.sweep_b is not None:
         return _run_collude_sweep(rc)
     cfg = rc.network()
-    cap = math.log2(1.0 + cfg.p_l / (rc.r_l ** (2.0 * cfg.gain.b) * cfg.sigma2_l))
+    cap = math.log1p(cfg.p_l / (rc.r_l ** (2.0 * cfg.gain.b) * cfg.sigma2_l)) / math.log(2.0)
     grid = np.linspace(cap / 400.0, cap - cap / 400.0, 100)
     # the link's secrecy rate is a map of the aggregate eavesdropper power
     power = mc.estimate_generic("colluding_power", cfg, rc.trials, Rng(rc.seed), rc.threads).values

@@ -4,13 +4,15 @@ cell_area finds the origin's Voronoi cell in every trial of a block at once,
 as the polar of the convex hull of the dual points 2p/|p|^2; count_in_cell
 counts the legitimate points inside the origin's cell in every trial of a
 block at once, testing them against the eavesdroppers nearest the origin
-first; neutral_survivors applies the guard disks.  All three are numpy
-(neutral_survivors on a scipy k-d tree); BACKEND names that single
-implementation, and backend_name() is the stable way to query it, so that
-recorded timings say what they measured.
+first; neutral_survivors applies the guard disks, by a fixed-radius sweep
+over the points sorted by row and x.  All three are numpy, and none loads
+scipy; BACKEND names that single implementation, and backend_name() is the
+stable way to query it, so that recorded timings say what they measured.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -185,22 +187,82 @@ def count_in_cell(lx, ly, loff, ex, ey, eoff):
     return counts
 
 
+# Candidate pairs neutral_survivors expands in one pass, unless a single
+# eavesdropper has more: about 3 MB of index and distance arrays.
+_PAIR_CHUNK = 1 << 16
+
+
 def neutral_survivors(ex, ey, lx, ly, radius):
     """Boolean mask of eavesdroppers with no legitimate point within radius.
 
-    One nearest-neighbour query of the eavesdroppers against a k-d tree of
-    the legitimate points.  The strict predicate is survive iff min distance
-    > radius, so a legitimate point exactly at the radius still neutralizes;
-    the tree only reports neighbours strictly inside its bound, hence the
-    bound one ulp above the radius.
-    """
-    from scipy.spatial import cKDTree
+    A fixed-radius sweep (Bentley, Stanat & Williams, IPL 6(6), 1977): the
+    plane is cut into rows of height radius, and both point sets are sorted
+    by one float key, row * stride + (x - x0), where stride exceeds the x
+    extent plus 2 radius, so that a row's points are contiguous and in x
+    order.  Every legitimate point within radius of an eavesdropper lies in
+    its row or the row below or above; in each, two searchsorted calls,
+    whose needles come in ascending order, bound the candidates whose x is
+    within radius, and dx^2 + dy^2 <= radius^2 decides each pair.  An
+    eavesdropper found neutralized drops out before the next row, and the
+    candidate pairs of a row go through in chunks of _PAIR_CHUNK.  The
+    predicate is survive iff min distance > radius, so a legitimate point
+    exactly at the radius still neutralizes.
 
+    Rounding never loses a pair: with eps the float64 machine epsilon, the
+    rows are taller than radius by 4 eps (radius + y extent), so that two
+    points whose float distance is within radius are never computed two rows
+    apart, and the x window is widened by 8 eps times the largest key, which
+    covers the few roundings of a key and of a needle.
+    """
     m = len(ex)
-    if m == 0:
-        return np.zeros(0, dtype=bool)
-    if len(lx) == 0 or radius <= 0.0:
+    if m == 0 or len(lx) == 0 or radius < 0.0:
         return np.ones(m, dtype=bool)
-    tree = cKDTree(np.column_stack([lx, ly]), balanced_tree=False, compact_nodes=False)
-    d, _ = tree.query(np.column_stack([ex, ey]), distance_upper_bound=np.nextafter(radius, np.inf))
-    return ~(d <= radius)
+    ex, ey, lx, ly = (np.asarray(a, dtype=np.float64) for a in (ex, ey, lx, ly))
+    eps = np.finfo(np.float64).eps
+    x0, y0 = min(ex.min(), lx.min()), min(ey.min(), ly.min())
+    y_extent = max(ey.max(), ly.max()) - y0
+    height = max(radius + 4.0 * eps * (radius + y_extent), np.finfo(np.float64).tiny)
+    stride = 2.0 * (max(ex.max(), lx.max()) - x0 + 2.0 * radius)
+    reach = radius + 8.0 * eps * (math.floor(y_extent / height) + 2.0) * stride
+
+    def by_key(x, y):
+        key = np.subtract(y, y0)
+        key /= height
+        np.floor(key, out=key)
+        key *= stride
+        key += x - x0
+        order = np.argsort(key)
+        return key[order], x[order], y[order], order
+
+    lkey, lx, ly, _ = by_key(lx, ly)
+    ekey, ex, ey, order = by_key(ex, ey)
+    r2 = radius * radius
+    dead = np.zeros(m, dtype=bool)
+    alive = np.arange(m)
+    for shift in (0.0, -stride, stride):
+        needle = ekey[alive]
+        hi = np.searchsorted(lkey, needle + (shift + reach), side="right")
+        count = hi - np.searchsorted(lkey, needle + (shift - reach))
+        del needle
+        ends = np.cumsum(count)
+        start = done = 0
+        while start < alive.size:
+            stop = max(int(np.searchsorted(ends, done + _PAIR_CHUNK, side="right")), start + 1)
+            c = count[start:stop]
+            # eavesdropper j's pairs are the legitimate points hi[j] - c[j] .. hi[j] - 1
+            li = np.repeat(hi[start:stop] - ends[start:stop] + done, c)
+            li += np.arange(li.size)
+            ei = np.repeat(alive[start:stop], c)
+            dx = ex[ei] - lx[li]
+            dy = ey[ei] - ly[li]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            dead[ei[dx <= r2]] = True
+            start, done = stop, ends[stop - 1]
+        alive = alive[~dead[alive]]
+        if alive.size == 0:
+            break
+    survive = np.empty(m, dtype=bool)
+    survive[order] = ~dead
+    return survive

@@ -141,10 +141,10 @@ _BLOCK_BUDGET = 1e7
 _TRIAL_BUDGET = 50_000_000
 # Points of spatial windows one estimate may expect in all: trials times the
 # points a sampler names per trial.  On one thread of a 2-vCPU VM a
-# guard-disk point costs 0.7-1.7 us (a trial at lambda_e 0.1 and rho_n 1.5
-# expects 6.3k points and takes about 6 ms), an in-degree point 0.1-0.2 us
+# guard-disk point costs 0.65-1.4 us (a trial at lambda_e 0.1 and rho_n 1.5
+# expects 6.3k points and takes about 4.3 ms), an in-degree point 0.1-0.2 us
 # and a fading out-degree point 0.05-0.08 us, so a run at the budget would
-# take about 5 h, 40 min and 20 min.  It also bounds the bookkeeping of
+# take about 4 h, 40 min and 20 min.  It also bounds the bookkeeping of
 # guard-disk runs whose blocks are one trial (over 2e4 points each) to 1e6
 # blocks.
 _WORK_BUDGET = 2e10
@@ -269,8 +269,15 @@ _NEUTRAL_START_SURVIVORS = 0.5
 _NEUTRAL_GROWTH = 1.5
 # Points a guard-disk start window may expect, in the larger of its two
 # fields (the legitimate one, on which these constants were timed, when
-# lambda_e <= lambda_l).  Each costs about 200 bytes at peak, a grown window
+# lambda_e <= lambda_l).  Each costs about 220 bytes at peak, a grown window
 # holds 2.25x as many: 1e6 is half a gigabyte per thread, seconds per trial.
+# One-trial blocks of 1.3e5-4.1e5 such points peaked at 490-1250 bytes per
+# point, the most of three seeds (455-1290 on the former k-d tree).  Where
+# the eavesdroppers are the larger field, the filter's own arrays set the
+# peak, some 75 bytes per eavesdropper of the annulus filtered: at lambda_l
+# 100, lambda_e 1e4 and rho_n 0.2 (1.4e5 eavesdroppers to start) one trial
+# peaked at 250 MB after four growths and 570 MB after five (tracemalloc on
+# a 2-vCPU VM).
 _NEUTRAL_POINT_BUDGET = 1e6
 # Expected points per guard-disk block, which one neutral_survivors call per
 # round filters: it spreads the call's fixed cost over many cheap trials,
@@ -278,11 +285,13 @@ _NEUTRAL_POINT_BUDGET = 1e6
 _NEUTRAL_CALL_POINTS = 2e4
 # Expected points of a _BLOCK-trial block from which guard-disk blocks go to
 # the pool; a block of fewer trials expects over 1e4.  Timed at 2048 trials,
-# blocks of 1.8k points (lambda_e 0.5, rho_n 0.5) ran 0.8x as fast on two
-# threads as on one, 3.2k (lambda_e 0.5, rho_n 0.67) 0.92x, 4.1k (lambda_e
-# 0.5 and 1, rho_n 0.75) 1.19x, 4.5k (lambda_e 0.1, rho_n 0.5) 1.0x and 11k
-# (lambda_e 0.5, rho_n 1) 1.75x (medians of 15-21 rounds).
-_NEUTRAL_POOL_POINTS = 4e3
+# pooled on two threads against serial on one (medians of 9-15 interleaved
+# rounds on a 2-vCPU VM), blocks of 1.8k points (lambda_e 0.5, rho_n 0.5)
+# ran 0.81x as fast, 3.2k (0.5, 0.67) 0.79x, 4.1k (lambda_e 0.5 and 1,
+# rho_n 0.75) 0.88-0.90x, 4.5k (0.1, 0.5) 0.88x, 5.5k-6.8k (0.5, 0.85 and
+# 0.9; 0.1, 0.6; 0.2, 0.75) 0.91-0.99x, 9.4k (0.1, 0.7) 0.98-1.01x, 11k
+# (0.5, 1; 0.1, 0.75) 1.07-1.31x, 22k (0.2, 1) 1.37x and 40k (0.1, 1) 1.49x.
+_NEUTRAL_POOL_POINTS = 1e4
 # Expected points of a _BLOCK-trial in-degree block from which its blocks go
 # to the pool.  count_in_cell steps a block through its eavesdropper ranks in
 # arrays of its legitimate points, and two threads pay once those arrays are
@@ -396,18 +405,20 @@ def _run_blocks(
 # per trial passes their expected count as draws, so that its blocks grow past
 # 256 trials; a spatial window's expected points per trial are its points.
 # A sampler passes pooled=True only where its blocks do their work in large
-# numpy/scipy calls that release the GIL, which made threads pay: the fading
+# numpy calls that release the GIL, which made threads pay: the fading
 # out-degree route, the typical cell's _VORONOI_BLOCK-trial blocks,
 # in-degree blocks of _IN_DEGREE_POOL_POINTS or more expected points,
 # guard-disk runs whose 256-trial block would expect _NEUTRAL_POOL_POINTS or
-# more points (so every run of smaller blocks, where two threads took the
-# benchmark's 24-trial runs at rho_n = 1.5 from 127 to 76 ms and 83 to
-# 69 ms), and colluding windows of _COLLUDING_POOL_POINTS or more expected
-# eavesdroppers.  The exact distance-domain kinds draw a few array elements
-# per trial: pooled on two threads at their 4096-trial blocks they ran
-# 0.61-0.89x as fast as serially, and narrow colluding windows 0.83-0.90x.
-# They run serially, as do the smaller in-degree, guard-disk and colluding
-# blocks.  Timings are on a 2-vCPU VM.
+# more points (so every run of smaller blocks: two threads took 16 blocks of
+# three trials at lambda_e 0.1 and rho_n = 1.5 from 176 to 135 ms, though
+# the benchmark's 24-trial runs there, 8 such blocks, read 64 and 68 ms, and
+# 31 and 35 ms at lambda_e 0.5), and colluding windows of
+# _COLLUDING_POOL_POINTS or more expected eavesdroppers.  The exact
+# distance-domain kinds draw a few array elements per trial: pooled on two
+# threads at their 4096-trial blocks they ran 0.61-0.89x as fast as
+# serially, and narrow colluding windows 0.83-0.90x.  They run serially, as
+# do the smaller in-degree, guard-disk and colluding blocks.  Timings are on
+# a 2-vCPU VM.
 
 
 def _refuse(cfg: NetworkConfig, kind: str, *fields: str) -> None:

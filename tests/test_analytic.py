@@ -24,10 +24,12 @@ from secgraph import (
     Rng,
     Sample,
     VoronoiMoments,
+    analytic,
     c_alpha,
     cdf_msr_colluding,
     cdf_msr_neighbor,
     cdf_msr_noncolluding_link,
+    cli,
     estimate_generic,
     mean_degree_colluding,
     mean_out_degree_neutralization_lb,
@@ -502,6 +504,23 @@ def test_link_cdf_array_edges(cdf):
     assert 0.0 < got[3] < 1.0
     with pytest.raises(ValueError):
         cdf(np.array([0.0, 1.0, math.nan]), 1.0, _LINK_CFG)
+
+
+def test_link_cdf_keeps_tau_accurate_at_small_snr():
+    # collude --b 10 --power 1e-6 --sigma2-l 1e8: snr_l = 1e-14, where
+    # (1 + snr_l) 2^(-rho) - 1 lost most of tau to the rounding of 1 + snr_l
+    # (a median relative error of 1.7%, and tau = 0 at two grid points)
+    mpmath = pytest.importorskip("mpmath")
+    rc = cli.RunConfig(experiment="collude", b=10.0, power=1e-6, sigma2_l=1e8)
+    cfg = rc.network()
+    snr_l = analytic._link_snr(rc.r_l, cfg)
+    cap = math.log1p(snr_l) / math.log(2.0)
+    grid = np.linspace(cap / 400.0, cap - cap / 400.0, 100)
+    seen = []
+    analytic._link_cdf(grid, rc.r_l, cfg, lambda tau: seen.append(tau) or np.zeros_like(tau))
+    with mpmath.workdps(50):
+        want = [float((1 + mpmath.mpf(snr_l)) * mpmath.power(2, -mpmath.mpf(rho)) - 1) for rho in grid.tolist()]
+    assert seen[0] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("cdf", _LINK_CDFS)

@@ -565,7 +565,7 @@ def test_numpy_only_subcommands_load_no_scipy(tmp_path):
     script = """
 import sys
 from secgraph import cli
-for name in ("sectors", "degree", "isolation", "voronoi"):
+for name in ("sectors", "degree", "isolation", "voronoi", "neutralize"):
     assert cli.main([name, "--trials", "300", "--threads", "2", "--out", name + ".csv"]) == 0
 assert cli.main(["sectors", "--lambda-e", "1e-7", "--trials", "5000000", "--out", "long.csv"]) == 2
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
@@ -576,27 +576,16 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 _POOLED_NEUTRALIZE = ["neutralize", "--guard-radius", "1.5", "--lambda-e", "0.5", "--trials", "300", "--seed", "4"]
 
 
-def test_scipy_first_imported_in_pool_workers_gives_the_serial_bytes(tmp_path):
-    # guard radii 0.25 and 0.5 expect too few points per block to pool, so
-    # FORCE_POOL sends their two blocks to the pool too: both workers then
-    # reach the first k-d tree, and the import of scipy.spatial, at once
-    script = f"""
-import sys, threading
-from secgraph import cli, montecarlo as mc
-first = []
-class Spy:
-    def find_spec(self, name, path=None, target=None):
-        if name == "scipy.spatial":
-            first.append(threading.current_thread() is threading.main_thread())
-sys.meta_path.insert(0, Spy())
-mc.FORCE_POOL = True
-code = cli.main({_POOLED_NEUTRALIZE!r} + ["--threads", "2", "--out", "pooled.csv"])
-print(code, first)
-"""
-    assert _fresh_python(script, tmp_path) == "0 [False]"
+def test_forced_pool_neutralize_gives_the_serial_bytes(tmp_path, monkeypatch):
+    # guard radii 0.25 to 0.75 expect too few points per block to pool, so
+    # FORCE_POOL sends their two blocks to the pool too
+    monkeypatch.setattr(mc, "FORCE_POOL", True)
+    code, pooled = _run([*_POOLED_NEUTRALIZE, "--threads", "2"], tmp_path, "pooled.csv")
+    assert code == 0
+    monkeypatch.setattr(mc, "FORCE_POOL", False)
     code, serial = _run([*_POOLED_NEUTRALIZE, "--threads", "1"], tmp_path, "serial.csv")
     assert code == 0
-    assert serial.read_bytes() == (tmp_path / "pooled.csv").read_bytes()
+    assert serial.read_bytes() == pooled.read_bytes()
 
 
 # --------------------------------------------------------------- sweep parse
@@ -879,7 +868,6 @@ def _hung(signum, frame):
     raise _Hung("an example ran over 30 s")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1/tau at tau = 0 in the nearest-eavesdropper CDF
 @pytest.mark.parametrize("name,keys", _MODES, ids=[name for name, _ in _MODES[:-1]] + ["collude-sweep"])
 def test_every_input_exits_0_1_or_2_and_budget_refusals_run_no_block(name, keys, tmp_path_factory):
     # every key the run reads is drawn over many decades, and every block is

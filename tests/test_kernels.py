@@ -8,7 +8,10 @@ points it claims cannot matter; its two-argsort order against the lexsort it
 replaced, bit for bit, on blocks of up to 300 trials and one of 70,000.
 count_in_cell and neutral_survivors against brute-force all-pairs loops,
 and neutral_survivors also on exact ties at the guard radius, which random
-inputs never draw.  count_in_cell is also checked against the per-trial loop
+inputs never draw, on ties and row boundaries far from the lowest point,
+where its rows and sort keys round, in chunks of one and seven candidate
+pairs, on empty and one-point inputs and at radius 0; its peak memory per
+point is bounded too.  count_in_cell is also checked against the per-trial loop
 it replaced, on many-trial blocks whose coordinates come from a small grid,
 so that ties, duplicates and eavesdroppers on top of legitimate points are
 drawn often, and at an eavesdropper exactly and just beyond twice a point's
@@ -26,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Voronoi
 
-from secgraph import kernels, montecarlo
+from secgraph import NetworkConfig, kernels, montecarlo
 from secgraph.kernels import cell_area, count_in_cell, neutral_survivors
 
 
@@ -362,17 +365,108 @@ def test_spatial_draw_peak_memory_per_point():
     assert peak / seg.size <= 48
 
 
+def _survivors_oracle(ex, ey, lx, ly, radius):
+    d2 = (ex[:, None] - lx[None, :]) ** 2 + (ey[:, None] - ly[None, :]) ** 2
+    return ~(d2 <= radius * radius).any(axis=1)
+
+
 def test_neutral_survivors_brute_force():
+    # chunks of 1 and 7 candidate pairs split every pass, and a chunk of 1
+    # holds each eavesdropper's whole range however many candidates it has
     rng = np.random.default_rng(13)
-    for _ in range(40):
-        ne, nl = rng.integers(1, 40), rng.integers(0, 40)
-        ex, ey = rng.uniform(-5, 5, ne), rng.uniform(-5, 5, ne)
-        lx, ly = rng.uniform(-5, 5, nl), rng.uniform(-5, 5, nl)
-        radius = float(rng.uniform(0.2, 2.0))
-        got = neutral_survivors(ex, ey, lx, ly, radius)
+    for chunk in (kernels._PAIR_CHUNK, 1, 7):
+        with mock.patch.object(kernels, "_PAIR_CHUNK", chunk):
+            for _ in range(40):
+                ne, nl = rng.integers(1, 40), rng.integers(0, 40)
+                ex, ey = rng.uniform(-5, 5, ne), rng.uniform(-5, 5, ne)
+                lx, ly = rng.uniform(-5, 5, nl), rng.uniform(-5, 5, nl)
+                radius = float(rng.uniform(0.2, 2.0))
+                want = _survivors_oracle(ex, ey, lx, ly, radius)
+                assert np.array_equal(neutral_survivors(ex, ey, lx, ly, radius), want)
+
+
+@pytest.mark.parametrize("radius,far", [(5.0, 0.0), (0.5, 0.0), (0.3, 0.0), (0.3, 1e4), (0.1, 3e4)])
+def test_neutral_survivors_on_exact_ties(radius, far):
+    # coordinates on a grid of step radius / 5, so that legitimate points lie
+    # at the radius along x, along y and at (3, 4) and (4, 3) steps; at
+    # radius 5 all of it is exact, elsewhere the oracle's roundings decide.
+    # An eavesdropper far below and to the left puts the grid some 1e5 rows
+    # up, where the sweep's combined key rounds to 1e-7.
+    rng = np.random.default_rng(19)
+    step = radius / 5
+    ties = 0
+    for _ in range(30):
+        ne, nl = rng.integers(1, 50, size=2)
+        ex, ey, lx, ly = (rng.integers(-10, 11, n) * step for n in (ne, ne, nl, nl))
+        if far:
+            ex, ey = np.append(ex, -far), np.append(ey, -far)
+        want = _survivors_oracle(ex, ey, lx, ly, radius)
+        assert np.array_equal(neutral_survivors(ex, ey, lx, ly, radius), want)
         d2 = (ex[:, None] - lx[None, :]) ** 2 + (ey[:, None] - ly[None, :]) ** 2
-        want = ~(d2 <= radius * radius).any(axis=1) if nl else np.ones(ne, dtype=bool)
-        assert np.array_equal(got, want)
+        ties += np.count_nonzero(d2 == radius * radius)
+    assert ties > 100
+
+
+def test_neutral_survivors_on_row_boundaries():
+    # eavesdroppers within 3 ulps of the boundary y0 + j radius of a row, far
+    # above the lowest point y0, each with a legitimate point radius above it
+    # (again within 3 ulps) and alone within 3 radii in x: the pair's dy
+    # rounds to radius or just past it, and rows of height radius exactly
+    # would put some pairs within radius two rows apart
+    rng = np.random.default_rng(23)
+    outcomes = set()
+    for _ in range(20):
+        radius = rng.uniform(0.05, 3.0)
+        y0 = -rng.uniform(10, 1e5)
+        ey = y0 + rng.integers(1, int(-y0 / radius), 300) * radius
+        ey += rng.integers(-3, 4, ey.size) * np.spacing(ey)
+        ly = ey + radius
+        ly += rng.integers(-3, 4, ly.size) * np.spacing(ly)
+        lx = np.arange(ly.size) * 3 * radius
+        ex, ey = np.append(lx, 0.0), np.append(ey, y0)
+        want = _survivors_oracle(ex, ey, lx, ly, radius)
+        assert np.array_equal(neutral_survivors(ex, ey, lx, ly, radius), want)
+        outcomes.update(want[:-1].tolist())
+    assert outcomes == {False, True}
+
+
+def test_neutral_survivors_on_empty_and_single_points_and_radius_zero():
+    one, two = np.array([1.0]), np.array([1.0, 2.5])
+    none = np.zeros(0)
+    cases = [
+        (none, none, two, two, 1.0),
+        (two, two, none, none, 1.0),
+        (one, one, one, one + 1.0, 1.0),  # at the radius
+        (one, one, one, one + 1.5, 1.0),
+        (two, two, one, one, 0.0),  # radius 0: only the coincident point neutralizes
+        (two, two, two, two[::-1], 0.0),
+        (one, one, one.repeat(3), one.repeat(3), 0.0),  # no extent in x or y
+        (one.repeat(3), one.repeat(3), one, one, 2.0),
+    ]
+    for ex, ey, lx, ly, radius in cases:
+        got = neutral_survivors(ex, ey, lx, ly, radius)
+        assert got.dtype == bool
+        assert np.array_equal(got, _survivors_oracle(ex, ey, lx, ly, radius)), (ex, ey, lx, ly, radius)
+
+
+def test_neutral_survivors_peak_memory_per_point():
+    # one guard-disk trial at lambda_l = 100, lambda_e = 1e4 and rho_n = 0.2:
+    # 1.4e5 eavesdroppers against 1.7k legitimate points, each eavesdropper
+    # with some 8 candidates per row; expanded in one pass, its pairs peaked
+    # at 516 bytes per point
+    cfg = NetworkConfig(lambda_l=100.0, lambda_e=1e4)
+    w0 = montecarlo.neutralization_window(cfg, 0.2)
+    g = np.random.default_rng(5)
+    _, _, lx, ly = montecarlo._annuli_draw(g, cfg.lambda_l, 0.0, w0 + 0.2, np.arange(1))
+    _, _, ex, ey = montecarlo._annuli_draw(g, cfg.lambda_e, 0.0, w0, np.arange(1))
+    tracemalloc.start()
+    try:
+        neutral_survivors(ex, ey, lx, ly, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ex.size > 1.3e5
+    assert peak / (ex.size + lx.size) <= 128
 
 
 def test_neutral_survivors_legitimate_point_at_radius_neutralizes():
