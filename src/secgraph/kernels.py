@@ -206,13 +206,18 @@ def neutral_survivors(ex, ey, lx, ly, radius):
     eavesdropper found neutralized drops out before the next row, and the
     candidate pairs of a row go through in chunks of _PAIR_CHUNK.  The
     predicate is survive iff min distance > radius, so a legitimate point
-    exactly at the radius still neutralizes.
+    exactly at the radius still neutralizes.  The sort is not an argsort: a
+    key is never negative, so its float64 bit pattern sorts as an int64 in
+    the same order, and its low b bits, with 2^b above either point count,
+    carry the point's index through one plain sort.  That truncates the key
+    by less than 2^b eps times itself.
 
     Rounding never loses a pair: with eps the float64 machine epsilon, the
     rows are taller than radius by 4 eps (radius + y extent), so that two
     points whose float distance is within radius are never computed two rows
-    apart, and the x window is widened by 8 eps times the largest key, which
-    covers the few roundings of a key and of a needle.
+    apart, and the x window is widened by (8 + 2^b) eps times the largest
+    key, which covers the few roundings of a key and of a needle and their
+    truncation.
     """
     m = len(ex)
     if m == 0 or len(lx) == 0 or radius < 0.0:
@@ -223,7 +228,9 @@ def neutral_survivors(ex, ey, lx, ly, radius):
     y_extent = max(ey.max(), ly.max()) - y0
     height = max(radius + 4.0 * eps * (radius + y_extent), np.finfo(np.float64).tiny)
     stride = 2.0 * (max(ex.max(), lx.max()) - x0 + 2.0 * radius)
-    reach = radius + 8.0 * eps * (math.floor(y_extent / height) + 2.0) * stride
+    bits = max(m, len(lx)).bit_length()
+    low = np.int64((1 << bits) - 1)
+    reach = radius + (8.0 + 2.0**bits) * eps * (math.floor(y_extent / height) + 2.0) * stride
 
     def by_key(x, y):
         key = np.subtract(y, y0)
@@ -231,8 +238,13 @@ def neutral_survivors(ex, ey, lx, ly, radius):
         np.floor(key, out=key)
         key *= stride
         key += x - x0
-        order = np.argsort(key)
-        return key[order], x[order], y[order], order
+        packed = key.view(np.int64)  # the key, truncated, and the index
+        packed &= ~low
+        packed |= np.arange(len(x))
+        packed.sort()
+        order = packed & low
+        packed &= ~low
+        return key, x[order], y[order], order
 
     lkey, lx, ly, _ = by_key(lx, ly)
     ekey, ex, ey, order = by_key(ex, ey)

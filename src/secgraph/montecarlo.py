@@ -44,14 +44,15 @@ the estimates.  Sampler design notes, per kind:
                      c / lambda_eff (c expected survivors, radius at least
                      2 rho_n) and legitimate points fill it plus rho_n; the
                      origin neutralizes but is not counted.  Without a
-                     survivor the window grows by an annulus (radius x1.5):
-                     only the annulus's eavesdroppers are filtered, against
-                     the legitimate points within rho_n of it, because a
-                     neutralized eavesdropper stays neutralized.  No
-                     truncation; bias_note counts the growths.  Windows and
-                     annuli are polar draws.  A block is one filtering call
-                     per round, each trial shifted to its own lattice cell.
-                     At rho_n = 0 it is the exact one-sector draw.
+                     survivor the window grows by an annulus (radius times
+                     _NEUTRAL_GROWTH): only the annulus's eavesdroppers are
+                     filtered, against the legitimate points within rho_n
+                     of it, because a neutralized eavesdropper stays
+                     neutralized.  No truncation; bias_note counts the
+                     growths.  Windows and annuli are polar draws.  A block
+                     is one filtering call per round, each trial shifted
+                     along x to its own slot of a one-row lattice.  At
+                     rho_n = 0 it is the exact one-sector draw.
   neighbor_msr       exact: secrecy rate to the i-th nearest legitimate
                      node against the nearest eavesdropper.
   colluding_*        aggregate power summed inside a window plus the
@@ -584,28 +585,28 @@ def _neutralized_degrees(g, cfg: NetworkConfig, rho_n: float, w0: float, m: int)
     """Origin degrees of m trials under guard radius rho_n, and their window growths.
 
     Each round filters the trials still without a survivor in one
-    neutral_survivors call, every trial shifted to its own cell of a square
-    lattice spaced so that no guard disk reaches a neighbouring cell.
+    neutral_survivors call, every trial shifted along x to its own slot of a
+    one-row lattice spaced so that no guard disk reaches a neighbouring slot.
+    The legitimate points are kept as one ring per round, (outer radius,
+    trial index, squared radius, x, y), so that a round reads only the rings
+    that reach its annulus.
     """
     best = np.full(m, np.inf)  # squared distance of each trial's nearest survivor
     active = np.arange(m)
-    lseg, lr2, lx, ly = _annuli_draw(g, cfg.lambda_l, 0.0, w0 + rho_n, active)
+    rings = [(w0 + rho_n, *_annuli_draw(g, cfg.lambda_l, 0.0, w0 + rho_n, active))]
     eseg, er2, ex, ey = _annuli_draw(g, cfg.lambda_e, 0.0, w0, active)
     # the origin is itself a legitimate node: it neutralizes, but it is not
     # one of its own neighbours
+    _, lseg, _, lx, ly = rings[0]
     fseg = np.concatenate([lseg, active])
     fx = np.concatenate([lx, np.zeros(m)])
     fy = np.concatenate([ly, np.zeros(m)])
     we = w0
     growths = 0
     while True:
-        side = math.ceil(math.sqrt(active.size))
-        spacing = 2.0 * (we + 2.0 * rho_n)
-        cell = np.zeros(m, dtype=np.int64)
-        cell[active] = np.arange(active.size)
-        cx = (cell % side) * spacing
-        cy = (cell // side) * spacing
-        surv = neutral_survivors(ex + cx[eseg], ey + cy[eseg], fx + cx[fseg], fy + cy[fseg], rho_n)
+        slot = np.zeros(m)
+        slot[active] = np.arange(active.size) * (2.0 * (we + 2.0 * rho_n))
+        surv = neutral_survivors(ex + slot[eseg], ey, fx + slot[fseg], fy, rho_n)
         np.minimum.at(best, eseg[surv], er2[surv])
         active = active[np.isinf(best[active])]
         if active.size == 0:
@@ -618,17 +619,15 @@ def _neutralized_degrees(g, cfg: NetworkConfig, rho_n: float, w0: float, m: int)
         waiting = np.zeros(m, dtype=bool)
         waiting[active] = True
         eseg, er2, ex, ey = _annuli_draw(g, cfg.lambda_e, we, w_new, active)
-        nseg, nr2, nx, ny = _annuli_draw(g, cfg.lambda_l, we + rho_n, w_new + rho_n, active)
-        near = waiting[lseg] & (lr2 >= (we - rho_n) ** 2)
-        fseg = np.concatenate([lseg[near], nseg])
-        fx = np.concatenate([lx[near], nx])
-        fy = np.concatenate([ly[near], ny])
-        lseg = np.concatenate([lseg, nseg])
-        lr2 = np.concatenate([lr2, nr2])
-        lx = np.concatenate([lx, nx])
-        ly = np.concatenate([ly, ny])
+        rings.append((w_new + rho_n, *_annuli_draw(g, cfg.lambda_l, we + rho_n, w_new + rho_n, active)))
+        shell = []
+        for outer, seg, r2, x, y in rings:
+            if outer > we - rho_n:
+                near = waiting[seg] & (r2 >= (we - rho_n) ** 2)
+                shell.append((seg[near], x[near], y[near]))
+        fseg, fx, fy = (np.concatenate(column) for column in zip(*shell))
         we = w_new
-    return np.bincount(lseg[lr2 < best[lseg]], minlength=m), growths
+    return sum(np.bincount(seg[r2 < best[seg]], minlength=m) for _, seg, r2, _, _ in rings), growths
 
 
 def _neutralized_degree(cfg: NetworkConfig, run, rho_n: float = 0.0) -> Sample:

@@ -449,6 +449,26 @@ def test_neutral_survivors_on_empty_and_single_points_and_radius_zero():
         assert np.array_equal(got, _survivors_oracle(ex, ey, lx, ly, radius)), (ex, ey, lx, ly, radius)
 
 
+@pytest.mark.parametrize("seed", [29, 31])
+def test_neutral_survivors_on_a_one_row_trial_lattice(seed):
+    # 256 trials laid out as the guard-disk sampler lays them, each shifted
+    # along x alone to its own slot, the origins included: the x extent is
+    # 256 slots where a square lattice spanned 16, so the sort keys' x part
+    # is 16 times larger, and each row holds points of every trial
+    rng = np.random.default_rng(seed)
+    radius = float(rng.uniform(0.3, 0.6))
+    w = 2.0 * radius
+    trials = np.arange(256)
+    lseg, _, lx, ly = montecarlo._annuli_draw(rng, 1.0, 0.0, w + radius, trials)
+    eseg, _, ex, ey = montecarlo._annuli_draw(rng, 1.0, 0.0, w, trials)
+    slot = trials * (2.0 * (w + 2.0 * radius))
+    lx, ly = np.append(lx + slot[lseg], slot), np.append(ly, np.zeros(trials.size))
+    ex = ex + slot[eseg]
+    want = _survivors_oracle(ex, ey, lx, ly, radius)
+    assert 0 < np.count_nonzero(want) < ex.size
+    assert np.array_equal(neutral_survivors(ex, ey, lx, ly, radius), want)
+
+
 def test_neutral_survivors_peak_memory_per_point():
     # one guard-disk trial at lambda_l = 100, lambda_e = 1e4 and rho_n = 0.2:
     # 1.4e5 eavesdroppers against 1.7k legitimate points, each eavesdropper

@@ -1035,6 +1035,36 @@ def test_neutralization_mean_does_not_depend_on_start_window(monkeypatch):
     assert abs(a.value - b.value) < 4.5 * math.hypot(a.std_error, b.std_error)
 
 
+def test_neutralized_degrees_match_a_brute_force_count_over_their_draws(monkeypatch):
+    # Growth 1.1 from a start window of 2 rho_n: each round's shell
+    # [we - rho_n, w_new + rho_n] reaches back over several earlier rings,
+    # so a filter set built from the wrong rings leaves some eavesdropper
+    # unneutralized (or neutralizes one wrongly) and moves a degree.
+    cfg, rho_n, m = NetworkConfig(lambda_l=1.0, lambda_e=0.5), 0.5, 64
+    draws = []
+
+    def recorded(g, lam, r0, r1, trials):
+        out = draw(g, lam, r0, r1, trials)
+        draws.append((lam, *out))
+        return out
+
+    draw = montecarlo._annuli_draw
+    monkeypatch.setattr(montecarlo, "_annuli_draw", recorded)
+    monkeypatch.setattr(montecarlo, "_NEUTRAL_GROWTH", 1.1)
+    degrees, growths = montecarlo._neutralized_degrees(np.random.default_rng(37), cfg, rho_n, 2.0 * rho_n, m)
+    assert growths > 2 * m
+    field = {lam: [np.concatenate(c) for c in zip(*(d[1:] for d in draws if d[0] == lam))] for lam in (1.0, 0.5)}
+    (lseg, lr2, lx, ly), (eseg, er2, ex, ey) = field[1.0], field[0.5]
+    for t in range(m):
+        lt, et = lseg == t, eseg == t
+        # the origin neutralizes too
+        fx, fy = np.append(lx[lt], 0.0), np.append(ly[lt], 0.0)
+        d2 = (ex[et][:, None] - fx[None, :]) ** 2 + (ey[et][:, None] - fy[None, :]) ** 2
+        survives = ~(d2 <= rho_n**2).any(axis=1)
+        best = er2[et][survives].min()
+        assert degrees[t] == np.count_nonzero(lr2[lt] < best), t
+
+
 def _growths_per_trial(sample):
     growths, trials = re.search(r"(\d+) growths in (\d+) trials", sample.bias_note).groups()
     return int(growths) / int(trials)
