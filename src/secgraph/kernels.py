@@ -206,18 +206,16 @@ def neutral_survivors(ex, ey, lx, ly, radius):
     eavesdropper found neutralized drops out before the next row, and the
     candidate pairs of a row go through in chunks of _PAIR_CHUNK.  The
     predicate is survive iff min distance > radius, so a legitimate point
-    exactly at the radius still neutralizes.  The sort is not an argsort: a
-    key is never negative, so its float64 bit pattern sorts as an int64 in
-    the same order, and its low b bits, with 2^b above either point count,
-    carry the point's index through one plain sort.  That truncates the key
-    by less than 2^b eps times itself.
+    exactly at the radius still neutralizes.  A key is never negative, so its
+    bits sort as an int64 in the same order, and its low b bits, 2^b above
+    either point count, carry the point's index through one plain sort.
 
     Rounding never loses a pair: with eps the float64 machine epsilon, the
     rows are taller than radius by 4 eps (radius + y extent), so that two
     points whose float distance is within radius are never computed two rows
     apart, and the x window is widened by (8 + 2^b) eps times the largest
-    key, which covers the few roundings of a key and of a needle and their
-    truncation.
+    key, which covers the few roundings of a key and of a needle and the
+    truncation of both by the index bits.
     """
     m = len(ex)
     if m == 0 or len(lx) == 0 or radius < 0.0:
@@ -228,9 +226,8 @@ def neutral_survivors(ex, ey, lx, ly, radius):
     y_extent = max(ey.max(), ly.max()) - y0
     height = max(radius + 4.0 * eps * (radius + y_extent), np.finfo(np.float64).tiny)
     stride = 2.0 * (max(ex.max(), lx.max()) - x0 + 2.0 * radius)
-    bits = max(m, len(lx)).bit_length()
-    low = np.int64((1 << bits) - 1)
-    reach = radius + (8.0 + 2.0**bits) * eps * (math.floor(y_extent / height) + 2.0) * stride
+    low = np.int64((1 << max(m, len(lx)).bit_length()) - 1)
+    reach = radius + (9.0 + low) * eps * (math.floor(y_extent / height) + 2.0) * stride
 
     def by_key(x, y):
         key = np.subtract(y, y0)
@@ -238,13 +235,11 @@ def neutral_survivors(ex, ey, lx, ly, radius):
         np.floor(key, out=key)
         key *= stride
         key += x - x0
-        packed = key.view(np.int64)  # the key, truncated, and the index
-        packed &= ~low
-        packed |= np.arange(len(x))
+        packed = (key.view(np.int64) & ~low) | np.arange(len(x))  # the key, truncated, and the index
         packed.sort()
         order = packed & low
         packed &= ~low
-        return key, x[order], y[order], order
+        return packed.view(np.float64), x[order], y[order], order
 
     lkey, lx, ly, _ = by_key(lx, ly)
     ekey, ex, ey, order = by_key(ex, ey)

@@ -142,8 +142,8 @@ _BLOCK_BUDGET = 1e7
 _TRIAL_BUDGET = 50_000_000
 # Points of spatial windows one estimate may expect in all: trials times the
 # points a sampler names per trial.  On one thread of a 2-vCPU VM a
-# guard-disk point costs 0.65-1.4 us (a trial at lambda_e 0.1 and rho_n 1.5
-# expects 6.3k points and takes about 4.3 ms), an in-degree point 0.1-0.2 us
+# guard-disk point costs 0.45-1.4 us (a trial at lambda_e 0.1 and rho_n 1.5
+# expects 6.3k points and takes about 3 ms), an in-degree point 0.1-0.2 us
 # and a fading out-degree point 0.05-0.08 us, so a run at the budget would
 # take about 4 h, 40 min and 20 min.  It also bounds the bookkeeping of
 # guard-disk runs whose blocks are one trial (over 2e4 points each) to 1e6
@@ -262,52 +262,53 @@ def fading_window(fading: FadingModel, lambda_e: float) -> float:
     return _FADING_WINDOW_MULT[fading.kind] / math.sqrt(lambda_e)
 
 
-# Expected surviving eavesdroppers in the start window, chosen by timing the
-# acceptance grid.  Its time goes to the legitimate points sampled at
-# rho_n = 1.5, which are fewest for 0.35-0.5; 1 cost 7% more and 1.5 15%
-# more, and starts below 0.35 add filtering rounds without saving points.
+# Expected surviving eavesdroppers in the start window, and the factor by
+# which a window's radius grows while it holds none.  Median change against
+# growth 1.5 on the former sampler, same kernel, 2-vCPU VM: the neutralize
+# benchmark's pass (30 interleaved rounds, thread time) / the neutralization
+# criterion's grid at half its trials (4 rounds):
+#   growth   start 0.35   start 0.5    start 0.75
+#   1.2      -12%/-26%    -11%/-27%    -12%/-23%
+#   1.25     -11%/-25%    -10%/-27%     -9%/-18%
+#   1.3      -11%/-22%    -15%/-24%    -10%/-28%
+#   1.35      -6%/-25%    -16%/-22%     -9%/-25%
+#   1.5       -3%/-16%     -3%/-18%     -4%/-17%
+# 120 pass rounds at start 0.5: -20/-18/-16/-14/-6%.  1.25 makes fewer calls
+# than 1.2 (91 per pass, 62 at 1.5); rho_n = 0.5 cells (< 0.2 s) ran slower.
 _NEUTRAL_START_SURVIVORS = 0.5
-_NEUTRAL_GROWTH = 1.5
-# Points a guard-disk start window may expect, in the larger of its two
-# fields (the legitimate one, on which these constants were timed, when
-# lambda_e <= lambda_l).  Each costs about 220 bytes at peak, a grown window
-# holds 2.25x as many: 1e6 is half a gigabyte per thread, seconds per trial.
-# One-trial blocks of 1.3e5-4.1e5 such points peaked at 490-1250 bytes per
-# point, the most of three seeds (455-1290 on the former k-d tree).  Where
-# the eavesdroppers are the larger field, the filter's own arrays set the
-# peak, some 75 bytes per eavesdropper of the annulus filtered: at lambda_l
-# 100, lambda_e 1e4 and rho_n 0.2 (1.4e5 eavesdroppers to start) one trial
-# peaked at 250 MB after four growths and 570 MB after five (tracemalloc on
-# a 2-vCPU VM).
+_NEUTRAL_GROWTH = 1.25
+# Points a guard-disk trial may expect in the larger of its two fields: its
+# start window's, unless survivors clump.  Guard disks with a = pi lambda_l
+# rho_n^2 >= 2 leave holes of density h = lambda_l (a - 1) e^-a (Euler
+# characteristic of the Boolean model; Chiu, Stoyan, Kendall & Mecke, 2013)
+# holding k = lambda_e / (lambda_l (a - 1)) eavesdroppers each, so a trial is
+# charged the eavesdroppers of the window that expects c clumps at density
+# h (1 - e^-k).  (Below a = 2 that undercounts holes, and up to a = 5.2 the
+# 2 rho_n floor is larger.)  At lambda_l 100, lambda_e 1e4, rho_n 0.2: 1.24e6,
+# where the start window held 1.43e5 and three trials grew 6-9 times.
+# Per point charged, one-trial blocks peaked at 65-250 bytes there and at
+# lambda_l 10, lambda_e 3e4, rho_n 0.5 (12 seeds each), and at 114-263 with
+# 2.1e5-4.3e5 legitimate points (4 seeds; tracemalloc, 2-vCPU VM): 1e6 is
+# about a quarter gigabyte per thread, seconds per trial.
 _NEUTRAL_POINT_BUDGET = 1e6
 # Expected points per guard-disk block, which one neutral_survivors call per
 # round filters: it spreads the call's fixed cost over many cheap trials,
 # while a costly trial is a block of its own.
 _NEUTRAL_CALL_POINTS = 2e4
 # Expected points of a _BLOCK-trial block from which guard-disk blocks go to
-# the pool; a block of fewer trials expects over 1e4.  Timed at 2048 trials,
-# pooled on two threads against serial on one (medians of 9-15 interleaved
-# rounds on a 2-vCPU VM), blocks of 1.8k points (lambda_e 0.5, rho_n 0.5)
-# ran 0.81x as fast, 3.2k (0.5, 0.67) 0.79x, 4.1k (lambda_e 0.5 and 1,
-# rho_n 0.75) 0.88-0.90x, 4.5k (0.1, 0.5) 0.88x, 5.5k-6.8k (0.5, 0.85 and
-# 0.9; 0.1, 0.6; 0.2, 0.75) 0.91-0.99x, 9.4k (0.1, 0.7) 0.98-1.01x, 11k
-# (0.5, 1; 0.1, 0.75) 1.07-1.31x, 22k (0.2, 1) 1.37x and 40k (0.1, 1) 1.49x.
+# the pool (a block of fewer trials expects over 1e4).  At 2048 trials two
+# threads pooled ran 0.79-0.99x as fast as one serially below 7k points per
+# block, 0.98-1.01x at 9.4k and 1.07-1.49x from 11k to 40k (2-vCPU VM).
 _NEUTRAL_POOL_POINTS = 1e4
 # Expected points of a _BLOCK-trial in-degree block from which its blocks go
-# to the pool.  count_in_cell steps a block through its eavesdropper ranks in
-# arrays of its legitimate points, and two threads pay once those arrays are
-# long enough for the released GIL to outweigh the hand-offs.  Pooled on two
-# threads against serial on a 2-vCPU VM (medians of 15 interleaved rounds,
-# two sets), blocks of 41k points (lambda_e 0.1, 2500 trials) ran 1.09x as
-# fast; 22k, 15k and 12k points (lambda_e 0.25, 0.5 and 1, 6000 trials)
-# 1.28-1.57x, 1.40-1.43x and 1.13x; 9.8k and 8.5k (lambda_e 2 and 4)
-# 0.92-1.03x and 0.96-1.08x.
+# to the pool: count_in_cell's arrays must be long enough for the released
+# GIL to outweigh the hand-offs.  Pooled on two threads against serial (2-vCPU
+# VM), blocks of 12k-41k points ran 1.09-1.57x as fast, 8.5k-9.8k 0.92-1.08x.
 _IN_DEGREE_POOL_POINTS = 1.1e4
 # Trials per typical-cell block, about 29k points and 4 MB at peak.  Its
-# blocks always pool: a 6000-trial run took 22-24% off on two threads at
-# 512-trial blocks, 24-35% at 1024 and 16-30% at 2048, against the serial
-# run at 256 trials (7k points), which gained nothing pooled (medians of 15
-# interleaved rounds, two sets).
+# blocks always pool: a 6000-trial run took 16-35% off on two threads at
+# blocks of 512-2048 trials (24-35% at 1024), against the serial run at 256
+# trials, which gained nothing pooled (medians of 15 rounds, two sets).
 _VORONOI_BLOCK = 4 * _BLOCK
 
 
@@ -407,19 +408,15 @@ def _run_blocks(
 # 256 trials; a spatial window's expected points per trial are its points.
 # A sampler passes pooled=True only where its blocks do their work in large
 # numpy calls that release the GIL, which made threads pay: the fading
-# out-degree route, the typical cell's _VORONOI_BLOCK-trial blocks,
-# in-degree blocks of _IN_DEGREE_POOL_POINTS or more expected points,
-# guard-disk runs whose 256-trial block would expect _NEUTRAL_POOL_POINTS or
-# more points (so every run of smaller blocks: two threads took 16 blocks of
-# three trials at lambda_e 0.1 and rho_n = 1.5 from 176 to 135 ms, though
-# the benchmark's 24-trial runs there, 8 such blocks, read 64 and 68 ms, and
-# 31 and 35 ms at lambda_e 0.5), and colluding windows of
-# _COLLUDING_POOL_POINTS or more expected eavesdroppers.  The exact
-# distance-domain kinds draw a few array elements per trial: pooled on two
-# threads at their 4096-trial blocks they ran 0.61-0.89x as fast as
-# serially, and narrow colluding windows 0.83-0.90x.  They run serially, as
-# do the smaller in-degree, guard-disk and colluding blocks.  Timings are on
-# a 2-vCPU VM.
+# out-degree route, the typical cell's blocks, in-degree blocks of
+# _IN_DEGREE_POOL_POINTS or more expected points, guard-disk runs whose
+# 256-trial block would expect _NEUTRAL_POOL_POINTS or more (so every run of
+# smaller blocks: at rho_n 1.5, 48 and 24 trials at lambda_e 0.1 and 24 at
+# 0.5 took 134/71/29 ms on one thread, 115/67/24 on two), and colluding
+# windows of _COLLUDING_POOL_POINTS or more eavesdroppers.  The exact
+# distance-domain kinds ran 0.61-0.89x as fast pooled at their 4096-trial
+# blocks, narrow colluding windows 0.83-0.90x: they run serially, as do the
+# smaller in-degree, guard-disk and colluding blocks (2-vCPU VM).
 
 
 def _refuse(cfg: NetworkConfig, kind: str, *fields: str) -> None:
@@ -585,11 +582,10 @@ def _neutralized_degrees(g, cfg: NetworkConfig, rho_n: float, w0: float, m: int)
     """Origin degrees of m trials under guard radius rho_n, and their window growths.
 
     Each round filters the trials still without a survivor in one
-    neutral_survivors call, every trial shifted along x to its own slot of a
-    one-row lattice spaced so that no guard disk reaches a neighbouring slot.
-    The legitimate points are kept as one ring per round, (outer radius,
-    trial index, squared radius, x, y), so that a round reads only the rings
-    that reach its annulus.
+    neutral_survivors call, each shifted along x to its own slot of a one-row
+    lattice, out of reach of its neighbours' guard disks.  The legitimate
+    points are one ring per round, (outer radius, trial, squared radius, x,
+    y), and a round reads only the rings that reach its annulus.
     """
     best = np.full(m, np.inf)  # squared distance of each trial's nearest survivor
     active = np.arange(m)
@@ -598,9 +594,7 @@ def _neutralized_degrees(g, cfg: NetworkConfig, rho_n: float, w0: float, m: int)
     # the origin is itself a legitimate node: it neutralizes, but it is not
     # one of its own neighbours
     _, lseg, _, lx, ly = rings[0]
-    fseg = np.concatenate([lseg, active])
-    fx = np.concatenate([lx, np.zeros(m)])
-    fy = np.concatenate([ly, np.zeros(m)])
+    fseg, fx, fy = np.append(lseg, active), np.append(lx, np.zeros(m)), np.append(ly, np.zeros(m))
     we = w0
     growths = 0
     while True:
@@ -636,7 +630,12 @@ def _neutralized_degree(cfg: NetworkConfig, run, rho_n: float = 0.0) -> Sample:
         return _sector_degree(cfg, run)  # no guard disks: the one-sector draw
     _refuse(cfg, f"neutralized_degree with guard radius {rho_n}", "rho", "sigma2_e")
     w0 = neutralization_window(cfg, rho_n)
-    points = max(cfg.lambda_l * math.pi * (w0 + rho_n) ** 2, cfg.lambda_e * math.pi * w0 * w0)
+    a = math.pi * cfg.lambda_l * rho_n * rho_n
+    holes = cfg.lambda_l * (a - 1.0) * math.exp(-a)
+    area = math.pi * w0 * w0
+    if a >= 2.0 and holes > 0.0:  # survivors clump, see _NEUTRAL_POINT_BUDGET
+        area = max(area, _NEUTRAL_START_SURVIVORS / (holes * -math.expm1(cfg.lambda_e / (cfg.lambda_l * (1.0 - a)))))
+    points = max(cfg.lambda_l * math.pi * (w0 + rho_n) ** 2, cfg.lambda_e * area)
     if points > _NEUTRAL_POINT_BUDGET:
         raise ValueError(
             f"guard radius {rho_n}: about {points:.3g} points per trial, over the budget of {_NEUTRAL_POINT_BUDGET:.3g}"
@@ -678,16 +677,11 @@ def _neighbor_msr(cfg: NetworkConfig, run, neighbor_index: int = 1) -> Sample:
 
 
 # Expected eavesdroppers per trial from which a colluding window's blocks go
-# to the pool.  The count depends only on b and rel_std: colluding_window
-# gives 456 at b = 1.5, 333 at b = 1.55, 250 at b = 1.6, 122 at b = 1.75 and
-# 51 at b = 2.  Timed with colluding_degree at 15000 trials on the log-exp
-# powers, pooled on two threads against serial (medians of 21 interleaved
-# rounds, two sets on a 2-vCPU VM), those ran 1.44-1.51x, 1.40-1.42x,
-# 1.35-1.42x, 1.33-1.35x and 1.05-1.23x as fast.  The sets do not agree
-# where the gain ends below 122, and a collude sweep on two threads, which
-# holds b = 1.75, took as long at a threshold of 100 as at 300 (15 rounds,
-# two sets), so the threshold stays.  It grows without bound as b falls to 1:
-# 1.16e5 at b = 1.05, whose 256-trial block is over _BLOCK_BUDGET and refused.
+# to the pool; colluding_window gives 456, 250, 122 and 51 at b = 1.5, 1.6,
+# 1.75 and 2, which ran 1.44-1.51x, 1.35-1.42x, 1.33-1.35x and 1.05-1.23x as
+# fast pooled on two threads (colluding_degree, 15000 trials, 2-vCPU VM); a
+# collude sweep took as long at a threshold of 100 as at 300.  It grows without
+# bound as b falls to 1: 1.16e5 at b = 1.05, whose block is refused.
 _COLLUDING_POOL_POINTS = 300.0
 
 

@@ -4,9 +4,9 @@ tolerance, printing one PASS/FAIL line.
 These are the binding checks; run with `pytest -v -s tests/test_acceptance.py`
 to watch the lines as they complete, or `secgraph selftest` for the same
 battery outside pytest.  Measured on a 2-vCPU VM at 2 threads, the full set
-takes about 38 s: `neutralization` 25 s, `thread_determinism` 3-4 s,
-`fading_invariance` 3 s, `isolation_ordering` and `voronoi_moments` 1-2 s
-each, and every other criterion under 1 s.  The shared host can move any of
+takes about 23 s: `neutralization` 14-16 s (21 s on one thread),
+`fading_invariance` 3-4 s, `thread_determinism` 2 s, `isolation_ordering`
+1 s, and every other criterion under 1 s.  The shared host can move any of
 these by 20% or more.
 """
 
@@ -72,10 +72,10 @@ PINNED = {
         "collude, voronoi, neutralize"
     ),
     "neutralization": (
-        "le=0.1 rho=0: dev 1.47 SE; le=0.1 rho=0.5: margin +5.3 SE; le=0.1 rho=1.0: margin +4.5 SE; "
-        "le=0.1 rho=1.5: margin +2.2 SE; le=0.2 rho=0: dev 0.19 SE; le=0.2 rho=0.5: margin +8.1 SE; "
-        "le=0.2 rho=1.0: margin +12.3 SE; le=0.2 rho=1.5: margin +2.3 SE; le=0.5 rho=0: dev 0.08 SE; "
-        "le=0.5 rho=0.5: margin +13.2 SE; le=0.5 rho=1.0: margin +27.2 SE; le=0.5 rho=1.5: margin +11.2 SE"
+        "le=0.1 rho=0: dev 1.47 SE; le=0.1 rho=0.5: margin +4.4 SE; le=0.1 rho=1.0: margin +5.6 SE; "
+        "le=0.1 rho=1.5: margin +3.2 SE; le=0.2 rho=0: dev 0.19 SE; le=0.2 rho=0.5: margin +9.0 SE; "
+        "le=0.2 rho=1.0: margin +13.5 SE; le=0.2 rho=1.5: margin +3.3 SE; le=0.5 rho=0: dev 0.08 SE; "
+        "le=0.5 rho=0.5: margin +14.2 SE; le=0.5 rho=1.0: margin +26.2 SE; le=0.5 rho=1.5: margin +10.4 SE"
     ),
 }
 
@@ -155,8 +155,8 @@ PINNED_RUNS = {
         "sum pmf_analytic": 0.9999450340953155, "sum pmf_sim": 1.0, "sum se": 0.05061818731264688,
     },
     "neutralize --lambda-e 0.5 --guard-radius 0.5 --trials 2000": {
-        "summary simulated": 5.814, "summary se": 0.13446837126787742, "sum rho_n": 2.5,
-        "sum bound": 72.7005781201515, "sum mean_sim": 88.6255, "sum se": 2.021103231462626,
+        "summary simulated": 5.634, "summary se": 0.12700427962679747, "sum rho_n": 2.5,
+        "sum bound": 72.7005781201515, "sum mean_sim": 87.516, "sum se": 1.9508939224775725,
     },
     "msr --lambda-e 0.1 --power 10 --trials 10000": {
         "summary simulated": 0.9084, "summary se": 0.002884604652287727, "sum rho": 404.0,
@@ -176,8 +176,8 @@ PINNED_RUNS = {
         "sum moment_table": 7.923, "sum moment_sim": 7.954138751309364, "sum se": 0.23650809600042164,
     },
     "neutralize --lambda-e 0.5 --guard-radius 1.5 --trials 48": {
-        "summary simulated": 3278.0, "summary se": 539.7988634142002, "sum rho_n": 4.0,
-        "sum bound": 2428.7354923890075, "sum mean_sim": 3369.0416666666665, "sum se": 552.301512871531,
+        "summary simulated": 3711.3541666666665, "summary se": 540.5378850934148, "sum rho_n": 4.0,
+        "sum bound": 2428.7354923890075, "sum mean_sim": 3793.2291666666665, "sum se": 554.5487560521835,
     },
 }
 

@@ -385,6 +385,20 @@ def test_dense_eavesdroppers_in_guard_disks_exit_2_before_any_block(tmp_path, ca
     assert "guard radius 1.0: about 1.26e+06 points per trial, over the budget of 1e+06" in capsys.readouterr().err
 
 
+def test_clumped_guard_disk_survivors_exit_2_before_any_block(tmp_path, capsys, monkeypatch):
+    # lambda_e 2e4 at rho_n 1.5: the start window (radius 2 rho_n) holds
+    # 5.65e5 eavesdroppers, within the budget, but the guard disks leave holes
+    # of 0.0052 per unit area, each with some 3300 eavesdroppers, so a trial
+    # expects to draw those of a window holding half a hole, 1.94e6
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("planned blocks before refusing the guard disks")
+
+    monkeypatch.setattr(mc, "_blocks", no_blocks)
+    code, out = _run(["neutralize", "--lambda-e", "2e4", "--guard-radius", "1.5"], tmp_path)
+    assert code == 2 and not out.exists()
+    assert "guard radius 1.5: about 1.94e+06 points per trial, over the budget of 1e+06" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("radius", ["-1", "nan"])
 def test_invalid_guard_radius_exits_2_before_any_block(tmp_path, capsys, monkeypatch, radius):
     # the radii sample from the largest down, but an invalid one goes first

@@ -7,7 +7,8 @@ circle around a cell vertex, and its safety rule against the
 points it claims cannot matter; its two-argsort order against the lexsort it
 replaced, bit for bit, on blocks of up to 300 trials and one of 70,000.
 count_in_cell and neutral_survivors against brute-force all-pairs loops,
-and neutral_survivors also on exact ties at the guard radius, which random
+and neutral_survivors also on the guard-disk sampler's 256-trial one-row
+lattice, on exact ties at the guard radius, which random
 inputs never draw, on ties and row boundaries far from the lowest point,
 where its rows and sort keys round, in chunks of one and seven candidate
 pairs, on empty and one-point inputs and at radius 0; its peak memory per

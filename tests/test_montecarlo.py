@@ -508,6 +508,21 @@ def test_guard_disk_calls_are_chunked_by_their_eavesdroppers(monkeypatch):
     assert max(sizes) <= 4 * montecarlo._NEUTRAL_CALL_POINTS
 
 
+def test_clumped_guard_disk_survivors_are_charged_their_grown_window(monkeypatch):
+    # lambda_l 100, lambda_e 1e4, rho_n 0.2: the start window holds 1.43e5
+    # eavesdroppers, but survivors come in clumps of about 8.6, one per hole
+    # of the guard disks, so trials grow 4-9 times; the window that expects
+    # half a clump holds 1.24e6
+    def planned(*args, **kwargs):
+        pytest.fail("a guard-disk run whose survivors clump past the budget was planned")
+
+    monkeypatch.setattr(montecarlo, "_blocks", planned)
+    cfg = NetworkConfig(lambda_l=100.0, lambda_e=1e4)
+    assert cfg.lambda_e * math.pi * montecarlo.neutralization_window(cfg, 0.2) ** 2 == pytest.approx(1.43e5, rel=0.01)
+    with pytest.raises(ValueError, match=r"guard radius 0.2: about 1.24e\+06 points per trial, over the budget"):
+        estimate_generic("neutralized_degree", cfg, 10, Rng(1), rho_n=0.2)
+
+
 def test_pmf_table_is_bounded_before_it_is_allocated():
     rows = montecarlo._TABLE_ROWS
     assert len(Sample(np.array([0, rows - 1])).pmf().probs) == rows
@@ -1073,8 +1088,8 @@ def _growths_per_trial(sample):
 def test_neutralization_window_growth_rate():
     # Were survivors Poisson, a window holding c expected survivors would
     # hold none with probability exp(-c), and each growth multiplies its area
-    # by 1.5^2.  Survivors cluster in the holes of the legitimate field, so
-    # windows come up empty a little more often (1.25x here).
+    # by _NEUTRAL_GROWTH^2.  Survivors cluster in the holes of the legitimate
+    # field, so windows come up empty a little more often (1.26x here).
     c = montecarlo._NEUTRAL_START_SURVIVORS
     designed = sum(math.exp(-c * montecarlo._NEUTRAL_GROWTH ** (2 * k)) for k in range(20))
     sample = _sample("neutralized_degree", cfg=NetworkConfig(lambda_e=0.5), rho_n=1.0, trials=3000, threads=2)
