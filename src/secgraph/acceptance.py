@@ -335,7 +335,7 @@ DETERMINISM_RUNS = [
     ["collude", "--lambda-e", "0.1", "--power", "10", "--trials", "10000"],
     ["collude", "--sweep-b", "1.5:3:0.5", "--lambda-e", "0.1", "--trials", "5000"],
     ["voronoi", "--trials", "5000"],
-    # four guard-disk blocks of one filtering call each, which pool by default
+    # four guard-disk blocks of one filtering call each
     ["neutralize", "--lambda-e", "0.5", "--guard-radius", "1.5", "--trials", "48"],
 ]
 
@@ -343,8 +343,8 @@ DETERMINISM_RUNS = [
 def thread_determinism(threads: int) -> tuple[bool, str]:
     """Every experiment subcommand writes byte-identical output at
     --threads 1 and --threads 4 for the same seed.  montecarlo.FORCE_POOL is
-    set meanwhile, so the 4-thread runs send every kind's blocks through the
-    pool, not only those of the kinds that use it by default."""
+    set meanwhile, so the 4-thread runs send every block through the pool,
+    whatever block 0 took."""
     import contextlib
     import io
     import tempfile

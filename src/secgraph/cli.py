@@ -457,12 +457,15 @@ def _parse_sweep(text: str, trials: int):
 
 
 def _run_collude_sweep(rc: RunConfig):
+    points = _parse_sweep(rc.sweep_b, rc.trials)
+    if rc.lambda_e <= 0:  # every row is normalized by lambda_l / lambda_e
+        raise ValueError("colluding window needs lambda_e > 0")
+    ratio = rc.lambda_l / rc.lambda_e
     rows = []
     summary_row = None
-    for k, b in enumerate(_parse_sweep(rc.sweep_b, rc.trials)):
+    for k, b in enumerate(points):
         cfg = rc.network(b=b)
         ana = analytic.mean_degree_colluding(cfg)
-        ratio = rc.lambda_l / rc.lambda_e
         if b <= 1.0:
             # the aggregate power diverges: degree 0, nothing to simulate
             rows.append((b, ana / ratio, float("nan"), float("nan")))
@@ -582,9 +585,9 @@ class _Parser(argparse.ArgumentParser):
 
 _KEY_HELP = {
     "threads": (
-        "ceiling on worker threads (default min(CPUs, 8), at most 64); only samplers whose blocks release "
-        "the GIL use a pool (fading out-degree, guard disks, wide colluding windows), the rest "
-        "run on one thread; results are byte-identical at any value"
+        "ceiling on worker threads (default min(CPUs, 8), at most 64); an estimate runs its first block on "
+        f"one thread and pools the rest only when that block took {mc._POOL_BLOCK_S * 1e3:g} ms or more; "
+        "results are byte-identical at any value"
     ),
 }
 

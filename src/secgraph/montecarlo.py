@@ -87,14 +87,15 @@ spatial window (_BLOCK_BUDGET), and a run whose trials expect more than 2e10
 such points in all (_WORK_BUDGET).  A guard-disk trial, which no filtering
 call splits, is budgeted on its own.  The size follows from the kind and its
 parameters alone, so thread count changes only which worker executes a
-block, never the numbers.  threads is a ceiling: only the kinds whose
-blocks release the GIL use a pool (see _run_blocks), the rest run their
-blocks serially.
+block, never the numbers.  threads is a ceiling: block 0 runs on the
+calling thread, and the rest go to a pool only when it took _POOL_BLOCK_S
+or more (see _run_blocks).
 """
 
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -118,8 +119,7 @@ __all__ = [
     "neutralization_window",
 ]
 
-# Trials per block of the samplers that do not name their draws per trial;
-# the point budgets and pool thresholds below are stated per such block.
+# Trials per block of the samplers that do not name their draws per trial.
 _BLOCK = 256
 # A block that names its draws holds the largest _BLOCK 2^k trials, up to
 # _MAX_BLOCK, that expects at most _BLOCK_DRAWS array elements.  A block
@@ -295,20 +295,10 @@ _NEUTRAL_POINT_BUDGET = 1e6
 # round filters: it spreads the call's fixed cost over many cheap trials,
 # while a costly trial is a block of its own.
 _NEUTRAL_CALL_POINTS = 2e4
-# Expected points of a _BLOCK-trial block from which guard-disk blocks go to
-# the pool (a block of fewer trials expects over 1e4).  At 2048 trials two
-# threads pooled ran 0.79-0.99x as fast as one serially below 7k points per
-# block, 0.98-1.01x at 9.4k and 1.07-1.49x from 11k to 40k (2-vCPU VM).
-_NEUTRAL_POOL_POINTS = 1e4
-# Expected points of a _BLOCK-trial in-degree block from which its blocks go
-# to the pool: count_in_cell's arrays must be long enough for the released
-# GIL to outweigh the hand-offs.  Pooled on two threads against serial (2-vCPU
-# VM), blocks of 12k-41k points ran 1.09-1.57x as fast, 8.5k-9.8k 0.92-1.08x.
-_IN_DEGREE_POOL_POINTS = 1.1e4
-# Trials per typical-cell block, about 29k points and 4 MB at peak.  Its
-# blocks always pool: a 6000-trial run took 16-35% off on two threads at
-# blocks of 512-2048 trials (24-35% at 1024), against the serial run at 256
-# trials, which gained nothing pooled (medians of 15 rounds, two sets).
+# Trials per typical-cell block, about 29k points and 4 MB at peak: a
+# 6000-trial run took 16-35% off on two threads at blocks of 512-2048 trials
+# (24-35% at 1024), against the serial run at 256 trials, which gained
+# nothing pooled (medians of 15 rounds, two sets).
 _VORONOI_BLOCK = 4 * _BLOCK
 
 
@@ -366,32 +356,58 @@ def _check_blocks(trials: int, size: int, draws: float | None = None, points: fl
         )
 
 
-# Test hook: when set, every run of two or more blocks goes through the pool,
-# so that tests can prove the pooled path byte-identical for every kind.
+# Seconds block 0 must take for the rest of its run to go to the pool.  The
+# blocks after block 0 pooled on two threads against all serially, ranges of
+# the medians of three sets of 9-15 interleaved rounds (2-vCPU VM, shared):
+#   run (lambda_l 1)                          blocks  block 0 ms  speed-up
+#   neighbor_msr, 50k trials                      13   0.15-0.20  0.67-0.77x
+#   sector_degree L = 4, 50k                      13   0.41-0.56  0.91-1.20x
+#   colluding_degree lambda_e 0.1, b = 1.5, 15k   59   0.64-1.21  0.95-1.60x
+#     b = 1.75 and 2                            15, 8   0.82-1.37  0.89-1.29x
+#   in_degree lambda_e 4, 1 and 0.25, 6144        24   0.88-2.26  0.91-1.04x
+#   neutralized_degree lambda_e 0.5, rho_n 0.5     8   1.90-2.62  0.68-0.95x
+#   in_degree lambda_e 0.1, 2560                  10   4.62-6.24  0.94-1.26x
+#   voronoi_area, 6144                             6   4.69-5.39  0.97-1.22x
+#   neutralized_degree lambda_e 0.5, rho_n 1       8   5.67-6.63  0.90-0.95x
+#   fading lognormal, 2048                         8   6.09-7.48  0.94-1.42x
+#   neutralized_degree lambda_e 0.1, rho_n 1.5     8   6.37-9.11  0.88-1.08x
+# Median under 3 ms 0.92x (27 readings), above 1.04x (15, none under 0.88x).
+# A two-block run never pools: 2048 typical cells and 24 guard-disk trials at
+# lambda_e 0.5, rho_n 1.5 ran 0.94x and 0.92x with both blocks pooled.
+_POOL_BLOCK_S = 3e-3
+# Test hooks: the clock that times block 0, and FORCE_POOL, which pools every
+# block of a run, block 0 untimed, to prove the pooled path byte-identical.
+_clock = time.perf_counter
 FORCE_POOL = False
 
 
-def _run_blocks(
-    trials: int, root: Rng, threads: int, block_fn, pooled: bool = False, draws: float | None = None, points=None, size=None
-):
+def _run_blocks(trials: int, root: Rng, threads: int, block_fn, draws: float | None = None, points=None, size=None):
     """Run block_fn(block_rng, block_size) over trial blocks of size trials,
     _block_size(draws) unless given.
 
-    The blocks go to a pool of min(threads, blocks) workers only when pooled
-    (or FORCE_POOL) is set; otherwise they run serially, whatever threads
-    says.  The pool holds at most two blocks per worker submitted ahead of
-    the one being collected, so a run of many small blocks queues few.
-    Results come back in block order either way; block_fn must derive all
-    randomness from the Rng it is handed.  points is the points of a spatial
-    window a trial expects.  _check_blocks refuses the run before any block.
+    Block 0 runs on the calling thread and is timed; the rest go to a pool
+    of min(threads, blocks left) workers when it took _POOL_BLOCK_S or more,
+    and run serially otherwise.  The pool holds at most two blocks per worker
+    submitted ahead of the one being collected, so a run of many small blocks
+    queues few.  Results come back in block order either way; block_fn must
+    derive all randomness from the Rng it is handed.  points is the points
+    of a spatial window a trial expects.  _check_blocks refuses the run
+    before any block.
     """
     size = _block_size(draws) if size is None else size
     _check_blocks(trials, size, draws, points)
     plan = _blocks(trials, size)
+    results = []
+    if not FORCE_POOL:
+        start = _clock()
+        results.append(block_fn(root.substream(0), plan[0][1]))
+        plan = plan[1:]
+        if _clock() - start < _POOL_BLOCK_S:
+            threads = 1
     workers = min(threads, len(plan))
-    if workers <= 1 or not (pooled or FORCE_POOL):
-        return [block_fn(root.substream(i), n) for i, n in plan]
-    results, ahead = [], []
+    if workers <= 1:
+        return results + [block_fn(root.substream(i), n) for i, n in plan]
+    ahead = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for i, n in plan:
             if len(ahead) == 2 * workers:
@@ -401,22 +417,11 @@ def _run_blocks(
 
 
 # ---------------------------------------------------------------------------
-# samplers: sampler(cfg, run, **params) -> Sample, where run(block_fn, pooled,
-# draws, points, size) runs block_fn over the trial blocks and returns the
-# block results in order.  A sampler whose blocks hold a few array elements
-# per trial passes their expected count as draws, so that its blocks grow past
+# samplers: sampler(cfg, run, **params) -> Sample, where run(block_fn, draws,
+# points, size) runs block_fn over the trial blocks and returns the block
+# results in order.  A sampler whose blocks hold a few array elements per
+# trial passes their expected count as draws, so that its blocks grow past
 # 256 trials; a spatial window's expected points per trial are its points.
-# A sampler passes pooled=True only where its blocks do their work in large
-# numpy calls that release the GIL, which made threads pay: the fading
-# out-degree route, the typical cell's blocks, in-degree blocks of
-# _IN_DEGREE_POOL_POINTS or more expected points, guard-disk runs whose
-# 256-trial block would expect _NEUTRAL_POOL_POINTS or more (so every run of
-# smaller blocks: at rho_n 1.5, 48 and 24 trials at lambda_e 0.1 and 24 at
-# 0.5 took 134/71/29 ms on one thread, 115/67/24 on two), and colluding
-# windows of _COLLUDING_POOL_POINTS or more eavesdroppers.  The exact
-# distance-domain kinds ran 0.61-0.89x as fast pooled at their 4096-trial
-# blocks, narrow colluding windows 0.83-0.90x: they run serially, as do the
-# smaller in-degree, guard-disk and colluding blocks (2-vCPU VM).
 
 
 def _refuse(cfg: NetworkConfig, kind: str, *fields: str) -> None:
@@ -459,7 +464,7 @@ def _out_degree(cfg: NetworkConfig, run) -> Sample:
 
     note = f"spatial window radius {w:.3g} sized for {cfg.fading.kind} tails"
     points = (cfg.lambda_l + cfg.lambda_e) * math.pi * w * w
-    return Sample(np.concatenate(run(block, pooled=True, points=points)), note)
+    return Sample(np.concatenate(run(block, points=points)), note)
 
 
 def _in_degree(cfg: NetworkConfig, run) -> Sample:
@@ -477,7 +482,7 @@ def _in_degree(cfg: NetworkConfig, run) -> Sample:
     bias = cfg.lambda_l / cfg.lambda_e * math.exp(-cfg.lambda_e * math.pi * w * w)
     points = (cfg.lambda_l + 4.0 * cfg.lambda_e) * math.pi * w * w
     note = f"window radius {w:.3g}, truncation bias bound {bias:.2e}"
-    return Sample(np.concatenate(run(block, pooled=_BLOCK * points >= _IN_DEGREE_POOL_POINTS, points=points)), note)
+    return Sample(np.concatenate(run(block, points=points)), note)
 
 
 def _voronoi_block(rng: Rng, n: int):
@@ -503,7 +508,7 @@ def _voronoi_block(rng: Rng, n: int):
 
 
 def _voronoi_area(cfg, run) -> Sample:
-    return Sample(np.concatenate(run(_voronoi_block, pooled=True, size=_VORONOI_BLOCK)))
+    return Sample(np.concatenate(run(_voronoi_block, size=_VORONOI_BLOCK)))
 
 
 def _sector_degree(cfg: NetworkConfig, run, L: int = 1) -> Sample:
@@ -646,7 +651,7 @@ def _neutralized_degree(cfg: NetworkConfig, run, rho_n: float = 0.0) -> Sample:
     def block(rng: Rng, n: int):
         return _neutralized_degrees(rng.generator(), cfg, rho_n, w0, n)
 
-    parts = run(block, pooled=_BLOCK * points >= _NEUTRAL_POOL_POINTS, points=points, size=size)
+    parts = run(block, points=points, size=size)
     degrees = np.concatenate([deg for deg, _ in parts])
     growths = sum(grown for _, grown in parts)
     note = (
@@ -676,18 +681,9 @@ def _neighbor_msr(cfg: NetworkConfig, run, neighbor_index: int = 1) -> Sample:
     return Sample(np.concatenate(run(block, draws=1)), f"exact distance-domain sampling, neighbor {i}")
 
 
-# Expected eavesdroppers per trial from which a colluding window's blocks go
-# to the pool; colluding_window gives 456, 250, 122 and 51 at b = 1.5, 1.6,
-# 1.75 and 2, which ran 1.44-1.51x, 1.35-1.42x, 1.33-1.35x and 1.05-1.23x as
-# fast pooled on two threads (colluding_degree, 15000 trials, 2-vCPU VM); a
-# collude sweep took as long at a threshold of 100 as at 300.  It grows without
-# bound as b falls to 1: 1.16e5 at b = 1.05, whose block is refused.
-_COLLUDING_POOL_POINTS = 300.0
-
-
 def _colluding_power_block(cfg: NetworkConfig, r_window: float | None):
     """Block of aggregate eavesdropper powers, windowed sum plus mean-tail
-    correction, how to run it (pooled, draws) and its audit note."""
+    correction, its draws (eavesdroppers per trial) and its audit note."""
     w = colluding_window(cfg) if r_window is None else r_window
     b = cfg.gain.b
     if cfg.gain.kind != "unbounded" or b <= 1.0:
@@ -719,18 +715,17 @@ def _colluding_power_block(cfg: NetworkConfig, r_window: float | None):
         return agg
 
     eaves = cfg.lambda_e * math.pi * w * w
-    how = {"pooled": eaves >= _COLLUDING_POOL_POINTS, "draws": eaves}
-    return block, how, f"window radius {w:.4g}, mean-tail correction {tail:.3e}"
+    return block, eaves, f"window radius {w:.4g}, mean-tail correction {tail:.3e}"
 
 
 def _colluding_power(cfg: NetworkConfig, run, r_window: float | None = None) -> Sample:
-    block, how, note = _colluding_power_block(cfg, r_window)
-    return Sample(np.concatenate(run(block, **how)), note)
+    block, eaves, note = _colluding_power_block(cfg, r_window)
+    return Sample(np.concatenate(run(block, draws=eaves)), note)
 
 
 def _colluding_degree(cfg: NetworkConfig, run, r_window: float | None = None) -> Sample:
     _refuse(cfg, "colluding_degree", "rho")
-    power_block, how, note = _colluding_power_block(cfg, r_window)
+    power_block, eaves, note = _colluding_power_block(cfg, r_window)
     # secure radius r with P_l r^(-2b)/sigma2_l > P_agg/sigma2_e
     c = cfg.p_l * cfg.sigma2_e / cfg.sigma2_l
 
@@ -739,7 +734,7 @@ def _colluding_degree(cfg: NetworkConfig, run, r_window: float | None = None) ->
         r2 = (c / agg) ** (1.0 / cfg.gain.b)
         return rng.substream(1).generator().poisson(lam=cfg.lambda_l * math.pi * r2)
 
-    return Sample(np.concatenate(run(block, **how)), note)
+    return Sample(np.concatenate(run(block, draws=eaves)), note)
 
 
 _SAMPLERS = {

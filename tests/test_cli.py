@@ -349,9 +349,15 @@ def test_numeric_errors_exit_2(tmp_path, capsys):
     assert "diverges" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("experiment", ["sectors", "threshold", "msr"])
+@pytest.mark.parametrize(
+    "experiment",
+    [["sectors"], ["threshold"], ["msr"], ["collude", "--sweep-b", "1.5:2:0.5"]],
+    ids=["sectors", "threshold", "msr", "collude-sweep"],
+)
 def test_no_eavesdroppers_exit_2_with_named_message(tmp_path, capsys, experiment):
-    code, out = _run([experiment, "--lambda-e", "0", "--trials", "100"], tmp_path)
+    # a collude sweep normalizes every row by lambda_l / lambda_e, so it
+    # refuses before its first point
+    code, out = _run([*experiment, "--lambda-e", "0", "--trials", "100"], tmp_path)
     assert code == 2 and not out.exists()
     err = capsys.readouterr().err
     assert "needs lambda_e > 0" in err and "division" not in err
@@ -591,8 +597,8 @@ _POOLED_NEUTRALIZE = ["neutralize", "--guard-radius", "1.5", "--lambda-e", "0.5"
 
 
 def test_forced_pool_neutralize_gives_the_serial_bytes(tmp_path, monkeypatch):
-    # guard radii 0.25 to 0.75 expect too few points per block to pool, so
-    # FORCE_POOL sends their two blocks to the pool too
+    # FORCE_POOL sends every block of every guard radius to the pool, block 0
+    # and the fast blocks of radii 0.25 to 0.75 included
     monkeypatch.setattr(mc, "FORCE_POOL", True)
     code, pooled = _run([*_POOLED_NEUTRALIZE, "--threads", "2"], tmp_path, "pooled.csv")
     assert code == 0

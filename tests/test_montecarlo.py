@@ -202,12 +202,12 @@ def _record_blocks(monkeypatch, record):
     """Have every block call record(n), n its trial count, in the thread that runs it."""
     run_blocks = montecarlo._run_blocks
 
-    def recorded(trials, root, threads, block_fn, pooled=False, draws=None, points=None, size=None):
+    def recorded(trials, root, threads, block_fn, draws=None, points=None, size=None):
         def block(rng, n):
             record(n)
             return block_fn(rng, n)
 
-        return run_blocks(trials, root, threads, block, pooled, draws, points, size)
+        return run_blocks(trials, root, threads, block, draws, points, size)
 
     monkeypatch.setattr(montecarlo, "_run_blocks", recorded)
 
@@ -236,16 +236,69 @@ def _no_pool(max_workers):
     raise _PoolStarted(max_workers)
 
 
+def _block0_takes(monkeypatch, took):
+    """Have block 0 of the next run take took seconds, by the clock
+    _run_blocks reads before and after it."""
+    ticks = iter((0.0, took))
+    monkeypatch.setattr(montecarlo, "_clock", lambda: next(ticks))
+
+
+def _record_pools(monkeypatch):
+    """Workers of every pool a run starts, in a list."""
+    workers, pool = [], montecarlo.ThreadPoolExecutor
+
+    def recorded_pool(max_workers):
+        workers.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", recorded_pool)
+    return workers
+
+
+@pytest.mark.parametrize(
+    "threads,blocks,took,workers",
+    [
+        (3, 4, montecarlo._POOL_BLOCK_S, [3]),
+        (3, 4, math.nextafter(montecarlo._POOL_BLOCK_S, 0.0), []),
+        (3, 6, 1.0, [3]),
+        (1, 4, 1.0, []),
+        (3, 1, 1.0, []),
+        (3, 2, 1.0, []),
+    ],
+)
+def test_pool_follows_block_0_time(threads, blocks, took, workers, monkeypatch):
+    # block 0 runs on the calling thread; the rest pool, on min(threads,
+    # blocks left) workers, only when it took _POOL_BLOCK_S or more and
+    # threads > 1, so a run of one block, or of two, never starts a pool
+    def draw(rng, n):
+        idents.append(threading.get_ident())
+        return rng.generator().random(n)
+
+    idents = []
+    serial = montecarlo._run_blocks(blocks, Rng(1), 1, draw, size=1)
+    idents.clear()
+    _block0_takes(monkeypatch, took)
+    started = _record_pools(monkeypatch)
+    out = montecarlo._run_blocks(blocks, Rng(1), threads, draw, size=1)
+    assert started == workers
+    assert idents[0] == threading.get_ident()
+    assert (threading.get_ident() in idents[1:]) == (not workers and blocks > 1)
+    assert np.array_equal(np.concatenate(serial), np.concatenate(out))
+
+
+# runs of three or more blocks, which pool when block 0 is slow
 _POOLED = [
     ("out_degree", {"cfg": NetworkConfig(lambda_e=0.5, fading=FadingModel("lognormal", sigma_s=1.0))}),
     ("colluding_degree", {"cfg": NetworkConfig(lambda_e=0.1, gain=GainModel("unbounded", 1.5))}),
     ("neutralized_degree", {"rho_n": 1.5}),
     ("in_degree", {"cfg": NetworkConfig(lambda_e=0.1)}),
-    ("voronoi_area", {"cfg": None, "trials": 2 * montecarlo._VORONOI_BLOCK}),
+    ("voronoi_area", {"cfg": None, "trials": 3 * montecarlo._VORONOI_BLOCK}),
     ("in_degree", {"cfg": NetworkConfig(lambda_e=1.0)}),
 ]
 
 
+# runs of every kind, one-block runs among them, which never pool while
+# block 0 is fast
 _SERIAL = (
     [
         ("out_degree", {"trials": _CHEAP}),
@@ -275,17 +328,15 @@ _SERIAL = (
 
 @pytest.mark.parametrize("kind,kw", _SERIAL)
 def test_serial_runs_start_no_pool(kind, kw, monkeypatch):
-    # kinds whose blocks hold the GIL, blocks too small to gain from threads
-    # (122 eavesdroppers per trial at b = 1.75; 612 and 1810 legitimate points
-    # per block at rho_n = 0.25 and 0.5; 9.8k in-degree points per block at
-    # lambda_e = 2), and any single-block run, such as 600 typical cells,
-    # never start a pool
+    # with block 0 under _POOL_BLOCK_S no run of any kind starts a pool
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _no_pool)
+    _block0_takes(monkeypatch, 0.0)
     assert len(_sample(kind, threads=4, **kw).values) == kw.get("trials", 4096)
 
 
 def test_every_kind_has_thread_cases():
-    # a new kind must join the invariance cases and the pool-rule cases
+    # a new kind must join the invariance cases, which run every block in
+    # the pool, and the pool-rule cases
     kinds = set(montecarlo._SAMPLERS)
     assert kinds == {kind for kind, _ in _INVARIANCE}
     assert kinds == {kind for kind, _ in _SERIAL + _POOLED}
@@ -293,43 +344,40 @@ def test_every_kind_has_thread_cases():
 
 @pytest.mark.parametrize("kind,kw", _POOLED)
 def test_pooled_runs_reach_the_pool(kind, kw, monkeypatch):
-    # the pool gets min(threads, blocks) workers at threads=4: 2 for two
-    # 256-trial blocks (41k and 12k in-degree points each at lambda_e = 0.1
-    # and 1) or two 1024-trial typical-cell blocks, 4 for the 37 guard-disk
-    # blocks of one filtering call (14 trials) each
+    # with block 0 at _POOL_BLOCK_S every kind pools the blocks left, on
+    # min(threads, blocks left) workers at threads=4: 2 for three 256-trial
+    # or 1024-trial blocks, 4 for the 55 guard-disk blocks of one filtering
+    # call (14 trials) each
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _no_pool)
+    _block0_takes(monkeypatch, montecarlo._POOL_BLOCK_S)
     with pytest.raises(_PoolStarted) as started:
-        _sample(kind, threads=4, **{"trials": 2 * montecarlo._BLOCK, **kw})
+        _sample(kind, threads=4, **{"trials": 3 * montecarlo._BLOCK, **kw})
     assert started.value.args == (4 if kind == "neutralized_degree" else 2,)
 
 
-@pytest.mark.parametrize("lambda_e,sizes", [(0.1, [3] * 8), (0.5, [14, 10])])
+@pytest.mark.parametrize("lambda_e,sizes", [(0.1, [3] * 8), (0.5, [14, 14, 10])])
 def test_short_guard_disk_runs_reach_the_pool(lambda_e, sizes, monkeypatch):
-    # 24 trials at rho_n = 1.5: each block is one filtering call with its
-    # own substream, so two threads split even a run this short, and give
-    # the one-thread values and growth counts
+    # 24 and 38 trials at rho_n = 1.5: each block is one filtering call with
+    # its own substream, so a slow block 0 leaves even a run this short to
+    # two threads, which give the one-thread values and growth counts
     cfg = NetworkConfig(lambda_e=lambda_e)
-    a = _sample("neutralized_degree", trials=24, cfg=cfg, rho_n=1.5)
-    workers, blocks = [], []
-    pool = montecarlo.ThreadPoolExecutor
-
-    def recorded_pool(max_workers):
-        workers.append(max_workers)
-        return pool(max_workers=max_workers)
-
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", recorded_pool)
+    a = _sample("neutralized_degree", trials=sum(sizes), cfg=cfg, rho_n=1.5)
+    blocks = []
+    _block0_takes(monkeypatch, 1.0)
+    workers = _record_pools(monkeypatch)
     _record_blocks(monkeypatch, lambda n: blocks.append((n, threading.get_ident())))
-    b = _sample("neutralized_degree", trials=24, threads=2, cfg=cfg, rho_n=1.5)
+    b = _sample("neutralized_degree", trials=sum(sizes), threads=2, cfg=cfg, rho_n=1.5)
     assert workers == [2]
     assert sorted((n for n, _ in blocks), reverse=True) == sizes
-    assert threading.get_ident() not in {ident for _, ident in blocks}
+    assert blocks[0][1] == threading.get_ident()
+    assert threading.get_ident() not in {ident for _, ident in blocks[1:]}
     assert np.array_equal(a.values, b.values)
     assert a.bias_note == b.bias_note
 
 
 def test_pool_keeps_at_most_two_blocks_per_worker_ahead(monkeypatch):
-    # 200 one-trial blocks: the pool never holds more than 2 x workers
-    # futures that are submitted and not yet collected
+    # 200 one-trial blocks, block 0 slow: the pool never holds more than
+    # 2 x workers futures that are submitted and not yet collected
     outstanding, counts = set(), []
 
     class Future:
@@ -361,8 +409,9 @@ def test_pool_keeps_at_most_two_blocks_per_worker_ahead(monkeypatch):
 
     serial = montecarlo._run_blocks(200, Rng(1), 1, draw, size=1)
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
-    pooled = montecarlo._run_blocks(200, Rng(1), 3, draw, pooled=True, size=1)
-    assert len(counts) == 200 and max(counts) == 2 * 3 and not outstanding
+    _block0_takes(monkeypatch, 1.0)
+    pooled = montecarlo._run_blocks(200, Rng(1), 3, draw, size=1)
+    assert len(counts) == 199 and max(counts) == 2 * 3 and not outstanding
     assert np.array_equal(np.concatenate(serial), np.concatenate(pooled))
 
 
@@ -396,8 +445,7 @@ def test_block_size_follows_draws(monkeypatch):
         assert block_trials(kind, 600, **kw) == [256, 256, 88], kind
     assert block_trials("voronoi_area", 2148, cfg=None) == [1024, 1024, 100]
     # colluding windows at the default size expect 456, 250, 122, 51 and 9.5
-    # eavesdroppers per trial; the pooled b = 1.5 blocks keep 256 trials, and
-    # still reach the pool with 2 workers (test_pooled_runs_reach_the_pool)
+    # eavesdroppers per trial; the b = 1.5 blocks keep 256 trials
     cfgs = [NetworkConfig(lambda_e=0.1, gain=GainModel("unbounded", b)) for b in (1.5, 1.6, 1.75, 2.0, 3.0)]
     eaves = [cfg.lambda_e * math.pi * colluding_window(cfg) ** 2 for cfg in cfgs]
     assert [montecarlo._block_size(d) for d in eaves] == [256, 512, 1024, 2048, 4096]

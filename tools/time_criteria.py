@@ -2,13 +2,14 @@
 """Time `secgraph selftest` criteria in two checkouts, alternating which goes first.
 
     python3 tools/time_criteria.py --parent ../parent --change . \\
-        --criteria neutralization --pairs 5 --threads 1,2 --label pr27_criteria
+        --pairs 5 --threads 1,2 --label battery
 
 Each pair runs `python -m secgraph.cli selftest --criteria NAMES --threads T`
 once from each checkout's `src/` (the parent first in even pairs, the change
-first in odd ones), at every thread count in --threads.  A criterion's
-seconds are those its printed line reports; `wall_s` is the whole
-subprocess, interpreter start included.  BENCH_<label>.json (in --out-dir)
+first in odd ones), at every thread count in --threads.  NAMES is --criteria,
+by default every criterion of the change checkout's `acceptance.CRITERIA`.
+A criterion's seconds are those its printed line reports; `wall_s` is the
+whole subprocess, interpreter start included.  BENCH_<label>.json (in --out-dir)
 holds every run and, per thread count and timing, each side's median and
 quartiles and the pairs in which the change was faster.  Exit code 0 when
 every run passed its criteria, 1 otherwise.
@@ -32,12 +33,22 @@ SIDES = ("parent", "change")
 _LINE = re.compile(r"^(PASS|FAIL)\s+(\S+)\s+\[\s*([0-9.]+)s\]")
 
 
+def env_for(checkout: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+
+
+def all_criteria(checkout: Path) -> str:
+    """Comma-separated names of checkout's acceptance.CRITERIA, in battery order."""
+    code = "from secgraph.acceptance import CRITERIA; print(','.join(CRITERIA))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env_for(checkout), capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
 def run_once(checkout: Path, criteria: str, threads: int) -> dict:
     """One selftest run from checkout: wall seconds, each criterion's seconds, pass flag."""
-    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
     cmd = [sys.executable, "-m", "secgraph.cli", "selftest", "--criteria", criteria, "--threads", str(threads)]
     start = time.perf_counter()
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    proc = subprocess.run(cmd, env=env_for(checkout), capture_output=True, text=True)
     wall = time.perf_counter() - start
     seconds, passed = {}, proc.returncode == 0
     for line in proc.stdout.splitlines():
@@ -72,13 +83,15 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout whose src/ is the parent side")
     ap.add_argument("--change", type=Path, required=True, help="checkout whose src/ is the changed side")
-    ap.add_argument("--criteria", required=True, help="comma-separated criterion names")
+    ap.add_argument("--criteria", help="comma-separated criterion names (default: every criterion of --change)")
     ap.add_argument("--pairs", type=int, default=5)
     ap.add_argument("--threads", default="1,2", help="comma-separated thread counts")
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     ap.add_argument("--out-dir", type=Path, default=Path("."))
     args = ap.parse_args(argv)
     threads = [int(t) for t in args.threads.split(",")]
+    if args.criteria is None:
+        args.criteria = all_criteria(args.change)
     checkouts = {"parent": args.parent, "change": args.change}
     runs = []
     for pair in range(args.pairs):
