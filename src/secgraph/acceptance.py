@@ -342,9 +342,9 @@ DETERMINISM_RUNS = [
 
 def thread_determinism(threads: int) -> tuple[bool, str]:
     """Every experiment subcommand writes byte-identical output at
-    --threads 1 and --threads 4 for the same seed.  montecarlo.FORCE_POOL is
-    set meanwhile, so the 4-thread runs send every block through the pool,
-    whatever block 0 took."""
+    --threads 1 and --threads 4 for the same seed.  At 4 threads the calling
+    thread and up to three pool threads share each estimate of two or more
+    blocks, so which thread runs a block varies from run to run."""
     import contextlib
     import io
     import tempfile
@@ -352,24 +352,20 @@ def thread_determinism(threads: int) -> tuple[bool, str]:
 
     ok = True
     parts = []
-    forced, mc.FORCE_POOL = mc.FORCE_POOL, True
-    try:
-        with tempfile.TemporaryDirectory() as td:
-            for j, args in enumerate(DETERMINISM_RUNS):
-                match = True
-                for fmt in ("csv", "json"):
-                    p1 = Path(td) / f"run{j}_t1.{fmt}"
-                    p4 = Path(td) / f"run{j}_t4.{fmt}"
-                    common = args + ["--seed", "7", "--format", fmt]
-                    with contextlib.redirect_stdout(io.StringIO()):
-                        rc1 = cli.main(common + ["--threads", "1", "--out", str(p1)])
-                        rc4 = cli.main(common + ["--threads", "4", "--out", str(p4)])
-                    same = rc1 == 0 and rc4 == 0 and p1.read_bytes() == p4.read_bytes()
-                    match = match and same
-                ok = ok and match
-                parts.append(f"{args[0]}{'' if match else ' MISMATCH'}")
-    finally:
-        mc.FORCE_POOL = forced
+    with tempfile.TemporaryDirectory() as td:
+        for j, args in enumerate(DETERMINISM_RUNS):
+            match = True
+            for fmt in ("csv", "json"):
+                p1 = Path(td) / f"run{j}_t1.{fmt}"
+                p4 = Path(td) / f"run{j}_t4.{fmt}"
+                common = args + ["--seed", "7", "--format", fmt]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    rc1 = cli.main(common + ["--threads", "1", "--out", str(p1)])
+                    rc4 = cli.main(common + ["--threads", "4", "--out", str(p4)])
+                same = rc1 == 0 and rc4 == 0 and p1.read_bytes() == p4.read_bytes()
+                match = match and same
+            ok = ok and match
+            parts.append(f"{args[0]}{'' if match else ' MISMATCH'}")
     detail = "byte-identical across thread counts: " + ", ".join(parts)
     return ok, detail
 

@@ -47,8 +47,8 @@ __all__ = ["RunConfig", "load_config", "main"]
 
 _FORMATS = ("csv", "json")
 _DEFAULT_SEED = 42
-# A pool starts one OS thread per block up to --threads, so an unbounded value
-# could start thousands of them.
+# A run asks the block pool for up to --threads - 1 helper threads, so an
+# unbounded value could queue thousands of them.
 _MAX_THREADS = 64
 
 
@@ -585,9 +585,9 @@ class _Parser(argparse.ArgumentParser):
 
 _KEY_HELP = {
     "threads": (
-        "ceiling on worker threads (default min(CPUs, 8), at most 64); an estimate runs its first block on "
-        f"one thread and pools the rest only when that block took {mc._POOL_BLOCK_S * 1e3:g} ms or more; "
-        "results are byte-identical at any value"
+        "ceiling on worker threads (default the CPUs this process may use, at most 8; accepted up to 64); "
+        "an estimate of two or more blocks shares them between the calling thread and up to threads - 1 "
+        "pool threads, each taking the next block; results are byte-identical at any value"
     ),
 }
 
@@ -636,7 +636,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     if "trials" in exp.keys and "trials" not in values:
         values["trials"] = exp.trials
     if "threads" not in values:
-        values["threads"] = min(os.cpu_count() or 1, 8)
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        values["threads"] = min(usable, 8)
     return RunConfig(**values)
 
 

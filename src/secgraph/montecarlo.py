@@ -86,17 +86,17 @@ refuses a first block that expects more than 1e7 draws, or points of a
 spatial window (_BLOCK_BUDGET), and a run whose trials expect more than 2e10
 such points in all (_WORK_BUDGET).  A guard-disk trial, which no filtering
 call splits, is budgeted on its own.  The size follows from the kind and its
-parameters alone, so thread count changes only which worker executes a
-block, never the numbers.  threads is a ceiling: block 0 runs on the
-calling thread, and the rest go to a pool only when it took _POOL_BLOCK_S
-or more (see _run_blocks).
+parameters alone, so thread count changes only which thread runs a block,
+never the numbers.  threads is a ceiling: a run of two or more blocks at
+threads > 1 is shared by the calling thread and up to threads - 1 helpers
+of one process-wide pool, each claiming the next block (see _run_blocks).
 """
 
 from __future__ import annotations
 
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
 
@@ -356,64 +356,66 @@ def _check_blocks(trials: int, size: int, draws: float | None = None, points: fl
         )
 
 
-# Seconds block 0 must take for the rest of its run to go to the pool.  The
-# blocks after block 0 pooled on two threads against all serially, ranges of
-# the medians of three sets of 9-15 interleaved rounds (2-vCPU VM, shared):
-#   run (lambda_l 1)                          blocks  block 0 ms  speed-up
-#   neighbor_msr, 50k trials                      13   0.15-0.20  0.67-0.77x
-#   sector_degree L = 4, 50k                      13   0.41-0.56  0.91-1.20x
-#   colluding_degree lambda_e 0.1, b = 1.5, 15k   59   0.64-1.21  0.95-1.60x
-#     b = 1.75 and 2                            15, 8   0.82-1.37  0.89-1.29x
-#   in_degree lambda_e 4, 1 and 0.25, 6144        24   0.88-2.26  0.91-1.04x
-#   neutralized_degree lambda_e 0.5, rho_n 0.5     8   1.90-2.62  0.68-0.95x
-#   in_degree lambda_e 0.1, 2560                  10   4.62-6.24  0.94-1.26x
-#   voronoi_area, 6144                             6   4.69-5.39  0.97-1.22x
-#   neutralized_degree lambda_e 0.5, rho_n 1       8   5.67-6.63  0.90-0.95x
-#   fading lognormal, 2048                         8   6.09-7.48  0.94-1.42x
-#   neutralized_degree lambda_e 0.1, rho_n 1.5     8   6.37-9.11  0.88-1.08x
-# Median under 3 ms 0.92x (27 readings), above 1.04x (15, none under 0.88x).
-# A two-block run never pools: 2048 typical cells and 24 guard-disk trials at
-# lambda_e 0.5, rho_n 1.5 ran 0.94x and 0.92x with both blocks pooled.
-_POOL_BLOCK_S = 3e-3
-# Test hooks: the clock that times block 0, and FORCE_POOL, which pools every
-# block of a run, block 0 untimed, to prove the pooled path byte-identical.
-_clock = time.perf_counter
-FORCE_POOL = False
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _helpers() -> ThreadPoolExecutor:
+    """The one pool whose threads help every pooled run, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(thread_name_prefix="secgraph-block")
+        return _pool
 
 
 def _run_blocks(trials: int, root: Rng, threads: int, block_fn, draws: float | None = None, points=None, size=None):
     """Run block_fn(block_rng, block_size) over trial blocks of size trials,
-    _block_size(draws) unless given.
+    _block_size(draws) unless given, and return the results in block order.
 
-    Block 0 runs on the calling thread and is timed; the rest go to a pool
-    of min(threads, blocks left) workers when it took _POOL_BLOCK_S or more,
-    and run serially otherwise.  The pool holds at most two blocks per worker
-    submitted ahead of the one being collected, so a run of many small blocks
-    queues few.  Results come back in block order either way; block_fn must
-    derive all randomness from the Rng it is handed.  points is the points
-    of a spatial window a trial expects.  _check_blocks refuses the run
-    before any block.
+    At threads 1, or for one block, the blocks run serially.  Otherwise the
+    calling thread and min(threads, blocks) - 1 helpers from _helpers() each
+    claim the next block under a lock.  Helpers not started when no block is
+    left are cancelled, so a nested or concurrent run never waits behind one;
+    a block that raises stops further claims, and its error is raised here.
+    block_fn must derive all randomness from the Rng it is handed.  points
+    is the points of a spatial window a trial expects; _check_blocks refuses
+    the run before any block.
     """
     size = _block_size(draws) if size is None else size
     _check_blocks(trials, size, draws, points)
     plan = _blocks(trials, size)
-    results = []
-    if not FORCE_POOL:
-        start = _clock()
-        results.append(block_fn(root.substream(0), plan[0][1]))
-        plan = plan[1:]
-        if _clock() - start < _POOL_BLOCK_S:
-            threads = 1
     workers = min(threads, len(plan))
     if workers <= 1:
-        return results + [block_fn(root.substream(i), n) for i, n in plan]
-    ahead = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for i, n in plan:
-            if len(ahead) == 2 * workers:
-                results.append(ahead.pop(0).result())
-            ahead.append(pool.submit(block_fn, root.substream(i), n))
-        return results + [f.result() for f in ahead]
+        return [block_fn(root.substream(i), n) for i, n in plan]
+    results = [None] * len(plan)
+    lock = threading.Lock()
+    left = iter(plan)
+
+    def work():
+        nonlocal left
+        while True:
+            with lock:
+                i, n = next(left, (None, 0))
+            if i is None:
+                return
+            try:
+                results[i] = block_fn(root.substream(i), n)
+            except BaseException:
+                with lock:
+                    left = iter(())
+                raise
+
+    pool = _helpers()
+    helpers = [pool.submit(work) for _ in range(workers - 1)]
+    try:
+        work()
+    finally:
+        started = [f for f in helpers if not f.cancel()]
+        wait(started)
+    for f in started:
+        f.result()  # raises a helper's block error
+    return results
 
 
 # ---------------------------------------------------------------------------

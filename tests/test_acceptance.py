@@ -16,7 +16,7 @@ import json
 import math
 import os
 import re
-from pathlib import Path
+import threading
 
 import pytest
 
@@ -104,28 +104,22 @@ def test_criterion(name, capsys):
     _assert_matches_pin(result.detail, PINNED[name])
 
 
-def test_thread_determinism_forces_the_pool(monkeypatch):
-    # every CLI run of the criterion sees the hook set, and it is restored
-    # afterwards, also when a run raises
-    seen = []
+def test_thread_determinism_runs_blocks_on_several_threads(monkeypatch):
+    # the criterion's 4-thread runs share their blocks between the calling
+    # thread and pool threads, so its byte comparison covers pooled blocks
+    threads, run_blocks = {1: set(), 4: set()}, montecarlo._run_blocks
 
-    def fake_main(argv):
-        seen.append(montecarlo.FORCE_POOL)
-        Path(argv[argv.index("--out") + 1]).write_text("same")
-        return 0
+    def recorded(trials, root, t, block_fn, *args, **kwargs):
+        def block(rng, n):
+            threads[t].add(threading.get_ident())
+            return block_fn(rng, n)
 
-    monkeypatch.setattr(acceptance.cli, "main", fake_main)
-    passed, _ = acceptance.thread_determinism(1)
-    assert passed and len(seen) == 40 and all(seen)
-    assert montecarlo.FORCE_POOL is False
+        return run_blocks(trials, root, t, block, *args, **kwargs)
 
-    def failing_main(argv):
-        raise RuntimeError("run failed")
-
-    monkeypatch.setattr(acceptance.cli, "main", failing_main)
-    with pytest.raises(RuntimeError):
-        acceptance.thread_determinism(1)
-    assert montecarlo.FORCE_POOL is False
+    monkeypatch.setattr(montecarlo, "_run_blocks", recorded)
+    passed, detail = acceptance.thread_determinism(1)
+    assert passed, detail
+    assert threads[1] == {threading.get_ident()} and len(threads[4]) > 1
 
 
 # A fingerprint of each of thread_determinism's runs at seed 7 on one thread:

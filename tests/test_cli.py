@@ -500,6 +500,16 @@ def test_threads_over_the_ceiling_exit_1(tmp_path, capsys):
         RunConfig(experiment="sectors", threads=0)
 
 
+def test_default_threads_are_the_cpus_this_process_may_use(monkeypatch):
+    # taskset or a cpuset limits the CPUs a process may use below the host's
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    for usable, threads in ((2, 2), (5, 5), (20, 8)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=usable: set(range(n)), raising=False)
+        assert cli._resolve(cli._build_parser().parse_args(["sectors"])).threads == threads
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert cli._resolve(cli._build_parser().parse_args(["sectors"])).threads == 8
+
+
 @pytest.mark.filterwarnings("error")
 def test_one_trial_voronoi_run_has_se_0(tmp_path, capsys):
     # as Sample.mean() gives every other runner's one-trial SE
@@ -571,11 +581,16 @@ def test_runners_build_rows_of_plain_cells():
 
 # ------------------------------------------------------------ fresh imports
 
+def _fresh_env():
+    """The environment of a new interpreter that finds this secgraph first."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _fresh_python(script, cwd):
     """Run script in a new interpreter that finds this secgraph first; this
     process already holds scipy, so only a new one can see what a run loads."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _fresh_env()
     proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
@@ -596,16 +611,22 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 _POOLED_NEUTRALIZE = ["neutralize", "--guard-radius", "1.5", "--lambda-e", "0.5", "--trials", "300", "--seed", "4"]
 
 
-def test_forced_pool_neutralize_gives_the_serial_bytes(tmp_path, monkeypatch):
-    # FORCE_POOL sends every block of every guard radius to the pool, block 0
-    # and the fast blocks of radii 0.25 to 0.75 included
-    monkeypatch.setattr(mc, "FORCE_POOL", True)
+def test_forced_pool_neutralize_gives_the_serial_bytes(tmp_path):
+    # at --threads 2 every guard radius's run of two or more blocks is shared
+    # with a pool thread, the fast blocks of radii 0.25 to 0.75 included
     code, pooled = _run([*_POOLED_NEUTRALIZE, "--threads", "2"], tmp_path, "pooled.csv")
     assert code == 0
-    monkeypatch.setattr(mc, "FORCE_POOL", False)
     code, serial = _run([*_POOLED_NEUTRALIZE, "--threads", "1"], tmp_path, "serial.csv")
     assert code == 0
     assert serial.read_bytes() == pooled.read_bytes()
+
+
+def test_pooled_run_exits_cleanly():
+    # the block pool's threads outlive the run; idle, they must not hold the
+    # interpreter open at exit
+    argv = ["collude", "--sweep-b", "1.5:2:0.5", "--trials", "2000", "--threads", "2", "--out", os.devnull]
+    proc = subprocess.run([sys.executable, "-m", "secgraph.cli", *argv], env=_fresh_env(), capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --------------------------------------------------------------- sweep parse

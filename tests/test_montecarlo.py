@@ -9,7 +9,10 @@ the acceptance criteria.
 import dataclasses
 import math
 import re
+import sys
 import threading
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -212,81 +215,72 @@ def _record_blocks(monkeypatch, record):
     monkeypatch.setattr(montecarlo, "_run_blocks", recorded)
 
 
+def _meet_in_first_two_blocks(record):
+    """record(n), after which the first two blocks to start wait for each
+    other: a run passes only if two threads ran blocks at once."""
+    barrier, lock, started = threading.Barrier(2, timeout=60), threading.Lock(), []
+
+    def meet(n):
+        record(n)
+        with lock:
+            started.append(n)
+            first_two = len(started) <= 2
+        if first_two:
+            barrier.wait()
+
+    return meet
+
+
 @pytest.mark.parametrize("kind,kw", _INVARIANCE)
 def test_thread_count_invariance(kind, kw, monkeypatch):
     a = _sample(kind, threads=1, **kw)
-    # FORCE_POOL sends every kind's blocks through the pool, serial kinds
-    # included; record the thread each block runs in to prove it did
+    # every run here is several blocks, so at threads=4 the calling thread
+    # and pool threads share them: the first two blocks run at once
     blocks = []
-    monkeypatch.setattr(montecarlo, "FORCE_POOL", True)
-    _record_blocks(monkeypatch, lambda n: blocks.append((n, threading.get_ident())))
+    _record_blocks(monkeypatch, _meet_in_first_two_blocks(blocks.append))
     b = _sample(kind, threads=4, **kw)
-    size = max(n for n, _ in blocks)  # the kind's own block size
+    size = max(blocks)  # the kind's own block size
     assert len(blocks) == len(montecarlo._blocks(len(a.values), size)) > 1
-    assert threading.get_ident() not in {ident for _, ident in blocks}
     assert np.array_equal(a.values, b.values)
     assert a.bias_note == b.bias_note  # window-growth counts included
 
 
-class _PoolStarted(Exception):
-    pass
+def _no_pool():
+    pytest.fail("a serial run touched the pool")
 
 
-def _no_pool(max_workers):
-    raise _PoolStarted(max_workers)
+class _IdleHelpers:
+    """Stands in for _helpers(): counts the helpers each run asks for and
+    never starts one, so the calling thread runs every block."""
 
+    def __init__(self):
+        self.asked = []
 
-def _block0_takes(monkeypatch, took):
-    """Have block 0 of the next run take took seconds, by the clock
-    _run_blocks reads before and after it."""
-    ticks = iter((0.0, took))
-    monkeypatch.setattr(montecarlo, "_clock", lambda: next(ticks))
-
-
-def _record_pools(monkeypatch):
-    """Workers of every pool a run starts, in a list."""
-    workers, pool = [], montecarlo.ThreadPoolExecutor
-
-    def recorded_pool(max_workers):
-        workers.append(max_workers)
-        return pool(max_workers=max_workers)
-
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", recorded_pool)
-    return workers
+    def submit(self, fn):
+        self.asked.append(fn)
+        return Future()
 
 
 @pytest.mark.parametrize(
-    "threads,blocks,took,workers",
-    [
-        (3, 4, montecarlo._POOL_BLOCK_S, [3]),
-        (3, 4, math.nextafter(montecarlo._POOL_BLOCK_S, 0.0), []),
-        (3, 6, 1.0, [3]),
-        (1, 4, 1.0, []),
-        (3, 1, 1.0, []),
-        (3, 2, 1.0, []),
-    ],
+    "threads,blocks,helpers", [(3, 4, 2), (3, 6, 2), (1, 4, 0), (3, 1, 0), (3, 2, 1), (8, 3, 2)]
 )
-def test_pool_follows_block_0_time(threads, blocks, took, workers, monkeypatch):
-    # block 0 runs on the calling thread; the rest pool, on min(threads,
-    # blocks left) workers, only when it took _POOL_BLOCK_S or more and
-    # threads > 1, so a run of one block, or of two, never starts a pool
+def test_pool_rule(threads, blocks, helpers, monkeypatch):
+    # a run of two or more blocks at threads > 1 asks for min(threads,
+    # blocks) - 1 helpers whatever its blocks take; helpers that never start
+    # are cancelled, and the calling thread runs the blocks left
     def draw(rng, n):
-        idents.append(threading.get_ident())
         return rng.generator().random(n)
 
-    idents = []
     serial = montecarlo._run_blocks(blocks, Rng(1), 1, draw, size=1)
-    idents.clear()
-    _block0_takes(monkeypatch, took)
-    started = _record_pools(monkeypatch)
+    idle = _IdleHelpers()
+    monkeypatch.setattr(montecarlo, "_helpers", lambda: idle)
     out = montecarlo._run_blocks(blocks, Rng(1), threads, draw, size=1)
-    assert started == workers
-    assert idents[0] == threading.get_ident()
-    assert (threading.get_ident() in idents[1:]) == (not workers and blocks > 1)
+    assert len(idle.asked) == helpers
     assert np.array_equal(np.concatenate(serial), np.concatenate(out))
 
 
-# runs of three or more blocks, which pool when block 0 is slow
+# runs of three or more blocks of every kind but sector_degree and
+# neighbor_msr, which the thread-count cases pool
 _POOLED = [
     ("out_degree", {"cfg": NetworkConfig(lambda_e=0.5, fading=FadingModel("lognormal", sigma_s=1.0))}),
     ("colluding_degree", {"cfg": NetworkConfig(lambda_e=0.1, gain=GainModel("unbounded", 1.5))}),
@@ -297,8 +291,7 @@ _POOLED = [
 ]
 
 
-# runs of every kind, one-block runs among them, which never pool while
-# block 0 is fast
+# runs of every kind, one-block runs among them
 _SERIAL = (
     [
         ("out_degree", {"trials": _CHEAP}),
@@ -328,15 +321,19 @@ _SERIAL = (
 
 @pytest.mark.parametrize("kind,kw", _SERIAL)
 def test_serial_runs_start_no_pool(kind, kw, monkeypatch):
-    # with block 0 under _POOL_BLOCK_S no run of any kind starts a pool
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _no_pool)
-    _block0_takes(monkeypatch, 0.0)
-    assert len(_sample(kind, threads=4, **kw).values) == kw.get("trials", 4096)
+    # at threads=1 no run of any kind touches the pool, nor does a run of
+    # one block at any thread count
+    monkeypatch.setattr(montecarlo, "_helpers", _no_pool)
+    blocks = []
+    _record_blocks(monkeypatch, blocks.append)
+    assert len(_sample(kind, threads=1, **kw).values) == kw.get("trials", 4096)
+    if len(blocks) == 1:
+        assert len(_sample(kind, threads=4, **kw).values) == kw["trials"]
 
 
 def test_every_kind_has_thread_cases():
-    # a new kind must join the invariance cases, which run every block in
-    # the pool, and the pool-rule cases
+    # a new kind must join the invariance cases, which run blocks on several
+    # threads at once, and the pool-rule cases
     kinds = set(montecarlo._SAMPLERS)
     assert kinds == {kind for kind, _ in _INVARIANCE}
     assert kinds == {kind for kind, _ in _SERIAL + _POOLED}
@@ -344,75 +341,131 @@ def test_every_kind_has_thread_cases():
 
 @pytest.mark.parametrize("kind,kw", _POOLED)
 def test_pooled_runs_reach_the_pool(kind, kw, monkeypatch):
-    # with block 0 at _POOL_BLOCK_S every kind pools the blocks left, on
-    # min(threads, blocks left) workers at threads=4: 2 for three 256-trial
-    # or 1024-trial blocks, 4 for the 55 guard-disk blocks of one filtering
-    # call (14 trials) each
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _no_pool)
-    _block0_takes(monkeypatch, montecarlo._POOL_BLOCK_S)
-    with pytest.raises(_PoolStarted) as started:
-        _sample(kind, threads=4, **{"trials": 3 * montecarlo._BLOCK, **kw})
-    assert started.value.args == (4 if kind == "neutralized_degree" else 2,)
+    # at threads=4 every kind asks for min(threads, blocks) - 1 helpers: 2
+    # for three 256-trial or 1024-trial blocks, 3 for the 55 guard-disk
+    # blocks of one filtering call (14 trials) each
+    idle = _IdleHelpers()
+    monkeypatch.setattr(montecarlo, "_helpers", lambda: idle)
+    _sample(kind, threads=4, **{"trials": 3 * montecarlo._BLOCK, **kw})
+    assert len(idle.asked) == (3 if kind == "neutralized_degree" else 2)
 
 
 @pytest.mark.parametrize("lambda_e,sizes", [(0.1, [3] * 8), (0.5, [14, 14, 10])])
 def test_short_guard_disk_runs_reach_the_pool(lambda_e, sizes, monkeypatch):
     # 24 and 38 trials at rho_n = 1.5: each block is one filtering call with
-    # its own substream, so a slow block 0 leaves even a run this short to
-    # two threads, which give the one-thread values and growth counts
+    # its own substream, so even a run this short is shared by two threads,
+    # which give the one-thread values and growth counts
     cfg = NetworkConfig(lambda_e=lambda_e)
     a = _sample("neutralized_degree", trials=sum(sizes), cfg=cfg, rho_n=1.5)
     blocks = []
-    _block0_takes(monkeypatch, 1.0)
-    workers = _record_pools(monkeypatch)
-    _record_blocks(monkeypatch, lambda n: blocks.append((n, threading.get_ident())))
+    _record_blocks(monkeypatch, _meet_in_first_two_blocks(blocks.append))
     b = _sample("neutralized_degree", trials=sum(sizes), threads=2, cfg=cfg, rho_n=1.5)
-    assert workers == [2]
-    assert sorted((n for n, _ in blocks), reverse=True) == sizes
-    assert blocks[0][1] == threading.get_ident()
-    assert threading.get_ident() not in {ident for _, ident in blocks[1:]}
+    assert sorted(blocks, reverse=True) == sizes
     assert np.array_equal(a.values, b.values)
     assert a.bias_note == b.bias_note
 
 
-def test_pool_keeps_at_most_two_blocks_per_worker_ahead(monkeypatch):
-    # 200 one-trial blocks, block 0 slow: the pool never holds more than
-    # 2 x workers futures that are submitted and not yet collected
-    outstanding, counts = set(), []
-
-    class Future:
-        def __init__(self, value):
-            self.value = value
-
-        def result(self):
-            outstanding.discard(self)
-            return self.value
-
-    class Pool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future(fn(*args))
-            outstanding.add(future)
-            counts.append(len(outstanding))
-            return future
+def _tally_blocks(pause, record=lambda: None):
+    """A block function that calls record(), sleeps pause seconds, which
+    releases the GIL as a numpy block does, and draws one number per trial;
+    and its tally of the blocks in flight, their peak and the threads that
+    ran them."""
+    lock = threading.Lock()
+    tally = {"in_flight": 0, "peak": 0, "threads": set()}
 
     def draw(rng, n):
-        return rng.generator().random(n)
+        with lock:
+            tally["in_flight"] += 1
+            tally["peak"] = max(tally["peak"], tally["in_flight"])
+            tally["threads"].add(threading.get_ident())
+        try:
+            record()
+            time.sleep(pause)
+            return rng.generator().random(n)
+        finally:
+            with lock:
+                tally["in_flight"] -= 1
 
-    serial = montecarlo._run_blocks(200, Rng(1), 1, draw, size=1)
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
-    _block0_takes(monkeypatch, 1.0)
-    pooled = montecarlo._run_blocks(200, Rng(1), 3, draw, size=1)
-    assert len(counts) == 199 and max(counts) == 2 * 3 and not outstanding
+    return draw, tally
+
+
+def test_pool_keeps_at_most_workers_blocks_in_flight():
+    # 400 one-trial blocks on more threads than cores, with the interpreter
+    # switching threads every microsecond: every block runs once, in its
+    # slot, and no more than threads blocks are ever in flight
+    draw, tally = _tally_blocks(2e-4)
+    serial = montecarlo._run_blocks(400, Rng(1), 1, draw, size=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = montecarlo._run_blocks(400, Rng(1), 6, draw, size=1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert 1 < tally["peak"] <= 6 and len(tally["threads"]) > 1
     assert np.array_equal(np.concatenate(serial), np.concatenate(pooled))
+
+
+@pytest.mark.parametrize("where", ["caller", "helper"])
+def test_a_raising_block_stops_the_run_and_reaches_the_caller(where):
+    # the first block to start on the calling thread, or on a pool thread,
+    # raises: no block is claimed after it, so only the blocks the other two
+    # threads had claimed start later, and the error reaches the caller once
+    # every block in flight is done
+    caller, lock, events = threading.get_ident(), threading.Lock(), []
+
+    def maybe_raise():
+        on_caller = threading.get_ident() == caller
+        with lock:
+            raising = on_caller == (where == "caller") and "raised" not in events
+            events.append("raised" if raising else "started")
+        if raising:
+            raise RuntimeError("block failed")
+
+    draw, tally = _tally_blocks(2e-3, maybe_raise)
+    with pytest.raises(RuntimeError, match="block failed"):
+        montecarlo._run_blocks(200, Rng(1), 3, draw, size=1)
+    assert tally["in_flight"] == 0
+    assert events[events.index("raised") + 1 :].count("started") <= 2
+
+
+def _nested(rng, n):
+    """A block that itself runs three blocks at threads=2."""
+    return np.concatenate(montecarlo._run_blocks(3 * n, rng, 2, lambda r, m: r.generator().random(m), size=n))
+
+
+def _all_finish(*calls):
+    """Each call run on its own thread, all at once; each must return within 60 s."""
+    out = [None] * len(calls)
+    runs = [threading.Thread(target=lambda i=i, call=call: out.__setitem__(i, call())) for i, call in enumerate(calls)]
+    for run in runs:
+        run.start()
+    for run in runs:
+        run.join(timeout=60)
+    assert not any(run.is_alive() for run in runs), "a pooled run did not finish"
+    return out
+
+
+@pytest.mark.parametrize("pool", ["shared", "one thread"])
+def test_nested_and_concurrent_runs_finish_with_the_serial_values(pool, monkeypatch):
+    # a block's own pooled run, and two callers at once, finish and give the
+    # serial values; with one pool thread for everyone they find it busy,
+    # so they cancel their queued helpers and run their blocks themselves
+    nested = np.concatenate(montecarlo._run_blocks(8, Rng(3), 1, _nested, size=2))
+    degrees = _sample("in_degree", trials=600).values
+    guards = _sample("neutralized_degree", trials=24, rho_n=1.5).values
+    one = ThreadPoolExecutor(max_workers=1)
+    if pool == "one thread":
+        monkeypatch.setattr(montecarlo, "_helpers", lambda: one)
+    try:
+        (got,) = _all_finish(lambda: montecarlo._run_blocks(8, Rng(3), 4, _nested, size=2))
+        assert np.array_equal(nested, np.concatenate(got))
+        a, b = _all_finish(
+            lambda: _sample("in_degree", trials=600, threads=4).values,
+            lambda: _sample("neutralized_degree", trials=24, threads=4, rho_n=1.5).values,
+        )
+        assert np.array_equal(degrees, a) and np.array_equal(guards, b)
+    finally:
+        one.shutdown(wait=False, cancel_futures=True)  # a stuck helper fails the test, not the run
 
 
 def test_block_size_follows_draws(monkeypatch):
