@@ -279,6 +279,27 @@ def test_pool_rule(threads, blocks, helpers, monkeypatch):
     assert np.array_equal(np.concatenate(serial), np.concatenate(out))
 
 
+@pytest.mark.parametrize("took", [0.003, 0.0])
+def test_pool_ignores_block_0_time(took, monkeypatch):
+    # a run asks for its helpers before block 0 starts, so 3 threads over 4
+    # blocks ask for 2 whether block 0 takes 3 ms or no time at all
+    def draw(rng, n):
+        if not asked_at_block_0:
+            asked_at_block_0.append(len(idle.asked))
+            time.sleep(took)
+        return rng.generator().random(n)
+
+    asked_at_block_0 = [0]
+    serial = montecarlo._run_blocks(4, Rng(1), 1, draw, size=1)
+    asked_at_block_0.clear()
+    idle = _IdleHelpers()
+    monkeypatch.setattr(montecarlo, "_helpers", lambda: idle)
+    out = montecarlo._run_blocks(4, Rng(1), 3, draw, size=1)
+    assert asked_at_block_0 == [2]
+    assert len(idle.asked) == 2
+    assert np.array_equal(np.concatenate(serial), np.concatenate(out))
+
+
 # runs of three or more blocks of every kind but sector_degree and
 # neighbor_msr, which the thread-count cases pool
 _POOLED = [
